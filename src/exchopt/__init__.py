@@ -8,9 +8,8 @@ control variate.  The convention module solves for the mixing coefficient a*
 that makes the closed form track the true price to first order in moneyness.
 """
 
-from .blackscholes import VanillaSpec, bs_price, bs_vega, implied_vol
+from .blackscholes import bs_price, bs_vega, implied_vol
 from .convention import (
-    LinearConvention,
     ModelLimits,
     a_star_observables,
     a_star_parametric,
@@ -32,33 +31,33 @@ from .heston import (
     measure_smile_observables,
 )
 from .margrabe import (
-    ExchangeQuote,
     convention_gamma,
     exchange_implied_vol,
     implied_correlation,
     margrabe_price,
 )
-from .models import AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel
+from .models import (
+    AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
+)
 from .simulation import (
     McConfig,
     PriceEstimate,
     cholesky3,
     simulate_exchange,
     simulate_vanilla,
-    validate_correlation,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "VanillaSpec", "bs_price", "bs_vega", "implied_vol",
-    "ExchangeQuote", "margrabe_price", "convention_gamma",
+    "bs_price", "bs_vega", "implied_vol",
+    "margrabe_price", "convention_gamma",
     "exchange_implied_vol", "implied_correlation",
     "HestonParams", "AssetSpec", "CorrelationStructure", "TwoAssetModel",
     "Smile", "SmileObservables", "effective_heston", "heston_vanilla_price",
     "exchange_option_price", "build_smile", "build_smile_grid",
     "measure_atm_observables", "measure_smile_observables",
-    "LinearConvention", "ModelLimits", "strikes",
+    "ModelLimits", "strikes",
     "a_star_parametric", "a_star_observables", "bound_a",
     "linear_convention_residual", "general_residual",
     "McConfig", "PriceEstimate", "validate_correlation", "cholesky3",

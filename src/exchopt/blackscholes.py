@@ -7,7 +7,6 @@ Everything works on log spot ``x`` and log strike ``k``; prices are undiscounted
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr  # erfc-based normal CDF, abs error < 1e-15
@@ -15,11 +14,8 @@ from scipy.special import ndtr  # erfc-based normal CDF, abs error < 1e-15
 from .errors import DomainError, InputError, NumericalError
 
 __all__ = [
-    "VanillaSpec",
     "bs_price",
     "bs_vega",
-    "price",
-    "vega",
     "implied_vol",
     "norm_cdf",
     "norm_pdf",
@@ -42,28 +38,6 @@ def norm_cdf(z):
 
 def norm_pdf(z):
     return np.exp(-0.5 * np.asarray(z) ** 2) / _SQRT_2PI
-
-
-@dataclass(frozen=True)
-class VanillaSpec:
-    """A vanilla call quote in log coordinates: value time t, maturity T,
-    log spot x, log strike k, volatility sigma."""
-
-    t: float
-    T: float
-    x: float
-    k: float
-    sigma: float
-
-    def __post_init__(self):
-        for name in ("t", "T", "x", "k", "sigma"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise InputError(f"non-finite {name}={v}")
-        if self.T < self.t:
-            raise InputError(f"maturity T={self.T} before valuation time t={self.t}")
-        if self.sigma < 0:
-            raise InputError(f"negative volatility sigma={self.sigma}")
 
 
 def _check_finite(**kwargs):
@@ -91,10 +65,6 @@ def bs_price(t: float, x: float, k: float, sigma: float, T: float) -> float:
     return float(math.exp(x) * ndtr(d1) - math.exp(k) * ndtr(d1 - s))
 
 
-def price(spec: VanillaSpec) -> float:
-    return bs_price(spec.t, spec.x, spec.k, spec.sigma, spec.T)
-
-
 def bs_vega(t: float, x: float, k: float, sigma: float, T: float) -> float:
     """Analytic dBS/dsigma = e^x phi(d1) sqrt(T-t); zero at expiry."""
     _check_finite(t=t, x=x, k=k, sigma=sigma, T=T)
@@ -106,10 +76,6 @@ def bs_vega(t: float, x: float, k: float, sigma: float, T: float) -> float:
     s = sigma * math.sqrt(tau)
     d1 = (x - k) / s + 0.5 * s
     return float(math.exp(x) * norm_pdf(d1) * math.sqrt(tau))
-
-
-def vega(spec: VanillaSpec) -> float:
-    return bs_vega(spec.t, spec.x, spec.k, spec.sigma, spec.T)
 
 
 def implied_vol(price: float, t: float, x: float, k: float, T: float) -> float:

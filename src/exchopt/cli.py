@@ -175,11 +175,9 @@ def _cmd_price_exchange(cfg: RunConfig, args) -> int:
     a = _convention_value(args.convention, cfg)
     smile_x, smile_y = _leg_smiles(cfg)
     x, y = math.log(model.s0x), math.log(model.s0y)
-    k_x, k_y = conv.strikes(a, x, y)
-    i_x = smile_x.vol_at_moneyness(k_x - x)
-    i_y = smile_y.vol_at_moneyness(k_y - y)
-    gamma = margrabe.convention_gamma(i_x, i_y, model.rho)
-    price = margrabe.margrabe_price(x, y, gamma, cfg.maturity)
+    k_x, k_y, i_x, i_y, gamma, price = experiments._price_point(
+        smile_x, smile_y, model.rho, x, y, cfg.maturity, a
+    )
     print(f"convention {args.convention} (a={a:.6f})")
     print(f"strikes kX={k_x:.6f} kY={k_y:.6f} (K_X={math.exp(k_x):.4f} K_Y={math.exp(k_y):.4f})")
     print(f"leg vols IX={i_x:.6f} IY={i_y:.6f}")

@@ -21,7 +21,6 @@ from .errors import DegenerateConventionError, DomainError, InputError
 from .heston import SmileObservables
 
 __all__ = [
-    "LinearConvention",
     "ModelLimits",
     "strikes",
     "a_star_parametric",
@@ -37,24 +36,10 @@ _DENOM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class LinearConvention:
-    """A log-linear strike rule with mixing coefficient a."""
-
-    a: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.a):
-            raise InputError(f"a must be finite, got {self.a}")
-
-    def strikes(self, x: float, y: float) -> tuple[float, float]:
-        return strikes(self.a, x, y)
-
-
-@dataclass(frozen=True)
 class ModelLimits:
     """Short-time model inputs of the parametric optimum: scaling factors and
-    the three correlations.  Joint PSD of the correlation structure is owned
-    by the simulation module, not enforced here."""
+    the three correlations.  Joint PSD of the correlation structure is
+    checked by models.validate_correlation, not enforced here."""
 
     lam_x: float
     lam_y: float

@@ -21,12 +21,14 @@ import numpy as np
 from . import convention as conv
 from . import heston, margrabe
 from .errors import DegenerateConventionError, DomainError, NumericalError
-from .models import AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel
+from .models import (
+    AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
+)
 from .simulation import (
     McConfig,
+    PriceEstimate,
     exchange_estimate_from_sample,
     simulate_terminal,
-    validate_correlation,
 )
 
 __all__ = [
@@ -189,13 +191,68 @@ def _price_point(
     y: float,
     T: float,
     a: float,
-) -> tuple[float, float, float, float, float]:
-    """(k_X, k_Y, I_X, I_Y, margrabe price) for one convention at one point."""
+) -> tuple[float, float, float, float, float, float]:
+    """(k_X, k_Y, I_X, I_Y, gamma, margrabe price) for one convention at one
+    point."""
     k_x, k_y = conv.strikes(a, x, y)
     i_x = smile_x.vol_at_moneyness(k_x - x)
     i_y = smile_y.vol_at_moneyness(k_y - y)
     gamma = margrabe.convention_gamma(i_x, i_y, rho)
-    return k_x, k_y, i_x, i_y, margrabe.margrabe_price(x, y, gamma, T)
+    return k_x, k_y, i_x, i_y, gamma, margrabe.margrabe_price(x, y, gamma, T)
+
+
+def _point_rows(
+    smile_x: heston.Smile,
+    smile_y: heston.Smile,
+    corr: CorrelationStructure,
+    T: float,
+    s0x: float,
+    s0y: float,
+    est: PriceEstimate,
+    a_star: float | None,
+    conventions: Sequence[str],
+) -> list[dict]:
+    """Rows of one priced grid point, one per convention; a convention whose
+    a* is unavailable gets an excluded row."""
+    rho, rho_x, rho_y = corr.rho, corr.rho_x, corr.rho_y
+    x, y = math.log(s0x), math.log(s0y)
+    try:
+        gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
+    except (DomainError, NumericalError):
+        gamma_hat = math.nan
+    rows: list[dict] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)
+        for name in conventions:
+            try:
+                a = _convention_a(name, a_star)
+            except DegenerateConventionError:
+                rows.append(
+                    _excluded_row(T, rho, rho_x, rho_y, s0y, name,
+                                  "degenerate_convention", est.value, est.stderr)
+                )
+                continue
+            k_x, k_y, i_x, i_y, _, price = _price_point(
+                smile_x, smile_y, rho, x, y, T, a
+            )
+            rho_hat = (
+                margrabe.implied_correlation(gamma_hat, i_x, i_y)
+                if np.isfinite(gamma_hat)
+                else math.nan
+            )
+            rows.append(
+                {
+                    "T": T, "rho": rho, "rho_X": rho_x, "rho_Y": rho_y,
+                    "s0Y": s0y, "convention": name, "a_value": a,
+                    "kX": k_x, "kY": k_y, "IX": i_x, "IY": i_y,
+                    "margrabe_price": price,
+                    "mc_price": est.value, "mc_stderr": est.stderr,
+                    "error": price - est.value,
+                    "implied_corr": rho_hat,
+                    "excluded": False, "exclusion_reason": "",
+                }
+            )
+    return rows
 
 
 def run_test_case(
@@ -223,41 +280,13 @@ def run_test_case(
     a_param = conv.a_star_parametric(limits)
 
     sample = simulate_terminal(model, T, mc)
-    x = math.log(model.s0x)
     rows: list[dict] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)
-        for s0y in s0y_values:
-            y = math.log(s0y)
-            est = exchange_estimate_from_sample(sample, model.s0x, s0y, model.rho, mc)
-            try:
-                gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
-            except (DomainError, NumericalError):
-                gamma_hat = math.nan
-            for name in ("a=0", "a=1", "a_star"):
-                a = _convention_a(name, a_star)
-                k_x, k_y, i_x, i_y, price = _price_point(
-                    smile_x, smile_y, model.rho, x, y, T, a
-                )
-                rho_hat = (
-                    margrabe.implied_correlation(gamma_hat, i_x, i_y)
-                    if np.isfinite(gamma_hat)
-                    else math.nan
-                )
-                rows.append(
-                    {
-                        "T": T, "rho": model.rho,
-                        "rho_X": model.corr.rho_x, "rho_Y": model.corr.rho_y,
-                        "s0Y": s0y, "convention": name, "a_value": a,
-                        "kX": k_x, "kY": k_y, "IX": i_x, "IY": i_y,
-                        "margrabe_price": price,
-                        "mc_price": est.value, "mc_stderr": est.stderr,
-                        "error": price - est.value,
-                        "ratio": price / est.value if est.value != 0 else math.nan,
-                        "implied_corr": rho_hat,
-                        "excluded": False, "exclusion_reason": "",
-                    }
-                )
+    for s0y in s0y_values:
+        est = exchange_estimate_from_sample(sample, model.s0x, s0y, model.rho, mc)
+        rows += _point_rows(
+            smile_x, smile_y, model.corr, T, model.s0x, s0y, est, a_star,
+            ("a=0", "a=1", "a_star"),
+        )
     return TestCaseResult(
         case_id=case_id, T=T, a_star=a_star, a_star_parametric=a_param,
         observables=obs, smile_x=smile_x, smile_y=smile_y, rows=rows,
@@ -328,79 +357,44 @@ def run_grid(spec: GridSpec) -> list[dict]:
             )
         return obs_cache[key]
 
-    x = math.log(spec.s0x)
     rows: list[dict] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)
-        for i_t, i_r, i_x_, i_y_, T, rho, rho_x, rho_y in spec.combos():
-            corr = CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
-            if not validate_correlation(corr)[0]:
-                for s0y in spec.s0y_list:
-                    for name in spec.conventions:
-                        rows.append(
-                            _excluded_row(T, rho, rho_x, rho_y, s0y, name,
-                                          "invalid_correlation")
-                        )
-                continue
-
-            smile_x = leg_smile("X", rho_x, T)
-            smile_y = leg_smile("Y", rho_y, T)
-            try:
-                a_star = conv.a_star_observables(observables(rho_x, rho_y, T), rho)
-            except (DegenerateConventionError, DomainError):
-                a_star = None
-
-            model = TwoAssetModel(
-                heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y,
-                s0x=spec.s0x, s0y=spec.s0x, corr=corr,
-            )
-            mc = replace(spec.mc, seed=_derived_seed(spec.mc.seed, i_t, i_r, i_x_, i_y_))
-            sample = simulate_terminal(model, T, mc)
-
+    for i_t, i_r, i_x, i_y, T, rho, rho_x, rho_y in spec.combos():
+        corr = CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
+        if not validate_correlation(corr)[0]:
             for s0y in spec.s0y_list:
-                y = math.log(s0y)
-                est = exchange_estimate_from_sample(sample, spec.s0x, s0y, rho, mc)
-                if est.value < SUB_CENT_THRESHOLD:
-                    for name in spec.conventions:
-                        rows.append(
-                            _excluded_row(T, rho, rho_x, rho_y, s0y, name,
-                                          "sub_cent", est.value, est.stderr)
-                        )
-                    continue
-                try:
-                    gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
-                except (DomainError, NumericalError):
-                    gamma_hat = math.nan
                 for name in spec.conventions:
-                    try:
-                        a = _convention_a(name, a_star)
-                    except DegenerateConventionError:
-                        rows.append(
-                            _excluded_row(T, rho, rho_x, rho_y, s0y, name,
-                                          "degenerate_convention",
-                                          est.value, est.stderr)
-                        )
-                        continue
-                    k_x, k_y, i_x, i_y, price = _price_point(
-                        smile_x, smile_y, rho, x, y, T, a
-                    )
-                    rho_hat = (
-                        margrabe.implied_correlation(gamma_hat, i_x, i_y)
-                        if np.isfinite(gamma_hat)
-                        else math.nan
-                    )
                     rows.append(
-                        {
-                            "T": T, "rho": rho, "rho_X": rho_x, "rho_Y": rho_y,
-                            "s0Y": s0y, "convention": name, "a_value": a,
-                            "kX": k_x, "kY": k_y, "IX": i_x, "IY": i_y,
-                            "margrabe_price": price,
-                            "mc_price": est.value, "mc_stderr": est.stderr,
-                            "error": price - est.value,
-                            "implied_corr": rho_hat,
-                            "excluded": False, "exclusion_reason": "",
-                        }
+                        _excluded_row(T, rho, rho_x, rho_y, s0y, name,
+                                      "invalid_correlation")
                     )
+            continue
+
+        smile_x = leg_smile("X", rho_x, T)
+        smile_y = leg_smile("Y", rho_y, T)
+        try:
+            a_star = conv.a_star_observables(observables(rho_x, rho_y, T), rho)
+        except (DegenerateConventionError, DomainError):
+            a_star = None
+
+        model = TwoAssetModel(
+            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y,
+            s0x=spec.s0x, s0y=spec.s0x, corr=corr,
+        )
+        mc = replace(spec.mc, seed=_derived_seed(spec.mc.seed, i_t, i_r, i_x, i_y))
+        sample = simulate_terminal(model, T, mc)
+
+        for s0y in spec.s0y_list:
+            est = exchange_estimate_from_sample(sample, spec.s0x, s0y, rho, mc)
+            if est.value < SUB_CENT_THRESHOLD:
+                for name in spec.conventions:
+                    rows.append(
+                        _excluded_row(T, rho, rho_x, rho_y, s0y, name,
+                                      "sub_cent", est.value, est.stderr)
+                    )
+                continue
+            rows += _point_rows(
+                smile_x, smile_y, corr, T, spec.s0x, s0y, est, a_star, spec.conventions
+            )
     rows.sort(key=_row_key)
     return rows
 
@@ -604,14 +598,13 @@ def emit_plot_data(result, kind: str) -> str:
 
     rows = [r for r in rows_of(result) if not r["excluded"]]
     if kind in ("implied_corr", "difference", "ratio"):
-        col = {"implied_corr": "implied_corr", "difference": "error", "ratio": "ratio"}[kind]
         for r in rows:
-            if col == "ratio" and "ratio" not in r:
+            if kind == "ratio":
                 value = (
                     r["margrabe_price"] / r["mc_price"] if r["mc_price"] else math.nan
                 )
             else:
-                value = r[col]
+                value = r["implied_corr" if kind == "implied_corr" else "error"]
             writer.writerow([r["convention"], _fmt(r["s0Y"]), _fmt(value)])
         return buf.getvalue()
 

@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import blackscholes
 from .errors import DomainError, InputError, NumericalError
-from .models import AssetSpec, HestonParams, TwoAssetModel
+from .models import AssetSpec, HestonParams, TwoAssetModel, validate_correlation
 
 __all__ = [
     "SmileObservables",
@@ -59,6 +59,7 @@ _TAIL_TOL = 1e-14
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
 _GL_NODES = 24
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _MAX_REFINE = 9
 
 
@@ -66,9 +67,9 @@ _MAX_REFINE = 9
 class SmileObservables:
     """ATM implied-vol levels and skews of the two legs at maturity T.
 
-    Skews are d(implied vol)/d(log strike): a central difference of half-width
-    ``dz``, or, when ``window`` is set, the endpoint slope over that
-    (asymmetric) log-moneyness window with ``dz`` its half-width.
+    Skews are d(implied vol)/d(log strike): the endpoint slope over the
+    log-moneyness ``window`` (lo, hi), with ``dz`` its half-width; a window
+    (-dz, dz) is a central difference.
     """
 
     level_x: float
@@ -131,19 +132,13 @@ def _cf_log_return(
     return np.exp(A + D * v0)
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _gl_panels(f: Callable[[np.ndarray], np.ndarray], upper: float, n_panels: int) -> float:
-    if _GL_NODES not in _leggauss_cache:
-        _leggauss_cache[_GL_NODES] = np.polynomial.legendre.leggauss(_GL_NODES)
-    xg, wg = _leggauss_cache[_GL_NODES]
     edges = np.linspace(0.0, upper, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * xg[None, :]).ravel()
+    nodes = (mid[:, None] + half * _GL_X[None, :]).ravel()
     vals = f(nodes).reshape(n_panels, _GL_NODES)
-    return float(np.sum(vals @ wg) * half)
+    return float(np.sum(vals @ _GL_W) * half)
 
 
 def _otm_value_norm(
@@ -220,6 +215,11 @@ def _leg_time_value(
     )
 
 
+def _vol_from_time_value(tv: float, z: float, T: float) -> float:
+    """Implied vol at log-moneyness z from the unit-spot time value tv."""
+    return blackscholes.implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, 0.0, z, T)
+
+
 def exchange_option_price(model: TwoAssetModel, T: float) -> float:
     """Exact exchange-option value E(S_T^X - S_T^Y)^+ under the shared-volatility model.
 
@@ -234,8 +234,8 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
     if not (np.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
     c = model.corr
-    det = 1.0 + 2.0 * c.rho * c.rho_x * c.rho_y - c.rho**2 - c.rho_x**2 - c.rho_y**2
-    if det < 0.0:
+    valid, det = validate_correlation(c)
+    if not valid:
         raise DomainError(f"correlation structure not PSD (det={det:.6f})")
     h = model.heston
     lx, ly = model.lam_x, model.lam_y
@@ -320,46 +320,75 @@ def build_smile(
 
 
 def build_smile_grid(
-    params: HestonParams,
-    asset: AssetSpec,
-    T: float,
-    asset_id: str = "X",
-    n_points: int = SMILE_GRID_POINTS,
-    span: tuple[float, float] = SMILE_GRID_SPAN,
-    min_time_value: float = MIN_TIME_VALUE,
+    params: HestonParams, asset: AssetSpec, T: float, asset_id: str = "X"
 ) -> Smile:
     """Experiment-grade smile on an even log-moneyness grid with trimmed wings.
 
     Strikes whose out-of-the-money time value falls below
-    ``min_time_value * s0`` cannot be inverted in float64 and are dropped from
+    ``MIN_TIME_VALUE * s0`` cannot be inverted in float64 and are dropped from
     the contiguous wing (lookups past the kept knots use flat extrapolation).
     """
     eff = effective_heston(params, asset)
-    zs = np.linspace(span[0], span[1], n_points)
+    zs = np.linspace(SMILE_GRID_SPAN[0], SMILE_GRID_SPAN[1], SMILE_GRID_POINTS)
     tv = np.array([_leg_time_value(eff, asset.rho_sv, z, T) for z in zs])
-    keep = tv >= min_time_value
+    keep = tv >= MIN_TIME_VALUE
     if not np.any(keep):
         raise DomainError(
-            f"no strike in [{math.exp(span[0]):.3f}, {math.exp(span[1]):.3f}] "
-            f"moneyness has resolvable time value at T={T}"
+            f"no strike in [{math.exp(SMILE_GRID_SPAN[0]):.3f}, "
+            f"{math.exp(SMILE_GRID_SPAN[1]):.3f}] moneyness has resolvable "
+            f"time value at T={T}"
         )
     first, last = np.argmax(keep), len(keep) - 1 - np.argmax(keep[::-1])
-    zs = zs[first : last + 1]
-    pairs = build_smile(params, asset, T, zs + asset.x0)
-    return Smile(
-        asset_id, asset.s0, T,
-        [k - asset.x0 for k, _ in pairs], [v for _, v in pairs],
-    )
+    zs, tv = zs[first : last + 1], tv[first : last + 1]
+    vols = [_vol_from_time_value(t, z, T) for t, z in zip(tv, zs)]
+    return Smile(asset_id, asset.s0, T, zs, vols)
 
 
-def _leg_implied_vol(
-    params: HestonParams, asset: AssetSpec, T: float, z: float
-) -> float:
-    """Implied vol of one leg at log-moneyness z (spot-normalized pricing)."""
-    eff = effective_heston(params, asset)
-    tv = _leg_time_value(eff, asset.rho_sv, z, T)
-    price = tv + max(1.0 - math.exp(z), 0.0)
-    return blackscholes.implied_vol(price, 0.0, 0.0, z, T)
+def _observables(
+    params: HestonParams,
+    asset_x: AssetSpec,
+    asset_y: AssetSpec,
+    T: float,
+    window: tuple[float, float],
+    shrink_ladder: Sequence[float],
+) -> SmileObservables:
+    """ATM levels and endpoint skews over ``window``, shrunk through
+    ``shrink_ladder`` until every wing read has time value at least
+    MIN_TIME_VALUE of spot and inverts."""
+    legs = [(effective_heston(params, a), a.rho_sv) for a in (asset_x, asset_y)]
+    last_err: Exception | None = None
+    for factor in shrink_ladder:
+        lo, hi = factor * window[0], factor * window[1]
+        wings = []
+        for eff, rho_sv in legs:
+            tv_lo = _leg_time_value(eff, rho_sv, lo, T)
+            if tv_lo < MIN_TIME_VALUE:
+                break
+            tv_hi = _leg_time_value(eff, rho_sv, hi, T)
+            if tv_hi < MIN_TIME_VALUE:
+                break
+            wings.append((tv_lo, tv_hi))
+        if len(wings) < len(legs):
+            continue
+        try:
+            levels, skews = [], []
+            for (eff, rho_sv), (tv_lo, tv_hi) in zip(legs, wings):
+                levels.append(
+                    _vol_from_time_value(_leg_time_value(eff, rho_sv, 0.0, T), 0.0, T)
+                )
+                up = _vol_from_time_value(tv_hi, hi, T)
+                dn = _vol_from_time_value(tv_lo, lo, T)
+                skews.append((up - dn) / (hi - lo))
+        except (DomainError, NumericalError) as err:
+            last_err = err
+            continue
+        return SmileObservables(
+            level_x=levels[0], level_y=levels[1], skew_x=skews[0], skew_y=skews[1],
+            T=T, dz=0.5 * (hi - lo), window=(lo, hi),
+        )
+    raise DomainError(
+        f"no shrink of window {window} has resolvable wings at T={T}"
+    ) from last_err
 
 
 def measure_atm_observables(
@@ -372,78 +401,29 @@ def measure_atm_observables(
     """ATM levels and central-difference skews of both legs.
 
     level_i = I_i(ln s0_i), skew_i = (I_i(+dz) - I_i(-dz)) / (2 dz) in
-    log-strike.  The default dz = 0.01 measures the local derivative; pass a
-    wide span (e.g. WIDE_SKEW_SPAN) for a fit across the quoted moneyness
-    range.
+    log-strike.  The default dz = 0.01 measures the local derivative; a wider
+    dz gives a slope across the quoted moneyness range.  The window is not
+    shrunk: wings below MIN_TIME_VALUE of spot raise DomainError.
     """
     if not (np.isfinite(dz) and dz > 0):
         raise InputError(f"dz must be positive, got {dz}")
-    levels = {}
-    skews = {}
-    for tag, asset in (("x", asset_x), ("y", asset_y)):
-        levels[tag] = _leg_implied_vol(params, asset, T, 0.0)
-        up = _leg_implied_vol(params, asset, T, dz)
-        dn = _leg_implied_vol(params, asset, T, -dz)
-        skews[tag] = (up - dn) / (2.0 * dz)
-    return SmileObservables(
-        level_x=levels["x"], level_y=levels["y"],
-        skew_x=skews["x"], skew_y=skews["y"], T=T, dz=dz,
-    )
+    return _observables(params, asset_x, asset_y, T, (-dz, dz), (1.0,))
 
 
 def measure_smile_observables(
-    params: HestonParams,
-    asset_x: AssetSpec,
-    asset_y: AssetSpec,
-    T: float,
-    window: tuple[float, float] = CONVENTION_SKEW_WINDOW,
-    shrink_ladder: Sequence[float] = WINDOW_SHRINK_LADDER,
-    min_time_value: float = MIN_TIME_VALUE,
+    params: HestonParams, asset_x: AssetSpec, asset_y: AssetSpec, T: float
 ) -> SmileObservables:
     """Observables for the strike-convention optimum: exact ATM levels plus
-    endpoint skews across the quoted moneyness window.
+    endpoint skews across CONVENTION_SKEW_WINDOW.
 
-    The window shrinks through ``shrink_ladder`` (both ends proportionally)
+    The window shrinks through WINDOW_SHRINK_LADDER (both ends proportionally)
     until every wing read of both legs has time value at least
-    ``min_time_value`` of spot; corners where even the tightest window fails
+    MIN_TIME_VALUE of spot; corners where even the tightest window fails
     raise DomainError.
     """
-    z_lo, z_hi = window
-    if not (z_lo < 0.0 < z_hi):
-        raise InputError(f"window must straddle the money, got {window}")
-    last_err: Exception | None = None
-    for factor in shrink_ladder:
-        lo, hi = factor * z_lo, factor * z_hi
-        ok = True
-        for asset in (asset_x, asset_y):
-            eff = effective_heston(params, asset)
-            if (
-                _leg_time_value(eff, asset.rho_sv, lo, T) < min_time_value
-                or _leg_time_value(eff, asset.rho_sv, hi, T) < min_time_value
-            ):
-                ok = False
-                break
-        if not ok:
-            continue
-        try:
-            levels = {}
-            skews = {}
-            for tag, asset in (("x", asset_x), ("y", asset_y)):
-                levels[tag] = _leg_implied_vol(params, asset, T, 0.0)
-                up = _leg_implied_vol(params, asset, T, hi)
-                dn = _leg_implied_vol(params, asset, T, lo)
-                skews[tag] = (up - dn) / (hi - lo)
-            return SmileObservables(
-                level_x=levels["x"], level_y=levels["y"],
-                skew_x=skews["x"], skew_y=skews["y"],
-                T=T, dz=0.5 * (hi - lo), window=(lo, hi),
-            )
-        except (DomainError, NumericalError) as err:
-            last_err = err
-            continue
-    raise DomainError(
-        f"no shrink of window {window} has resolvable wings at T={T}"
-    ) from last_err
+    return _observables(
+        params, asset_x, asset_y, T, CONVENTION_SKEW_WINDOW, WINDOW_SHRINK_LADDER
+    )
 
 
 def smile_csv_rows(smile: Smile) -> list[dict[str, object]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from . import blackscholes
 from .errors import DomainError, InputError
 
 __all__ = [
-    "ExchangeQuote",
     "margrabe_price",
     "convention_gamma",
     "exchange_implied_vol",
@@ -30,23 +28,6 @@ __all__ = [
 
 class ImpliedCorrelationBoundsWarning(UserWarning):
     """Implied correlation fell outside [-1, 1] (kept as-is, not clamped)."""
-
-
-@dataclass(frozen=True)
-class ExchangeQuote:
-    """An exchange-option quote: log spots x, y, maturity T and optionally an
-    observed price (for inversion)."""
-
-    x: float
-    y: float
-    T: float
-    price: float | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise InputError("non-finite log spot")
-        if not (np.isfinite(self.T) and self.T > 0):
-            raise InputError(f"maturity must be positive, got {self.T}")
 
 
 def margrabe_price(x: float, y: float, gamma: float, T: float) -> float:

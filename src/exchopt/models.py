@@ -17,7 +17,10 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["HestonParams", "AssetSpec", "CorrelationStructure", "TwoAssetModel"]
+__all__ = [
+    "HestonParams", "AssetSpec", "CorrelationStructure", "TwoAssetModel",
+    "validate_correlation",
+]
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,6 @@ class HestonParams:
     @property
     def v0(self) -> float:
         return self.sigma0 * self.sigma0
-
-    def feller(self) -> float:
-        """2 kappa theta / nu^2 (>= 1 means the CIR stays positive)."""
-        return 2.0 * self.kappa * self.theta / (self.nu * self.nu)
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class CorrelationStructure:
 
     Entries are validated to [-1, 1] on construction; joint validity (positive
     semi-definiteness of the 3x3 matrix) is a separate checked property, see
-    simulation.validate_correlation.
+    validate_correlation.
     """
 
     rho: float
@@ -100,6 +99,26 @@ class CorrelationStructure:
                 [self.rho_x, self.rho_y, 1.0],
             ]
         )
+
+
+def validate_correlation(c: CorrelationStructure) -> tuple[bool, float]:
+    """(valid, det) where det is the 3x3 determinant
+    1 + 2 rho rho_x rho_y - rho^2 - rho_x^2 - rho_y^2.
+
+    Valid means det >= 0 and every 2x2 principal minor >= 0 (the latter holds
+    automatically for entries in [-1, 1] but is checked anyway).
+    """
+    det = (
+        1.0
+        + 2.0 * c.rho * c.rho_x * c.rho_y
+        - c.rho * c.rho - c.rho_x * c.rho_x - c.rho_y * c.rho_y
+    )
+    minors_ok = (
+        1.0 - c.rho * c.rho >= 0.0
+        and 1.0 - c.rho_x * c.rho_x >= 0.0
+        and 1.0 - c.rho_y * c.rho_y >= 0.0
+    )
+    return (det >= 0.0 and minors_ok), det
 
 
 @dataclass(frozen=True)
@@ -146,14 +165,4 @@ class TwoAssetModel:
         lx, ly = self.lam_x, self.lam_y
         return self.heston.sigma0 * math.sqrt(
             max(lx * lx + ly * ly - 2.0 * self.rho * lx * ly, 0.0)
-        )
-
-    def with_spots(self, s0x: float, s0y: float) -> "TwoAssetModel":
-        return TwoAssetModel(
-            heston=self.heston,
-            lam_x=self.lam_x,
-            lam_y=self.lam_y,
-            s0x=s0x,
-            s0y=s0y,
-            corr=self.corr,
         )

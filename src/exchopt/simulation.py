@@ -21,13 +21,12 @@ import numpy as np
 
 from . import blackscholes, margrabe
 from .errors import DomainError, InputError, NumericalError
-from .models import CorrelationStructure, TwoAssetModel
+from .models import CorrelationStructure, TwoAssetModel, validate_correlation
 
 __all__ = [
     "McConfig",
     "PriceEstimate",
     "TerminalSample",
-    "validate_correlation",
     "cholesky3",
     "simulate_terminal",
     "simulate_exchange",
@@ -45,6 +44,12 @@ BLOCK_SIZE = 4096
 DEFAULT_STEPS_PER_YEAR = 2000
 
 _PIVOT_TOL = 1e-12
+
+# The control-variate beta is fitted only when at least this many control
+# payoffs are non-zero; a regression on a handful of hits can move the estimate
+# many standard errors (deep out-of-the-money controls at short maturity), so
+# sparser controls keep beta = 1.
+_MIN_FIT_NONZERO_CONTROL = 10
 
 
 @dataclass(frozen=True)
@@ -86,26 +91,6 @@ class PriceEstimate:
     def __post_init__(self):
         if self.stderr < 0:
             raise InputError(f"stderr must be >= 0, got {self.stderr}")
-
-
-def validate_correlation(c: CorrelationStructure) -> tuple[bool, float]:
-    """(valid, det) where det is the 3x3 determinant
-    1 + 2 rho rho_x rho_y - rho^2 - rho_x^2 - rho_y^2.
-
-    Valid means det >= 0 and every 2x2 principal minor >= 0 (the latter holds
-    automatically for entries in [-1, 1] but is checked anyway).
-    """
-    det = (
-        1.0
-        + 2.0 * c.rho * c.rho_x * c.rho_y
-        - c.rho * c.rho - c.rho_x * c.rho_x - c.rho_y * c.rho_y
-    )
-    minors_ok = (
-        1.0 - c.rho * c.rho >= 0.0
-        and 1.0 - c.rho_x * c.rho_x >= 0.0
-        and 1.0 - c.rho_y * c.rho_y >= 0.0
-    )
-    return (det >= 0.0 and minors_ok), det
 
 
 def cholesky3(c: CorrelationStructure) -> np.ndarray:
@@ -254,15 +239,11 @@ def _controlled_estimate(
         value = float(np.mean(payoff))
         err = float(np.std(payoff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return PriceEstimate(value, err, n, mc.seed, beta=None)
-    if mc.estimate_beta:
-        var_cv = float(np.var(cv_payoff, ddof=1)) if n > 1 else 0.0
+    beta = 1.0  # pinned, or the control is too sparse or constant to fit
+    if mc.estimate_beta and np.count_nonzero(cv_payoff) >= _MIN_FIT_NONZERO_CONTROL:
+        var_cv = float(np.var(cv_payoff, ddof=1))
         if var_cv > 0.0:
-            cov = float(np.cov(payoff, cv_payoff, ddof=1)[0, 1])
-            beta = cov / var_cv
-        else:
-            beta = 1.0  # degenerate control (constant payoff)
-    else:
-        beta = 1.0
+            beta = float(np.cov(payoff, cv_payoff, ddof=1)[0, 1]) / var_cv
     adjusted = payoff - beta * (cv_payoff - cv_mean)
     value = float(np.mean(adjusted))
     err = float(np.std(adjusted, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -300,7 +281,8 @@ def exchange_estimate_from_sample(
 
 def simulate_exchange(model: TwoAssetModel, T: float, mc: McConfig) -> PriceEstimate:
     """Monte Carlo value of E(S_T^X - S_T^Y)^+ with the constant-volatility
-    Margrabe control variate (beta fitted per run unless disabled)."""
+    Margrabe control variate (beta fitted per run unless disabled or the
+    control is too sparse to fit)."""
     sample = simulate_terminal(model, T, mc)
     return exchange_estimate_from_sample(sample, model.s0x, model.s0y, model.rho, mc)
 

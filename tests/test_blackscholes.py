@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exchopt.blackscholes import VanillaSpec, bs_price, bs_vega, implied_vol
+from exchopt.blackscholes import bs_price, bs_vega, implied_vol
 from exchopt.errors import DomainError, InputError
 
 X100 = math.log(100.0)
@@ -68,10 +68,6 @@ class TestBsPrice:
             k = x + rng.uniform(-1, 1)
             p = bs_price(0.0, x, k, rng.uniform(0.01, 3.0), rng.uniform(0.01, 2.0))
             assert max(math.exp(x) - math.exp(k), 0.0) <= p < math.exp(x)
-
-    def test_spec_dataclass_validation(self):
-        with pytest.raises(InputError):
-            VanillaSpec(t=1.0, T=0.5, x=X100, k=X100, sigma=0.2)
 
 
 class TestBsVega:

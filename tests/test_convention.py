@@ -5,7 +5,6 @@ import pytest
 
 from exchopt.convention import (
     A_BOUNDS,
-    LinearConvention,
     ModelLimits,
     a_star_observables,
     a_star_parametric,
@@ -55,10 +54,9 @@ class TestStrikes:
             x = rng.uniform(-1, 6)
             assert strikes(a, x, x) == (x, x)
 
-    def test_dataclass_wrapper(self):
-        assert LinearConvention(0.5).strikes(0.0, 1.0) == (0.5, 0.5)
+    def test_rejects_non_finite_input(self):
         with pytest.raises(InputError):
-            LinearConvention(math.inf)
+            strikes(math.inf, 0.0, 1.0)
 
 
 class TestAStarParametric:

@@ -97,7 +97,7 @@ class TestRunTestCase:
     def test_row_schema(self, small_case):
         row = small_case.rows[0]
         for col in ("T", "s0Y", "convention", "a_value", "kX", "kY", "IX", "IY",
-                    "margrabe_price", "mc_price", "mc_stderr", "error", "ratio",
+                    "margrabe_price", "mc_price", "mc_stderr", "error",
                     "implied_corr"):
             assert col in row
 
@@ -204,6 +204,12 @@ class TestEmitPlotData:
         assert text.splitlines()[0] == "series,x,y"
         assert any(line.startswith("X,") for line in text.splitlines())
         assert any(line.startswith("Y,") for line in text.splitlines())
+
+    def test_ratio_derived_from_prices(self, small_case):
+        lines = emit_plot_data(small_case, "ratio").strip().splitlines()[1:]
+        assert len(lines) == len(small_case.rows)
+        for line, row in zip(lines, small_case.rows):
+            assert float(line.split(",")[2]) == row["margrabe_price"] / row["mc_price"]
 
     def test_moneyness_error(self, tiny_rows):
         text = emit_plot_data(tiny_rows, "moneyness_error")

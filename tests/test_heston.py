@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from exchopt.blackscholes import bs_price, implied_vol
 from exchopt.errors import DomainError, InputError
+from exchopt.experiments import reference_case_model
 from exchopt.heston import (
     Smile,
     build_smile,
@@ -45,6 +48,18 @@ def gil_pelaez_call(s0, strike, params, rho_sv, T):
     p1 = 0.5 + quad(i1, 1e-10, 500, limit=500)[0] / math.pi
     p2 = 0.5 + quad(i2, 1e-10, 500, limit=500)[0] / math.pi
     return s0 * (p1 - math.exp(k) * p2)
+
+
+def assert_knots_reprice(params, asset, smile):
+    """Every knot vol reprices to heston_vanilla_price, which lies within the
+    no-arbitrage bounds, to 2e-12 of spot."""
+    eff = effective_heston(params, asset)
+    for z in smile.log_moneyness:
+        k = asset.x0 + float(z)
+        heston_p = heston_vanilla_price(eff, asset.rho_sv, asset.s0, math.exp(k), smile.T)
+        assert max(asset.s0 - math.exp(k), 0.0) < heston_p < asset.s0
+        bs_p = bs_price(0.0, asset.x0, k, smile.vol(k), smile.T)
+        assert abs(bs_p - heston_p) <= 2e-12 * asset.s0
 
 
 class TestEffectiveHeston:
@@ -127,16 +142,26 @@ class TestSmile:
         smile = build_smile_grid(BASE_PARAMS, case2_model.asset_y, 0.05, asset_id="Y")
         assert smile.vol_at_moneyness(0.02) > smile.vol_at_moneyness(-0.02)
 
-    def test_smile_price_consistency(self, case1_model):
-        # re-pricing from smile vols recovers the Heston prices at the knots
-        asset = case1_model.asset_y
-        smile = build_smile_grid(BASE_PARAMS, asset, 0.05, asset_id="Y")
-        eff = effective_heston(BASE_PARAMS, asset)
-        for z in smile.log_moneyness[::6]:
-            k = asset.x0 + float(z)
-            heston_p = heston_vanilla_price(eff, asset.rho_sv, asset.s0, math.exp(k), 0.05)
-            bs_p = bs_price(0.0, asset.x0, k, smile.vol(k), 0.05)
-            assert bs_p == pytest.approx(heston_p, abs=2e-10 * asset.s0)
+    def test_smile_price_consistency(self, case1_model, case2_model):
+        # re-pricing from smile vols recovers the scalar-route Heston prices
+        # at every knot
+        for model in (case1_model, case2_model):
+            for asset_id in ("X", "Y"):
+                asset = model.asset(asset_id)
+                smile = build_smile_grid(BASE_PARAMS, asset, 0.05, asset_id=asset_id)
+                assert_knots_reprice(BASE_PARAMS, asset, smile)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        kappa=st.floats(0.3, 3.0), theta=st.floats(0.02, 0.3),
+        nu=st.floats(0.1, 1.0), sigma0=st.floats(0.08, 0.4),
+        lam=st.floats(0.5, 1.6), rho_sv=st.floats(-0.9, 0.9),
+        T=st.floats(0.02, 1.0),
+    )
+    def test_grid_knots_reprice_property(self, kappa, theta, nu, sigma0, lam, rho_sv, T):
+        params = HestonParams(kappa=kappa, theta=theta, nu=nu, sigma0=sigma0)
+        asset = AssetSpec(lam=lam, rho_sv=rho_sv, s0=100.0)
+        assert_knots_reprice(params, asset, build_smile_grid(params, asset, T))
 
     def test_flat_extrapolation_beyond_knots(self, case1_model):
         smile = build_smile_grid(BASE_PARAMS, case1_model.asset_y, 0.05, asset_id="Y")
@@ -200,6 +225,22 @@ class TestObservables:
         obs = measure_atm_observables(BASE_PARAMS, ax, ay, 0.005)
         ratio = obs.skew_y / obs.skew_x
         assert abs(ratio - (0.4 / -0.4)) <= 0.10 * abs(0.4 / -0.4)
+
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    def test_atm_matches_scalar_central_difference(self, case, T):
+        model = reference_case_model(case)
+        obs = measure_atm_observables(BASE_PARAMS, model.asset_x, model.asset_y, T)
+        for asset, level, skew in (
+            (model.asset_x, obs.level_x, obs.skew_x),
+            (model.asset_y, obs.level_y, obs.skew_y),
+        ):
+            x0 = asset.x0
+            (_, dn), (_, atm), (_, up) = build_smile(
+                BASE_PARAMS, asset, T, [x0 - obs.dz, x0, x0 + obs.dz]
+            )
+            assert level == pytest.approx(atm, abs=1e-11)
+            assert skew == pytest.approx((up - dn) / (2.0 * obs.dz), abs=1e-9)
 
     def test_window_measurement_records_span(self, case1_model):
         obs = measure_smile_observables(

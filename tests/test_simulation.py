@@ -119,6 +119,15 @@ class TestControlVariate:
         est = simulate_exchange(case1_model, 0.05, mc)
         assert est.beta == 1.0
 
+    def test_sparse_control_keeps_estimate_near_exact(self):
+        # only 2 of 8192 control payoffs are non-zero; a beta fitted on them
+        # (24.4) put this estimate 5.5 standard errors above the exact price
+        model = grid_model(-0.1, 0.18, -0.61, s0y=120.0)
+        mc = McConfig(n_paths=8192, n_steps=2000, seed=267)
+        est = simulate_exchange(model, 0.05, mc)
+        exact = exchange_option_price(model, 0.05)
+        assert abs(est.value - exact) <= 3.0 * est.stderr
+
 
 class TestMartingale:
     @pytest.mark.parametrize("rho,rho_x,rho_y", CORNER_RHOS[:4])
