@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid configuration or inputs, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -56,7 +57,8 @@ class RunConfig:
 
     def out_path(self, name: str) -> str:
         path = os.path.join(self.out_dir, name)
-        if os.path.relpath(os.path.abspath(path), os.path.abspath(self.out_dir)).startswith(".."):
+        out_dir = os.path.abspath(self.out_dir)
+        if os.path.commonpath([out_dir, os.path.abspath(path)]) != out_dir:
             raise InputError(f"output name {name!r} escapes the output directory")
         return path
 
@@ -113,19 +115,15 @@ def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
             raise InputError(f"maturity must be positive, got {maturity}")
         grid = None
         if raw.get("grid"):
-            g = raw["grid"]
-            grid = experiments.GridSpec(
-                T_list=tuple(float(v) for v in g.get("T_list", experiments.GridSpec.T_list)),
-                s0x=float(g.get("s0x", 100.0)),
-                s0y_list=tuple(float(v) for v in g["s0y_list"]) if "s0y_list" in g
-                else experiments.GridSpec.s0y_list,
-                lam_x=float(g.get("lam_x", 1.0)),
-                lam_y=float(g.get("lam_y", 1.24)),
+            g, default = raw["grid"], experiments.GridSpec
+            grid = default(
                 heston=model.heston,
-                rho_list=tuple(float(v) for v in g.get("rho_list", experiments.GridSpec.rho_list)),
-                rho_x_list=tuple(float(v) for v in g.get("rho_x_list", experiments.GridSpec.rho_x_list)),
-                rho_y_list=tuple(float(v) for v in g.get("rho_y_list", experiments.GridSpec.rho_y_list)),
                 mc=mc,
+                **{k: float(g.get(k, getattr(default, k))) for k in ("s0x", "lam_x", "lam_y")},
+                **{
+                    k: tuple(float(v) for v in g.get(k, getattr(default, k)))
+                    for k in ("T_list", "s0y_list", "rho_list", "rho_x_list", "rho_y_list")
+                },
             )
     except (KeyError, TypeError) as err:
         raise InputError(f"config is missing or mistypes a field: {err}") from err
@@ -135,13 +133,6 @@ def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
 
 def _print_config(cfg: RunConfig) -> None:
     print(yaml.safe_dump(cfg.raw, sort_keys=True, default_flow_style=False), end="")
-
-
-def _leg_smiles(cfg: RunConfig):
-    model = cfg.model
-    smile_x = heston.build_smile_grid(model.heston, model.asset_x, cfg.maturity, asset_id="X")
-    smile_y = heston.build_smile_grid(model.heston, model.asset_y, cfg.maturity, asset_id="Y")
-    return smile_x, smile_y
 
 
 def _solve_a_star(cfg: RunConfig) -> tuple[heston.SmileObservables, float]:
@@ -173,7 +164,8 @@ def _convention_value(name: str, cfg: RunConfig) -> float:
 def _cmd_price_exchange(cfg: RunConfig, args) -> int:
     model = cfg.model
     a = _convention_value(args.convention, cfg)
-    smile_x, smile_y = _leg_smiles(cfg)
+    smile_x = heston.build_smile_grid(model.heston, model.asset_x, cfg.maturity, asset_id="X")
+    smile_y = heston.build_smile_grid(model.heston, model.asset_y, cfg.maturity, asset_id="Y")
     x, y = math.log(model.s0x), math.log(model.s0y)
     k_x, k_y, i_x, i_y, gamma, price = experiments._price_point(
         smile_x, smile_y, model.rho, x, y, cfg.maturity, a
@@ -189,16 +181,14 @@ def _cmd_price_exchange(cfg: RunConfig, args) -> int:
 def _cmd_price_mc(cfg: RunConfig, args) -> int:
     model = cfg.model
     est = simulate_exchange(model, cfg.maturity, cfg.mc)
-    smile_x, smile_y = _leg_smiles(cfg)
+    atm = heston.measure_atm_observables(model.heston, model.asset_x, model.asset_y, cfg.maturity)
     x, y = math.log(model.s0x), math.log(model.s0y)
-    i_x = smile_x.vol_at_moneyness(0.0)
-    i_y = smile_y.vol_at_moneyness(0.0)
     print(f"mc price {est.value:.6f}")
     print(f"mc stderr {est.stderr:.6f}")
     print(f"paths {est.n_paths} seed {est.seed} beta {est.beta if est.beta is not None else 'off'}")
     try:
         gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, cfg.maturity)
-        rho_hat = margrabe.implied_correlation(gamma_hat, i_x, i_y)
+        rho_hat = margrabe.implied_correlation(gamma_hat, atm.level_x, atm.level_y)
         print(f"gamma_hat {gamma_hat:.6f}")
         print(f"implied_corr {rho_hat:.6f} (atm leg vols)")
     except DomainError:
@@ -212,16 +202,10 @@ def _cmd_surface(cfg: RunConfig, args) -> int:
     smile = heston.build_smile_grid(model.heston, asset, cfg.maturity, asset_id=args.asset)
     rows = heston.smile_csv_rows(smile)
     path = cfg.out_path(args.output)
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["asset", "T", "log_strike", "strike", "implied_vol"])
-        for rec in rows:
-            writer.writerow(
-                [rec["asset"], repr(float(rec["T"])), repr(float(rec["log_strike"])),
-                 repr(float(rec["strike"])), repr(float(rec["implied_vol"]))]
-            )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} strikes to {path}")
     return 0
 
@@ -257,6 +241,16 @@ def _grid_from_args(cfg: RunConfig, args) -> experiments.GridSpec:
     return spec
 
 
+def _write_report(
+    cfg: RunConfig, name: str, spec: experiments.GridSpec, rows: list[dict]
+) -> str:
+    path = cfg.out_path(name)
+    with open(path, "w") as fh:
+        json.dump(experiments.report_json_payload(spec, rows), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def _cmd_experiment_run(cfg: RunConfig, args) -> int:
     spec = _grid_from_args(cfg, args)
     summary = experiments.grid_exclusion_summary(spec)
@@ -271,11 +265,7 @@ def _cmd_experiment_run(cfg: RunConfig, args) -> int:
     rows = experiments.run_grid(spec)
     results_path = cfg.out_path(args.results)
     experiments.write_results_csv(rows, results_path)
-    payload = experiments.report_json_payload(spec, rows)
-    report_path = cfg.out_path(args.report)
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report_path = _write_report(cfg, args.report, spec, rows)
     summary = experiments.summarize_exclusions(rows)
     print(
         f"included {summary.included}, invalid-corr {summary.invalid_correlation}, "
@@ -304,13 +294,8 @@ def _cmd_experiment_report(cfg: RunConfig, args) -> int:
             f"ATM={rep.atm_error if not math.isnan(rep.atm_error) else float('nan'):.6f}"
         )
     if args.report:
-        spec = _grid_from_args(cfg, args) if cfg.grid else experiments.GridSpec(mc=cfg.mc)
-        payload = experiments.report_json_payload(spec, rows)
-        path = cfg.out_path(args.report)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
+        spec = _grid_from_args(cfg, args)
+        print(f"wrote {_write_report(cfg, args.report, spec, rows)}")
     return 0
 
 
@@ -342,26 +327,21 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = price_sub.add_parser("exchange", help="closed form via a strike convention")
     pe.add_argument("--convention", default="a-star",
                     help="atm | lookup | a=<v> | a-star | a-star-bounded")
-    pe.add_argument("--s0y", type=float, help="override the Y spot")
-    pe.add_argument("--T", type=float, help="override the maturity")
-    _add_global_flags(pe, root=False)
     pm = price_sub.add_parser("mc", help="Monte Carlo benchmark")
-    pm.add_argument("--s0y", type=float)
-    pm.add_argument("--T", type=float)
     pm.add_argument("--paths", type=int)
-    _add_global_flags(pm, root=False)
+    for leaf in (pe, pm):
+        leaf.add_argument("--s0y", type=float, help="override the Y spot")
+        leaf.add_argument("--T", type=float, help="override the maturity")
 
     surface = sub.add_parser("surface", help="write a leg smile CSV")
     surface.add_argument("--asset", choices=("X", "Y"), required=True)
     surface.add_argument("--T", type=float)
     surface.add_argument("--output", default="smile.csv")
-    _add_global_flags(surface, root=False)
 
     convention = sub.add_parser("convention", help="solve for the optimal a")
     conv_sub = convention.add_subparsers(dest="subcommand", required=True)
     cs = conv_sub.add_parser("solve")
     cs.add_argument("--T", type=float)
-    _add_global_flags(cs, root=False)
 
     experiment = sub.add_parser("experiment", help="grid sweeps and reports")
     exp_sub = experiment.add_subparsers(dest="subcommand", required=True)
@@ -369,17 +349,20 @@ def _build_parser() -> argparse.ArgumentParser:
     er.add_argument("--dry-run", action="store_true")
     er.add_argument("--results", default="results.csv")
     er.add_argument("--report", default="report.json")
-    er.add_argument("--T", type=float, action="append")
-    er.add_argument("--rho", type=float, action="append")
-    er.add_argument("--paths", type=int)
-    _add_global_flags(er, root=False)
     ep = exp_sub.add_parser("report")
     ep.add_argument("--results", required=True)
     ep.add_argument("--report", default=None)
-    ep.add_argument("--T", type=float, action="append")
-    ep.add_argument("--rho", type=float, action="append")
-    ep.add_argument("--paths", type=int)
-    _add_global_flags(ep, root=False)
+    for leaf in (er, ep):
+        leaf.add_argument("--T", type=float, action="append")
+        leaf.add_argument("--rho", type=float, action="append")
+        leaf.add_argument("--paths", type=int)
+
+    for leaf, handler in (
+        (pe, _cmd_price_exchange), (pm, _cmd_price_mc), (surface, _cmd_surface),
+        (cs, _cmd_convention_solve), (er, _cmd_experiment_run), (ep, _cmd_experiment_report),
+    ):
+        _add_global_flags(leaf, root=False)
+        leaf.set_defaults(handler=handler)
     return parser
 
 
@@ -392,9 +375,8 @@ def main(argv: list[str] | None = None) -> int:
             overrides.setdefault("mc", {})["seed"] = args.seed
         if args.jobs is not None:
             overrides.setdefault("mc", {})["jobs"] = args.jobs
-        if getattr(args, "T", None) is not None and args.command in ("price", "surface", "convention"):
-            if isinstance(args.T, float):
-                overrides["maturity"] = args.T
+        if args.command in ("price", "surface", "convention") and args.T is not None:
+            overrides["maturity"] = args.T
         if getattr(args, "s0y", None) is not None:
             overrides.setdefault("model", {})["s0y"] = args.s0y
         if getattr(args, "paths", None) is not None and args.command == "price":
@@ -411,19 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return 0
-        if args.command == "price":
-            handler = _cmd_price_exchange if args.subcommand == "exchange" else _cmd_price_mc
-        elif args.command == "surface":
-            handler = _cmd_surface
-        elif args.command == "convention":
-            handler = _cmd_convention_solve
-        elif args.command == "experiment":
-            handler = (
-                _cmd_experiment_run if args.subcommand == "run" else _cmd_experiment_report
-            )
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-        return handler(cfg, args)
+        return args.handler(cfg, args)
     except (InputError, DomainError, OSError, yaml.YAMLError) as err:
         print(f'ERROR code=2 type={type(err).__name__} msg="{err}"', file=sys.stderr)
         return 2

@@ -69,6 +69,16 @@ def strikes(a: float, x: float, y: float) -> tuple[float, float]:
     return x + a * (y - x), y + a * (x - y)
 
 
+def _a_star_terms(
+    i_x: float, i_y: float, s_x: float, s_y: float, rho: float
+) -> tuple[float, float]:
+    """Numerator and denominator of a* from levels I_i and skews S_i; the
+    parametric form is the same expression with I_i = lam_i, S_i = rho_i."""
+    numer = s_x * i_x - s_y * i_y
+    denom = s_x * (i_x - rho * i_y) - s_y * (i_y - rho * i_x)
+    return numer, denom
+
+
 def _a_star(numer: float, denom: float) -> float:
     if abs(denom) < _DENOM_TOL:
         raise DegenerateConventionError(
@@ -78,13 +88,14 @@ def _a_star(numer: float, denom: float) -> float:
     return numer / denom
 
 
+def _limit_terms(limits: ModelLimits) -> tuple[float, float]:
+    return _a_star_terms(limits.lam_x, limits.lam_y, limits.rho_x, limits.rho_y, limits.rho)
+
+
 def a_star_parametric(limits: ModelLimits) -> float:
     """a* = (rho_X lam_X - rho_Y lam_Y) /
     (rho_X (lam_X - rho lam_Y) - rho_Y (lam_Y - rho lam_X))."""
-    lx, ly = limits.lam_x, limits.lam_y
-    numer = limits.rho_x * lx - limits.rho_y * ly
-    denom = limits.rho_x * (lx - limits.rho * ly) - limits.rho_y * (ly - limits.rho * lx)
-    return _a_star(numer, denom)
+    return _a_star(*_limit_terms(limits))
 
 
 def a_star_observables(obs: SmileObservables, rho: float) -> float:
@@ -98,11 +109,7 @@ def a_star_observables(obs: SmileObservables, rho: float) -> float:
     """
     if not (np.isfinite(rho) and abs(rho) <= 1.0):
         raise InputError(f"rho must lie in [-1, 1], got {rho}")
-    ix, iy = obs.level_x, obs.level_y
-    sx, sy = obs.skew_x, obs.skew_y
-    numer = sx * ix - sy * iy
-    denom = sx * (ix - rho * iy) - sy * (iy - rho * ix)
-    return _a_star(numer, denom)
+    return _a_star(*_a_star_terms(obs.level_x, obs.level_y, obs.skew_x, obs.skew_y, rho))
 
 
 def bound_a(a: float, bounds: tuple[float, float] = A_BOUNDS) -> float:
@@ -122,9 +129,8 @@ def linear_convention_residual(a: float, limits: ModelLimits) -> float:
     """
     if not np.isfinite(a):
         raise InputError(f"a must be finite, got {a}")
-    lx, ly = limits.lam_x, limits.lam_y
-    denom = limits.rho_x * (lx - limits.rho * ly) - limits.rho_y * (ly - limits.rho * lx)
-    return a * denom - (lx * limits.rho_x - limits.rho_y * ly)
+    numer, denom = _limit_terms(limits)
+    return a * denom - numer
 
 
 def general_residual(

@@ -10,10 +10,11 @@ smooths error curves across moneyness via common random numbers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,9 +108,8 @@ class ExclusionSummary:
     invalid_correlation: int
     sub_cent: int
     degenerate_convention: int
-
-    total_triples: int = 0
-    invalid_triples: int = 0
+    total_triples: int
+    invalid_triples: int
 
     @property
     def invalid_triple_fraction(self) -> float:
@@ -317,45 +317,35 @@ def grid_exclusion_summary(spec: GridSpec) -> ExclusionSummary:
     )
 
 
-def _excluded_row(T, rho, rho_x, rho_y, s0y, name, reason, mc_price=None, mc_stderr=None):
-    return {
-        "T": T, "rho": rho, "rho_X": rho_x, "rho_Y": rho_y, "s0Y": s0y,
-        "convention": name, "a_value": math.nan, "kX": math.nan, "kY": math.nan,
-        "IX": math.nan, "IY": math.nan, "margrabe_price": math.nan,
-        "mc_price": mc_price if mc_price is not None else math.nan,
-        "mc_stderr": mc_stderr if mc_stderr is not None else math.nan,
-        "error": math.nan, "implied_corr": math.nan,
-        "excluded": True, "exclusion_reason": reason,
-    }
+def _excluded_row(T, rho, rho_x, rho_y, s0y, name, reason, mc_price=math.nan,
+                  mc_stderr=math.nan):
+    row = dict.fromkeys(RESULT_COLUMNS, math.nan)
+    row.update(
+        T=T, rho=rho, rho_X=rho_x, rho_Y=rho_y, s0Y=s0y, convention=name,
+        mc_price=mc_price, mc_stderr=mc_stderr, excluded=True, exclusion_reason=reason,
+    )
+    return row
 
 
 def run_grid(spec: GridSpec) -> list[dict]:
     """Run the sweep; one row per (grid point, convention), excluded points
     included with their reason so the accounting closes."""
-    smile_cache: dict[tuple, heston.Smile] = {}
-    obs_cache: dict[tuple, heston.SmileObservables] = {}
-
+    @functools.cache
     def leg_smile(asset_id: str, rho_sv: float, T: float) -> heston.Smile:
-        key = (asset_id, rho_sv, T)
-        if key not in smile_cache:
-            lam = spec.lam_x if asset_id == "X" else spec.lam_y
-            s0 = spec.s0x  # reference spot; lookups go through log-moneyness
-            smile_cache[key] = heston.build_smile_grid(
-                spec.heston, AssetSpec(lam=lam, rho_sv=rho_sv, s0=s0), T,
-                asset_id=asset_id,
-            )
-        return smile_cache[key]
+        lam = spec.lam_x if asset_id == "X" else spec.lam_y
+        s0 = spec.s0x  # reference spot; lookups go through log-moneyness
+        return heston.build_smile_grid(
+            spec.heston, AssetSpec(lam=lam, rho_sv=rho_sv, s0=s0), T, asset_id=asset_id,
+        )
 
+    @functools.cache
     def observables(rho_x: float, rho_y: float, T: float) -> heston.SmileObservables:
-        key = (rho_x, rho_y, T)
-        if key not in obs_cache:
-            obs_cache[key] = heston.measure_smile_observables(
-                spec.heston,
-                AssetSpec(lam=spec.lam_x, rho_sv=rho_x, s0=spec.s0x),
-                AssetSpec(lam=spec.lam_y, rho_sv=rho_y, s0=spec.s0x),
-                T,
-            )
-        return obs_cache[key]
+        return heston.measure_smile_observables(
+            spec.heston,
+            AssetSpec(lam=spec.lam_x, rho_sv=rho_x, s0=spec.s0x),
+            AssetSpec(lam=spec.lam_y, rho_sv=rho_y, s0=spec.s0x),
+            T,
+        )
 
     rows: list[dict] = []
     for i_t, i_r, i_x, i_y, T, rho, rho_x, rho_y in spec.combos():
@@ -423,33 +413,28 @@ def summarize_exclusions(rows: Iterable[dict]) -> ExclusionSummary:
         )
     counts = {"": 0, "invalid_correlation": 0, "sub_cent": 0}
     degenerate = 0
-    for tags in reasons.values():
+    # triple counts come from the rows themselves so reports recomputed from a
+    # CSV stay correct even when the spec in hand differs from the producing run
+    invalid_triples = set()
+    for key, tags in reasons.items():
         if "degenerate_convention" in tags:
             degenerate += 1
         point_tags = tags - {"degenerate_convention"}
         if point_tags == {"invalid_correlation"}:
             counts["invalid_correlation"] += 1
+            invalid_triples.add(key[1:4])
         elif point_tags == {"sub_cent"}:
             counts["sub_cent"] += 1
         else:
             counts[""] += 1
-    # triple counts from the rows themselves so reports recomputed from a CSV
-    # stay correct even when the spec in hand differs from the producing run
-    triples = {key[1:4] for key in reasons}
-    invalid_triples = sum(
-        1 for rho, rho_x, rho_y in triples
-        if not validate_correlation(
-            CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
-        )[0]
-    )
     return ExclusionSummary(
         total_points=len(reasons),
         included=counts[""],
         invalid_correlation=counts["invalid_correlation"],
         sub_cent=counts["sub_cent"],
         degenerate_convention=degenerate,
-        total_triples=len(triples),
-        invalid_triples=invalid_triples,
+        total_triples=len({key[1:4] for key in reasons}),
+        invalid_triples=len(invalid_triples),
     )
 
 
@@ -482,12 +467,10 @@ def compute_metrics(
         ]
 
     groups: dict[tuple, dict[str, list[dict]]] = {}
-    conventions: list[str] = []
     for r in rows:
         gkey = tuple(r[k] for k in group_by)
         groups.setdefault(gkey, {}).setdefault(r["convention"], []).append(r)
-        if r["convention"] not in conventions:
-            conventions.append(r["convention"])
+    conventions = dict.fromkeys(r["convention"] for r in rows)
 
     reports: list[ErrorReport] = []
     for gkey in sorted(groups):
@@ -635,10 +618,7 @@ def report_json_payload(
             "s0y_list": list(spec.s0y_list),
             "lam_x": spec.lam_x,
             "lam_y": spec.lam_y,
-            "heston": {
-                "kappa": spec.heston.kappa, "theta": spec.heston.theta,
-                "nu": spec.heston.nu, "sigma0": spec.heston.sigma0,
-            },
+            "heston": asdict(spec.heston),
             "rho_list": list(spec.rho_list),
             "rho_x_list": list(spec.rho_x_list),
             "rho_y_list": list(spec.rho_y_list),
@@ -653,7 +633,7 @@ def report_json_payload(
             },
             "conventions": list(spec.conventions),
         },
-        "exclusions": summarize_exclusions(rows).__dict__,
+        "exclusions": asdict(summarize_exclusions(rows)),
     }
     payload["metrics"] = {}
     for group_by in groupings:
@@ -661,17 +641,6 @@ def report_json_payload(
             reports = compute_metrics(rows, group_by=tuple(group_by), exclude_extreme_a=flag)
             key = "+".join(group_by) + ":" + variant
             payload["metrics"][key] = [
-                {
-                    "group": r.group,
-                    "convention": r.convention,
-                    "n_points": r.n_points,
-                    "mae": clean(r.mae),
-                    "mape": clean(r.mape),
-                    "rmse": clean(r.rmse),
-                    "max_ae": clean(r.max_ae),
-                    "mstd": clean(r.mstd),
-                    "atm_error": clean(r.atm_error),
-                }
-                for r in reports
+                {k: clean(v) for k, v in asdict(r).items()} for r in reports
             ]
     return payload

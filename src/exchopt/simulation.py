@@ -61,7 +61,6 @@ class McConfig:
     n_steps: int = DEFAULT_STEPS_PER_YEAR
     seed: int = 0
     use_control_variate: bool = True
-    estimate_beta: bool = True  # False pins the control-variate beta at 1
     jobs: int = 1
 
     def __post_init__(self):
@@ -239,8 +238,8 @@ def _controlled_estimate(
         value = float(np.mean(payoff))
         err = float(np.std(payoff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return PriceEstimate(value, err, n, mc.seed, beta=None)
-    beta = 1.0  # pinned, or the control is too sparse or constant to fit
-    if mc.estimate_beta and np.count_nonzero(cv_payoff) >= _MIN_FIT_NONZERO_CONTROL:
+    beta = 1.0  # kept when the control is too sparse or constant to fit
+    if np.count_nonzero(cv_payoff) >= _MIN_FIT_NONZERO_CONTROL:
         var_cv = float(np.var(cv_payoff, ddof=1))
         if var_cv > 0.0:
             beta = float(np.cov(payoff, cv_payoff, ddof=1)[0, 1]) / var_cv

@@ -1,10 +1,13 @@
+import json
 import os
 import re
 
 import pytest
 import yaml
 
+from exchopt import heston
 from exchopt.cli import main
+from exchopt.experiments import results_csv
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +76,17 @@ class TestPriceMc:
         rho_hat = float(extract(r"implied_corr (-?[0-9.]+)", out))
         assert abs(rho_hat - 0.5) < 0.03
 
+    def test_builds_no_smile(self, capsys, out_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("price mc needs only the ATM vols")
+
+        monkeypatch.setattr(heston, "build_smile_grid", refuse)
+        code, out, _ = run_cli(
+            capsys, "--out", out_dir, "--seed", "7", "price", "mc", "--paths", "2000",
+        )
+        assert code == 0
+        assert "implied_corr" in out
+
 
 class TestConventionSolve:
     def test_uncorrelated_assets_give_lookup(self, capsys, out_dir, tmp_path):
@@ -121,6 +135,26 @@ class TestExperiment:
             "--results", "/nonexistent.csv",
         )
         assert code == 2
+
+    def test_report_records_config_and_flags(self, capsys, out_dir, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"model": {"kappa": 2.0}}))
+        results = tmp_path / "results.csv"
+        row = {
+            "T": 0.05, "rho": 0.5, "rho_X": -0.12, "rho_Y": -0.01, "s0Y": 100.0,
+            "convention": "a=0", "margrabe_price": 1.01, "mc_price": 1.0,
+            "error": 0.01, "excluded": False, "exclusion_reason": "",
+        }
+        results.write_text(results_csv([row]))
+        code, _, _ = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "experiment", "report",
+            "--results", str(results), "--report", "report.json", "--T", "0.05",
+        )
+        assert code == 0
+        with open(os.path.join(out_dir, "report.json")) as fh:
+            config = json.load(fh)["config"]
+        assert config["heston"]["kappa"] == 2.0
+        assert config["T_list"] == [0.05]
 
     def test_small_run_writes_inside_out_dir(self, capsys, out_dir, tmp_path):
         cfg = tmp_path / "grid.yaml"
@@ -238,3 +272,11 @@ class TestSurface:
             "--output", "../escape.csv",
         )
         assert code == 2
+
+    def test_name_starting_with_dots_stays_inside_out_dir(self, capsys, out_dir):
+        code, _, _ = run_cli(
+            capsys, "--out", out_dir, "surface", "--asset", "X",
+            "--output", "..results.csv",
+        )
+        assert code == 0
+        assert os.path.exists(os.path.join(out_dir, "..results.csv"))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exchopt.convention import (
     A_BOUNDS,
@@ -167,6 +169,29 @@ class TestAStarObservables:
         )
         with pytest.raises(DegenerateConventionError):
             a_star_observables(obs, 0.0)
+
+
+class TestOneFormula:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        lam_x=st.floats(0.1, 3.0), lam_y=st.floats(0.1, 3.0),
+        rho=st.floats(-1.0, 1.0), rho_x=st.floats(-1.0, 1.0), rho_y=st.floats(-1.0, 1.0),
+    )
+    def test_parametric_is_observables_at_levels_lam_and_skews_rho(
+        self, lam_x, lam_y, rho, rho_x, rho_y
+    ):
+        lim = ModelLimits(lam_x, lam_y, rho, rho_x, rho_y)
+        obs = SmileObservables(
+            level_x=lam_x, level_y=lam_y, skew_x=rho_x, skew_y=rho_y, T=0.05, dz=0.01
+        )
+        try:
+            a = a_star_parametric(lim)
+        except DegenerateConventionError:
+            with pytest.raises(DegenerateConventionError):
+                a_star_observables(obs, rho)
+            return
+        assert a_star_observables(obs, rho) == a
+        assert abs(linear_convention_residual(a, lim)) <= 1e-12
 
 
 class TestBoundA:

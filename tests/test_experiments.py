@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -50,6 +51,17 @@ class TestExclusionCounts:
             summary = grid_exclusion_summary(GridSpec(rho_list=(rho,)))
             assert summary.total_triples == 25
             assert summary.invalid_triples == expected
+
+    def test_row_summary_matches_spec_summary_with_invalid_triple(self):
+        # (rho, rho_X, rho_Y) = (-0.9, 0.48, 0.59) is not PSD; (-0.9, 0.48, -0.61) is
+        spec = GridSpec(
+            T_list=(0.05,), rho_list=(-0.9,), rho_x_list=(0.48,),
+            rho_y_list=(-0.61, 0.59), s0y_list=(90.0, 100.0),
+            mc=McConfig(n_paths=4096, n_steps=500, seed=1),
+        )
+        from_spec = grid_exclusion_summary(spec)
+        assert from_spec.invalid_triples == 1
+        assert asdict(summarize_exclusions(run_grid(spec))) == asdict(from_spec)
 
     def test_point_accounting_identity(self, tiny_rows):
         spec = tiny_spec()

@@ -114,11 +114,6 @@ class TestControlVariate:
         assert on.stderr < off.stderr
         assert on.value == pytest.approx(off.value, abs=4.0 * off.stderr)
 
-    def test_beta_pinned_when_estimation_disabled(self, case1_model, fast_mc):
-        mc = replace(fast_mc, estimate_beta=False)
-        est = simulate_exchange(case1_model, 0.05, mc)
-        assert est.beta == 1.0
-
     def test_sparse_control_keeps_estimate_near_exact(self):
         # only 2 of 8192 control payoffs are non-zero; a beta fitted on them
         # (24.4) put this estimate 5.5 standard errors above the exact price
@@ -126,6 +121,7 @@ class TestControlVariate:
         mc = McConfig(n_paths=8192, n_steps=2000, seed=267)
         est = simulate_exchange(model, 0.05, mc)
         exact = exchange_option_price(model, 0.05)
+        assert est.beta == 1.0
         assert abs(est.value - exact) <= 3.0 * est.stderr
 
 
