@@ -58,11 +58,7 @@ def bs_price(t: float, x: float, k: float, sigma: float, T: float) -> float:
         raise InputError(f"T={T} < t={t}")
     if sigma < 0:
         raise InputError(f"negative sigma={sigma}")
-    s = sigma * math.sqrt(T - t)
-    if s == 0.0:
-        return max(math.exp(x) - math.exp(k), 0.0)
-    d1 = (x - k) / s + 0.5 * s
-    return float(math.exp(x) * ndtr(d1) - math.exp(k) * ndtr(d1 - s))
+    return _call(x, k, sigma, T - t)
 
 
 def bs_vega(t: float, x: float, k: float, sigma: float, T: float) -> float:
@@ -73,6 +69,20 @@ def bs_vega(t: float, x: float, k: float, sigma: float, T: float) -> float:
     tau = T - t
     if tau == 0.0 or sigma <= 0.0:
         return 0.0
+    return _vega(x, k, sigma, tau)
+
+
+def _call(x: float, k: float, sigma: float, tau: float) -> float:
+    """bs_price without argument checks, for tau = T - t >= 0 and sigma >= 0."""
+    s = sigma * math.sqrt(tau)
+    if s == 0.0:
+        return max(math.exp(x) - math.exp(k), 0.0)
+    d1 = (x - k) / s + 0.5 * s
+    return float(math.exp(x) * ndtr(d1) - math.exp(k) * ndtr(d1 - s))
+
+
+def _vega(x: float, k: float, sigma: float, tau: float) -> float:
+    """bs_vega without argument checks, for tau > 0 and sigma > 0."""
     s = sigma * math.sqrt(tau)
     d1 = (x - k) / s + 0.5 * s
     return float(math.exp(x) * norm_pdf(d1) * math.sqrt(tau))
@@ -98,18 +108,19 @@ def implied_vol(price: float, t: float, x: float, k: float, T: float) -> float:
             f"price {price} outside arbitrage bounds ({intrinsic}, {spot})"
         )
     tol = _IV_PRICE_TOL * spot
+    tau = T - t
 
     lo, hi = _IV_BRACKET_LO, _IV_BRACKET_HI
-    while bs_price(t, x, k, hi, T) < price:
+    while _call(x, k, hi, tau) < price:
         hi *= 2.0
         if hi > 1e3:
             raise DomainError(f"price {price} not attainable below sigma={hi}")
-    if bs_price(t, x, k, lo, T) > price:
+    if _call(x, k, lo, tau) > price:
         raise DomainError(f"price {price} below sigma={lo} value")
 
     sigma = _IV_NEWTON_SEED if lo < _IV_NEWTON_SEED < hi else 0.5 * (lo + hi)
     for _ in range(_IV_MAX_ITER):
-        diff = bs_price(t, x, k, sigma, T) - price
+        diff = _call(x, k, sigma, tau) - price
         if abs(diff) <= tol:
             return sigma
         # maintain the bracket around the root
@@ -117,7 +128,7 @@ def implied_vol(price: float, t: float, x: float, k: float, T: float) -> float:
             hi = sigma
         else:
             lo = sigma
-        v = bs_vega(t, x, k, sigma, T)
+        v = _vega(x, k, sigma, tau)
         newton = sigma - diff / v if v > 0.0 else math.inf
         sigma = newton if lo < newton < hi else 0.5 * (lo + hi)
         if hi - lo < 1e-14:

@@ -89,8 +89,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
-    m = raw["model"]
     try:
+        m = raw["model"]
         model = TwoAssetModel(
             heston=HestonParams(
                 kappa=float(m["kappa"]), theta=float(m["theta"]),
@@ -125,7 +125,9 @@ def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
                     for k in ("T_list", "s0y_list", "rho_list", "rho_x_list", "rho_y_list")
                 },
             )
-    except (KeyError, TypeError) as err:
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise InputError(f"config is missing or mistypes a field: {err}") from err
     return RunConfig(model=model, maturity=maturity, mc=mc, grid=grid,
                      out_dir=out_dir, raw=raw)

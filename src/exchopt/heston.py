@@ -1,11 +1,14 @@
 """Semi-analytic Heston pricing, smile construction and ATM observables.
 
 Each leg of the two-asset model is itself a Heston asset after rescaling
-(``effective_heston``), so a single one-asset pricer covers both legs.  The
-pricer evaluates a damped Fourier integral of the characteristic function on
-the out-of-the-money side (in-the-money values follow by parity), which keeps
-absolute accuracy near 1e-13 of spot even for far strikes where the option is
-worth almost nothing.
+(``effective_heston``), and the exact exchange price is a vanilla on the ratio
+asset, so one Fourier kernel (``_time_values``) prices everything: a batch of
+log-strikes for unit spot, each as the damped integral of the characteristic
+function on its out-of-the-money side (in-the-money values follow by parity),
+accurate near 1e-13 of spot even for far strikes worth almost nothing.  The
+characteristic function is evaluated once per quadrature node set and shared
+by every strike of the batch that integrates on it, so a 41-strike smile costs
+little more than one strike; vanilla and exchange prices are one-strike batches.
 """
 
 from __future__ import annotations
@@ -101,11 +104,10 @@ def effective_heston(params: HestonParams, asset: AssetSpec) -> HestonParams:
 
 def _clog1p(z: np.ndarray) -> np.ndarray:
     """log(1 + z) for complex z, accurate for |z| << 1 (numpy has no complex log1p)."""
+    out = np.log(1.0 + z)
     small = np.abs(z) < 1e-4
     zs = z[small]
-    out = np.empty_like(z)
     out[small] = zs * (1.0 - zs * (0.5 - zs * (1.0 / 3.0 - 0.25 * zs)))
-    out[~small] = np.log(1.0 + z[~small])
     return out
 
 
@@ -125,64 +127,93 @@ def _cf_log_return(
     d = np.sqrt(b * b + nu * nu * q)  # principal branch, Re(d) >= 0
     bpd = b + d
     g = -nu * nu * q / (bpd * bpd)  # (b - d)/(b + d)
-    edt = np.exp(-d * T)
+    edt = np.exp(d * -T)  # signs sit on scalars: no array negation, same bits
     w = g * (1.0 - edt) / (1.0 - g)
-    A = kappa_theta * (-q * T / bpd - 2.0 * _clog1p(w) / (nu * nu))
-    D = -(q / bpd) * (1.0 - edt) / (1.0 - g * edt)
-    return np.exp(A + D * v0)
+    A = kappa_theta * (q * -T / bpd - 2.0 * _clog1p(w) / (nu * nu))
+    minus_D = (q / bpd) * (1.0 - edt) / (1.0 - g * edt)
+    return np.exp(A - minus_D * v0)
 
 
-def _gl_panels(f: Callable[[np.ndarray], np.ndarray], upper: float, n_panels: int) -> float:
-    edges = np.linspace(0.0, upper, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GL_X[None, :]).ravel()
-    vals = f(nodes).reshape(n_panels, _GL_NODES)
-    return float(np.sum(vals @ _GL_W) * half)
+def _damped_values(
+    cf: Callable[[np.ndarray], np.ndarray], ks: Sequence[float], alpha: float
+) -> list[float]:
+    """Damped-transform values for unit spot at log-strikes ``ks`` of calls
+    (alpha > 0) or puts (alpha < -1): Re(e^{-iuk} cf(u - (alpha+1)i) / den(u))
+    on Gauss-Legendre panels over [0, upper], one cf evaluation per node set.
+    A strike's ``upper`` is the first doubling where its integrand is below
+    _TAIL_TOL; panels then double until its estimate moves by less than
+    max(_ABS_TOL, _REL_TOL |est|), and it keeps the estimate of that level."""
 
+    def shared(u: np.ndarray) -> tuple[np.ndarray, ...]:
+        c = cf(u - (alpha + 1.0) * 1j)  # before den and phase, which would add to its peak
+        return -1j * u, c, alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
 
-def _otm_value_norm(
-    k: float, cf: Callable[[np.ndarray], np.ndarray], alpha: float
-) -> float:
-    """Damped-transform value of the OTM option (call if alpha > 0, put if
-    alpha < -1) for unit spot; adaptive Gauss-Legendre with doubling panels."""
+    def integrand(phase: np.ndarray, c: np.ndarray, den: np.ndarray, k: float) -> np.ndarray:
+        return np.real(np.exp(phase * k) * c / den)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
-        return np.real(np.exp(-1j * u * k) * cf(u - (alpha + 1.0) * 1j) / den)
-
-    upper = 100.0
-    while np.max(np.abs(integrand(np.linspace(upper, 1.25 * upper, 7)))) > _TAIL_TOL:
-        upper *= 2.0
+    est: dict[int, float] = {}
+    pending, upper = list(range(len(ks))), 100.0
+    while pending:
         if upper > 2e6:
-            raise NumericalError(
-                f"integrand tail above {_TAIL_TOL} out to u={upper} (k={k})"
-            )
-    n_panels = max(32, int(upper / 4.0))
-    est_prev = _gl_panels(integrand, upper, n_panels)
-    for _ in range(_MAX_REFINE):
-        n_panels *= 2
-        est = _gl_panels(integrand, upper, n_panels)
-        if abs(est - est_prev) < max(_ABS_TOL, _REL_TOL * abs(est)):
-            return math.exp(-alpha * k) / math.pi * est
-        est_prev = est
-    raise NumericalError(
-        f"quadrature not converged: k={k}, upper={upper}, panels={n_panels}, "
-        f"last delta={abs(est - est_prev):.3e}"
-    )
+            raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u={upper} "
+                                 f"at log-strikes {[ks[i] for i in pending]}")
+        at = shared(np.linspace(upper, 1.25 * upper, 7))
+        over = [i for i in pending if np.max(np.abs(integrand(*at, ks[i]))) > _TAIL_TOL]
+        todo, prev, n_panels = [i for i in pending if i not in over], {}, max(32, int(upper / 4.0))
+        for _ in range(_MAX_REFINE + 1):
+            if not todo:
+                break
+            edges = np.linspace(0.0, upper, n_panels + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * (edges[1] - edges[0])
+            at = shared((mid[:, None] + half * _GL_X[None, :]).ravel())
+            sums = (integrand(*at, ks[i]).reshape(n_panels, _GL_NODES) @ _GL_W for i in todo)
+            cur = {i: float(np.sum(v) * half) for i, v in zip(todo, sums)}
+            del at  # the next level's arrays are twice the size; free these first
+            step = {i: abs(v - prev.get(i, math.inf)) for i, v in cur.items()}
+            est.update((i, v) for i, v in cur.items() if step[i] < max(_ABS_TOL, _REL_TOL * abs(v)))
+            todo, prev, n_panels = [i for i in todo if i not in est], cur, 2 * n_panels
+        if todo:
+            raise NumericalError(f"quadrature not converged at log-strikes {[ks[i] for i in todo]}"
+                                 f": upper={upper}, panels={n_panels // 2}, "
+                                 f"last delta={max(step[i] for i in todo):.3e}")
+        pending, upper = over, 2.0 * upper
+    return [math.exp(-alpha * k) / math.pi * est[i] for i, k in enumerate(ks)]
 
 
-def _call_norm(
-    k: float, kappa: float, kappa_theta: float, nu: float, v0: float,
-    rho_sv: float, T: float, want_time_value: bool = False,
-) -> float:
-    """Call price (or its time value) for unit spot and log strike k."""
+def _time_values(
+    kappa: float, kappa_theta: float, nu: float, v0: float, rho_sv: float,
+    T: float, ks: Sequence[float],
+) -> np.ndarray:
+    """Out-of-the-money time values for unit spot at log-strikes ``ks`` (the
+    call for k >= 0, the put for k < 0): the one Fourier pricing kernel."""
+    ks = [float(k) for k in ks]
+    if not (math.isfinite(T) and T > 0):
+        raise InputError(f"T must be positive, got {T}")
+    if not all(map(math.isfinite, ks)):
+        raise InputError(f"log-strikes must be finite, got {ks}")
     cf = lambda u: _cf_log_return(u, kappa, kappa_theta, nu, v0, rho_sv, T)
-    if k >= 0.0:
-        otm = _otm_value_norm(k, cf, _DAMPING_ALPHA)
-        return otm  # call == time value for k >= 0
-    put = _otm_value_norm(k, cf, -1.0 - _DAMPING_ALPHA)
-    return put if want_time_value else put + 1.0 - math.exp(k)
+    out = np.empty(len(ks))
+    for alpha in (_DAMPING_ALPHA, -1.0 - _DAMPING_ALPHA):
+        side = [i for i, k in enumerate(ks) if (k >= 0.0) == (alpha > 0.0)]
+        if side:
+            out[side] = _damped_values(cf, [ks[i] for i in side], alpha)
+    return out
+
+
+def _unit_call(k: float, *cf_args: float) -> float:
+    """Call value for unit spot at log-strike k; ``cf_args`` as _time_values."""
+    tv = float(_time_values(*cf_args, [k])[0])
+    return tv if k >= 0.0 else tv + 1.0 - math.exp(k)
+
+
+def _leg_time_values(
+    params: HestonParams, asset: AssetSpec, zs: Sequence[float], T: float
+) -> np.ndarray:
+    """Time values for unit spot of one leg at log-moneyness ``zs``."""
+    eff = effective_heston(params, asset)
+    kt = eff.kappa * eff.theta
+    return _time_values(eff.kappa, kt, eff.nu, eff.v0, asset.rho_sv, T, zs)
 
 
 def heston_vanilla_price(
@@ -195,24 +226,10 @@ def heston_vanilla_price(
     """
     if not (np.isfinite(strike) and strike > 0 and np.isfinite(s0) and s0 > 0):
         raise InputError(f"spot and strike must be positive, got {s0}, {strike}")
-    if not (np.isfinite(T) and T > 0):
-        raise InputError(f"T must be positive, got {T}")
     if not (np.isfinite(rho_sv) and abs(rho_sv) <= 1.0):
         raise InputError(f"rho_sv must lie in [-1, 1], got {rho_sv}")
-    k = math.log(strike / s0)
-    return s0 * _call_norm(
-        k, params.kappa, params.kappa * params.theta, params.nu, params.v0, rho_sv, T
-    )
-
-
-def _leg_time_value(
-    params: HestonParams, rho_sv: float, log_moneyness: float, T: float
-) -> float:
-    """Time value (OTM-side option value) for unit spot at the given log moneyness."""
-    return _call_norm(
-        log_moneyness, params.kappa, params.kappa * params.theta, params.nu,
-        params.v0, rho_sv, T, want_time_value=True,
-    )
+    k, kt = math.log(strike / s0), params.kappa * params.theta
+    return s0 * _unit_call(k, params.kappa, kt, params.nu, params.v0, rho_sv, T)
 
 
 def _vol_from_time_value(tv: float, z: float, T: float) -> float:
@@ -246,15 +263,8 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
     rho_u = (lx * c.rho_x - ly * c.rho_y) / lam_u
     rho_u = min(1.0, max(-1.0, rho_u))  # PSD guarantees |rho_u| <= 1 up to rounding
     k = math.log(model.s0y / model.s0x)
-    return model.s0x * _call_norm(
-        k,
-        kappa_hat,
-        h.kappa * h.theta * lam_u * lam_u,
-        h.nu * lam_u,
-        h.v0 * lam_u * lam_u,
-        rho_u,
-        T,
-    )
+    kappa_theta, v0 = h.kappa * h.theta * lam_u * lam_u, h.v0 * lam_u * lam_u
+    return model.s0x * _unit_call(k, kappa_hat, kappa_theta, h.nu * lam_u, v0, rho_u, T)
 
 
 class Smile:
@@ -309,14 +319,10 @@ def build_smile(
     """Price and invert each absolute log strike; returns sorted
     (log_strike, implied_vol) pairs.  Pricing or inversion failures propagate
     (nothing is skipped silently)."""
-    eff = effective_heston(params, asset)
-    x0 = asset.x0
-    out = []
-    for k in sorted(log_strikes):
-        p = heston_vanilla_price(eff, asset.rho_sv, asset.s0, math.exp(k), T)
-        iv = blackscholes.implied_vol(p, 0.0, x0, k, T)
-        out.append((k, iv))
-    return out
+    ks = sorted(log_strikes)
+    zs = [k - asset.x0 for k in ks]
+    tv = _leg_time_values(params, asset, zs, T)
+    return [(k, _vol_from_time_value(t, z, T)) for k, z, t in zip(ks, zs, tv)]
 
 
 def build_smile_grid(
@@ -328,9 +334,8 @@ def build_smile_grid(
     ``MIN_TIME_VALUE * s0`` cannot be inverted in float64 and are dropped from
     the contiguous wing (lookups past the kept knots use flat extrapolation).
     """
-    eff = effective_heston(params, asset)
     zs = np.linspace(SMILE_GRID_SPAN[0], SMILE_GRID_SPAN[1], SMILE_GRID_POINTS)
-    tv = np.array([_leg_time_value(eff, asset.rho_sv, z, T) for z in zs])
+    tv = _leg_time_values(params, asset, zs, T)
     keep = tv >= MIN_TIME_VALUE
     if not np.any(keep):
         raise DomainError(
@@ -355,29 +360,23 @@ def _observables(
     """ATM levels and endpoint skews over ``window``, shrunk through
     ``shrink_ladder`` until every wing read has time value at least
     MIN_TIME_VALUE of spot and inverts."""
-    legs = [(effective_heston(params, a), a.rho_sv) for a in (asset_x, asset_y)]
     last_err: Exception | None = None
     for factor in shrink_ladder:
-        lo, hi = factor * window[0], factor * window[1]
-        wings = []
-        for eff, rho_sv in legs:
-            tv_lo = _leg_time_value(eff, rho_sv, lo, T)
-            if tv_lo < MIN_TIME_VALUE:
+        zs = (factor * window[0], 0.0, factor * window[1])
+        tvs = []
+        for asset in (asset_x, asset_y):
+            tv = _leg_time_values(params, asset, zs, T)
+            if min(tv[0], tv[2]) < MIN_TIME_VALUE:
                 break
-            tv_hi = _leg_time_value(eff, rho_sv, hi, T)
-            if tv_hi < MIN_TIME_VALUE:
-                break
-            wings.append((tv_lo, tv_hi))
-        if len(wings) < len(legs):
+            tvs.append(tv)
+        if len(tvs) < 2:
             continue
+        lo, hi = zs[0], zs[2]
         try:
             levels, skews = [], []
-            for (eff, rho_sv), (tv_lo, tv_hi) in zip(legs, wings):
-                levels.append(
-                    _vol_from_time_value(_leg_time_value(eff, rho_sv, 0.0, T), 0.0, T)
-                )
-                up = _vol_from_time_value(tv_hi, hi, T)
-                dn = _vol_from_time_value(tv_lo, lo, T)
+            for tv in tvs:
+                dn, atm, up = (_vol_from_time_value(t, z, T) for t, z in zip(tv, zs))
+                levels.append(atm)
                 skews.append((up - dn) / (hi - lo))
         except (DomainError, NumericalError) as err:
             last_err = err

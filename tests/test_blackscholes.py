@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from exchopt import heston
 from exchopt.blackscholes import bs_price, bs_vega, implied_vol
 from exchopt.errors import DomainError, InputError
+from exchopt.experiments import reference_case_model
 
 X100 = math.log(100.0)
 
@@ -27,6 +29,29 @@ def bisect_iv(price, t, x, k, T, lo=1e-8, hi=5.0, tol=1e-12):
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def checked_implied_vol(price, t, x, k, T):
+    """The Newton/bracket loop of implied_vol on the public, argument-checking
+    bs_price and bs_vega: the reference for the unchecked helpers."""
+    lo, hi = 1e-6, 5.0
+    while bs_price(t, x, k, hi, T) < price:
+        hi *= 2.0
+    sigma = 0.5 if lo < 0.5 < hi else 0.5 * (lo + hi)
+    for _ in range(100):
+        diff = bs_price(t, x, k, sigma, T) - price
+        if abs(diff) <= 1e-12 * math.exp(x):
+            return sigma
+        if diff > 0.0:
+            hi = sigma
+        else:
+            lo = sigma
+        v = bs_vega(t, x, k, sigma, T)
+        newton = sigma - diff / v if v > 0.0 else math.inf
+        sigma = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if hi - lo < 1e-14:
+            return 0.5 * (lo + hi)
+    raise AssertionError("reference loop did not converge")
 
 
 class TestBsPrice:
@@ -136,3 +161,16 @@ class TestImpliedVol:
     def test_high_vol_bracket_expands(self):
         p = bs_price(0.0, X100, X100, 7.0, 1.0)
         assert implied_vol(p, 0.0, X100, X100, 1.0) == pytest.approx(7.0, abs=1e-7)
+
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    def test_bit_identical_to_checked_loop_on_smile_knots(self, case, T):
+        model = reference_case_model(case)
+        for asset in (model.asset_x, model.asset_y):
+            smile = heston.build_smile_grid(model.heston, asset, T)
+            tvs = heston._leg_time_values(model.heston, asset, smile.log_moneyness, T)
+            for z, tv, vol in zip(smile.log_moneyness, tvs, smile.vols):
+                price = tv + max(1.0 - math.exp(z), 0.0)
+                got = implied_vol(price, 0.0, 0.0, z, T)
+                assert got == checked_implied_vol(price, 0.0, 0.0, z, T)
+                assert got == vol

@@ -6,7 +6,8 @@ import pytest
 import yaml
 
 from exchopt import heston
-from exchopt.cli import main
+from exchopt.cli import _build_run_config, load_config, main
+from exchopt.errors import InputError
 from exchopt.experiments import results_csv
 
 
@@ -245,6 +246,25 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "ERROR code=2" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"model": {"kappa": "abc"}}, {"grid": [1, 2]}, {"model": None}],
+        ids=["value", "attribute", "null-model"],
+    )
+    def test_mistyped_config_exit_2(self, capsys, out_dir, tmp_path, config):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        code, _, err = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "convention", "solve",
+        )
+        assert code == 2
+        assert "ERROR code=2 type=InputError" in err
+
+    def test_config_without_model_is_input_error(self, out_dir):
+        raw = {k: v for k, v in load_config(None).items() if k != "model"}
+        with pytest.raises(InputError, match="model"):
+            _build_run_config(raw, out_dir)
 
     def test_missing_config_file_exit_2(self, capsys, out_dir):
         code, _, err = run_cli(

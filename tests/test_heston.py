@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from exchopt import heston
 from exchopt.blackscholes import bs_price, implied_vol
-from exchopt.errors import DomainError, InputError
+from exchopt.errors import DomainError, InputError, NumericalError
 from exchopt.experiments import reference_case_model
 from exchopt.heston import (
     Smile,
@@ -26,6 +27,23 @@ from exchopt.simulation import McConfig, simulate_exchange, simulate_vanilla
 
 BASE_PARAMS = HestonParams(kappa=1.5, theta=0.15, nu=0.5, sigma0=0.15)
 X100 = math.log(100.0)
+GRID_Z = np.linspace(*heston.SMILE_GRID_SPAN, heston.SMILE_GRID_POINTS)
+
+leg_models = given(
+    kappa=st.floats(0.3, 3.0), theta=st.floats(0.02, 0.3),
+    nu=st.floats(0.1, 1.0), sigma0=st.floats(0.08, 0.4),
+    lam=st.floats(0.5, 1.6), rho_sv=st.floats(-0.9, 0.9),
+    T=st.floats(0.02, 1.0),
+)
+
+
+def leg_kernel(kappa, theta, nu, sigma0, lam, rho_sv, T):
+    """Kernel arguments (kappa, kappa theta, nu, v0, rho_sv, T) of one scaled leg."""
+    eff = effective_heston(
+        HestonParams(kappa=kappa, theta=theta, nu=nu, sigma0=sigma0),
+        AssetSpec(lam=lam, rho_sv=rho_sv, s0=100.0),
+    )
+    return eff.kappa, eff.kappa * eff.theta, eff.nu, eff.v0, rho_sv, T
 
 
 def gil_pelaez_call(s0, strike, params, rho_sv, T):
@@ -110,6 +128,20 @@ class TestVanillaPricer:
         exact = heston_vanilla_price(eff, -0.4, 100.0, 100.0, 0.05)
         est = simulate_vanilla(case1_model, "X", 100.0, 0.05, mc)
         assert abs(exact - est.value) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    def test_smile_knots_match_gil_pelaez(self, T):
+        # every knot of a 41-strike grid leg, repriced from its vol, against
+        # scipy quad on the Gil-Pelaez integrals (no shared kernel)
+        asset = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
+        smile = build_smile_grid(BASE_PARAMS, asset, T)
+        eff = effective_heston(BASE_PARAMS, asset)
+        assert smile.log_moneyness.size >= 30
+        for z, vol in zip(smile.log_moneyness, smile.vols):
+            k = X100 + float(z)
+            mine = bs_price(0.0, X100, k, vol, T)
+            other = gil_pelaez_call(100.0, math.exp(k), eff, -0.6, T)
+            assert mine == pytest.approx(other, abs=1e-9)
 
     @pytest.mark.parametrize("strike", [85.0, 100.0, 120.0])
     def test_matches_gil_pelaez(self, strike):
@@ -272,3 +304,60 @@ class TestExchangeOraclePrice:
         )
         with pytest.raises(DomainError):
             exchange_option_price(bad, 0.05)
+
+
+class TestFourierKernel:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @leg_models
+    def test_batch_equals_one_strike_at_a_time(self, **leg):
+        args = leg_kernel(**leg)
+        batch = heston._time_values(*args, GRID_Z)
+        single = [heston._time_values(*args, [z])[0] for z in GRID_Z]
+        assert np.max(np.abs(batch - single)) <= 5e-13
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @leg_models
+    def test_calls_decreasing_convex_and_within_bounds(self, **leg):
+        strikes = np.exp(GRID_Z)  # unit spot; the grid straddles the k = 0 side switch
+        calls = heston._time_values(*leg_kernel(**leg), GRID_Z) + np.maximum(1.0 - strikes, 0.0)
+        assert np.all(calls >= np.maximum(1.0 - strikes, 0.0) - 5e-13)
+        assert np.all(calls <= 1.0)
+        assert np.all(np.diff(calls) <= 5e-13)
+        slopes = np.diff(calls) / np.diff(strikes)
+        assert np.all(np.diff(slopes) >= -1e-10)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @leg_models
+    def test_put_call_parity_across_side_switch(self, **leg):
+        kappa, kappa_theta, nu, v0, rho_sv, T = leg_kernel(**leg)
+        cf = lambda u: _cf_log_return(u, kappa, kappa_theta, nu, v0, rho_sv, T)
+        ks = [-0.05, -0.01, 0.0, 0.01, 0.05]
+        calls = heston._damped_values(cf, ks, heston._DAMPING_ALPHA)
+        puts = heston._damped_values(cf, ks, -1.0 - heston._DAMPING_ALPHA)
+        for k, c, p in zip(ks, calls, puts):
+            assert c - p == pytest.approx(1.0 - math.exp(k), abs=1e-12)
+
+    def test_unconverged_quadrature_names_strikes_and_effort(self, monkeypatch):
+        monkeypatch.setattr(heston, "_MAX_REFINE", 0)
+        asset = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
+        with pytest.raises(NumericalError) as err:
+            heston._leg_time_values(BASE_PARAMS, asset, [0.0, 0.1], 0.05)
+        msg = str(err.value)
+        assert "log-strikes [0.0, 0.1]" in msg
+        for field in ("upper=", "panels=", "last delta="):
+            assert field in msg
+
+    def test_unbounded_tail_names_strikes_and_cutoff(self, monkeypatch):
+        monkeypatch.setattr(heston, "_TAIL_TOL", 0.0)
+        # slow decay: the integrand stays above zero out to u = 3.3e6, so the
+        # search stops at its cap instead of building panels
+        args = (1.0, 1e-4, 1.0, 1e-4, -0.5, 1.0)
+        with pytest.raises(NumericalError, match=r"u=3276800\.0 at log-strikes \[0\.05\]"):
+            heston._time_values(*args, [-0.05, 0.05])
+
+    def test_rejects_non_finite_strikes_and_maturity(self):
+        args = leg_kernel(1.5, 0.15, 0.5, 0.15, 1.0, -0.6, 0.5)
+        with pytest.raises(InputError):
+            heston._time_values(*args, [0.0, math.nan])
+        with pytest.raises(InputError):
+            heston._time_values(*args[:-1], 0.0, [0.0])
