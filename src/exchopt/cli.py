@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import yaml
 
@@ -28,21 +28,29 @@ from .simulation import McConfig, simulate_exchange
 
 __all__ = ["main", "RunConfig", "load_config"]
 
+_REFERENCE = asdict(experiments.reference_case_model(1))
+# every accepted config key, with the value whose type it is read as; the
+# model and Monte Carlo defaults are the reference case's and McConfig's, and
+# the model section is flat (heston and correlation fields beside the rest)
+_SCHEMA = {
+    "model": {**_REFERENCE.pop("heston"), **_REFERENCE.pop("corr"), **_REFERENCE},
+    "mc": asdict(McConfig()),
+    "grid": {
+        f.name: getattr(experiments.GridSpec, f.name)
+        for f in fields(experiments.GridSpec)
+        if f.name not in ("heston", "mc", "conventions")
+    },
+}
+# jobs stays unset so that main can tell an unpinned worker count
 _DEFAULT_CONFIG = {
-    "model": {
-        "kappa": 1.5, "theta": 0.15, "nu": 0.5, "sigma0": 0.15,
-        "lam_x": 1.5, "lam_y": 1.0,
-        "rho": 0.5, "rho_x": -0.4, "rho_y": -0.6,
-        "s0x": 100.0, "s0y": 100.0,
-    },
+    "model": _SCHEMA["model"],
     "maturity": 0.05,
-    "mc": {
-        "n_paths": 100_000,
-        "n_steps": 2000,
-        "seed": 0,
-        "use_control_variate": True,
-    },
+    "mc": {k: v for k, v in _SCHEMA["mc"].items() if k != "jobs"},
     "grid": None,
+}
+# CLI spellings of the experiments conventions; ``a=<v>`` passes through
+_CONVENTION_ALIASES = {
+    "atm": "a=0", "lookup": "a=1", "a-star": "a_star", "a-star-bounded": "a_star_bounded",
 }
 
 
@@ -51,7 +59,7 @@ class RunConfig:
     model: TwoAssetModel
     maturity: float
     mc: McConfig
-    grid: experiments.GridSpec | None
+    grid: experiments.GridSpec
     out_dir: str
     raw: dict
 
@@ -88,53 +96,43 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     return raw
 
 
+def _section(name: str, given: dict) -> dict:
+    """The keys given in one config section, each read as the type of its
+    schema value; a key outside the schema is an InputError."""
+    schema = _SCHEMA[name]
+    unknown = [str(k) for k in given if k not in schema]
+    if unknown:
+        raise InputError(f"unknown {name} config key(s): {', '.join(unknown)}")
+    return {
+        k: tuple(float(x) for x in v) if isinstance(schema[k], tuple) else type(schema[k])(v)
+        for k, v in given.items()
+    }
+
+
 def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
     try:
-        m = raw["model"]
-        model = TwoAssetModel(
-            heston=HestonParams(
-                kappa=float(m["kappa"]), theta=float(m["theta"]),
-                nu=float(m["nu"]), sigma0=float(m["sigma0"]),
-            ),
-            lam_x=float(m["lam_x"]), lam_y=float(m["lam_y"]),
-            s0x=float(m["s0x"]), s0y=float(m["s0y"]),
-            corr=CorrelationStructure(
-                rho=float(m["rho"]), rho_x=float(m["rho_x"]), rho_y=float(m["rho_y"]),
-            ),
+        unknown = [str(k) for k in raw if k not in _DEFAULT_CONFIG]
+        if unknown:
+            raise InputError(f"unknown config key(s): {', '.join(unknown)}")
+        m = _section("model", raw["model"])
+        heston = HestonParams(**{f.name: m.pop(f.name) for f in fields(HestonParams)})
+        corr = CorrelationStructure(
+            **{f.name: m.pop(f.name) for f in fields(CorrelationStructure)}
         )
-        mc_raw = raw["mc"]
-        mc = McConfig(
-            n_paths=int(mc_raw["n_paths"]),
-            n_steps=int(mc_raw["n_steps"]),
-            seed=int(mc_raw["seed"]),
-            use_control_variate=bool(mc_raw["use_control_variate"]),
-            jobs=int(mc_raw.get("jobs", 1)),
-        )
+        model = TwoAssetModel(heston=heston, corr=corr, **m)
+        mc = McConfig(**_section("mc", raw["mc"]))
         maturity = float(raw["maturity"])
         if not (maturity > 0 and math.isfinite(maturity)):
             raise InputError(f"maturity must be positive, got {maturity}")
-        grid = None
-        if raw.get("grid"):
-            g, default = raw["grid"], experiments.GridSpec
-            grid = default(
-                heston=model.heston,
-                mc=mc,
-                **{k: float(g.get(k, getattr(default, k))) for k in ("s0x", "lam_x", "lam_y")},
-                **{
-                    k: tuple(float(v) for v in g.get(k, getattr(default, k)))
-                    for k in ("T_list", "s0y_list", "rho_list", "rho_x_list", "rho_y_list")
-                },
-            )
+        grid = experiments.GridSpec(
+            heston=model.heston, mc=mc, **_section("grid", raw["grid"] or {})
+        )
     except InputError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise InputError(f"config is missing or mistypes a field: {err}") from err
     return RunConfig(model=model, maturity=maturity, mc=mc, grid=grid,
                      out_dir=out_dir, raw=raw)
-
-
-def _print_config(cfg: RunConfig) -> None:
-    print(yaml.safe_dump(cfg.raw, sort_keys=True, default_flow_style=False), end="")
 
 
 def _solve_a_star(cfg: RunConfig) -> tuple[heston.SmileObservables, float]:
@@ -145,34 +143,23 @@ def _solve_a_star(cfg: RunConfig) -> tuple[heston.SmileObservables, float]:
     return obs, conv.a_star_observables(obs, model.rho)
 
 
-def _convention_value(name: str, cfg: RunConfig) -> float:
-    if name == "atm":
-        return 0.0
-    if name == "lookup":
-        return 1.0
-    if name.startswith("a="):
-        try:
-            return float(name[2:])
-        except ValueError as err:
-            raise InputError(f"bad convention value {name!r}") from err
-    if name in ("a-star", "a-star-bounded"):
-        a = _solve_a_star(cfg)[1]
-        return conv.bound_a(a) if name == "a-star-bounded" else a
-    raise InputError(
-        f"unknown convention {name!r}: expected atm|lookup|a=<v>|a-star|a-star-bounded"
-    )
-
-
 def _cmd_price_exchange(cfg: RunConfig, args) -> int:
     model = cfg.model
-    a = _convention_value(args.convention, cfg)
+    name = args.convention
+    if name not in _CONVENTION_ALIASES and not name.startswith("a="):
+        raise InputError(
+            f"unknown convention {name!r}: expected atm|lookup|a=<v>|a-star|a-star-bounded"
+        )
+    a = experiments._convention_a(
+        _CONVENTION_ALIASES.get(name, name), lambda: _solve_a_star(cfg)[1]
+    )
     smile_x = heston.build_smile_grid(model.heston, model.asset_x, cfg.maturity, asset_id="X")
     smile_y = heston.build_smile_grid(model.heston, model.asset_y, cfg.maturity, asset_id="Y")
     x, y = math.log(model.s0x), math.log(model.s0y)
     k_x, k_y, i_x, i_y, gamma, price = experiments._price_point(
         smile_x, smile_y, model.rho, x, y, cfg.maturity, a
     )
-    print(f"convention {args.convention} (a={a:.6f})")
+    print(f"convention {name} (a={a:.6f})")
     print(f"strikes kX={k_x:.6f} kY={k_y:.6f} (K_X={math.exp(k_x):.4f} K_Y={math.exp(k_y):.4f})")
     print(f"leg vols IX={i_x:.6f} IY={i_y:.6f}")
     print(f"gamma {gamma:.6f}")
@@ -215,10 +202,7 @@ def _cmd_surface(cfg: RunConfig, args) -> int:
 def _cmd_convention_solve(cfg: RunConfig, args) -> int:
     model = cfg.model
     obs, a_star = _solve_a_star(cfg)
-    limits = conv.ModelLimits(
-        lam_x=model.lam_x, lam_y=model.lam_y,
-        rho=model.rho, rho_x=model.corr.rho_x, rho_y=model.corr.rho_y,
-    )
+    limits = conv.ModelLimits(lam_x=model.lam_x, lam_y=model.lam_y, **asdict(model.corr))
     print(f"inputs: rho={model.rho} T={cfg.maturity} skew_span=+-{obs.dz:.6f}")
     print(f"levels IX={obs.level_x:.6f} IY={obs.level_y:.6f}")
     print(f"skews  SX={obs.skew_x:.6f} SY={obs.skew_y:.6f}")
@@ -232,8 +216,7 @@ def _cmd_convention_solve(cfg: RunConfig, args) -> int:
 
 
 def _grid_from_args(cfg: RunConfig, args) -> experiments.GridSpec:
-    spec = cfg.grid or experiments.GridSpec(heston=cfg.model.heston, mc=cfg.mc)
-    spec = replace(spec, mc=cfg.mc)
+    spec = replace(cfg.grid, mc=cfg.mc)
     if args.T:
         spec = replace(spec, T_list=tuple(args.T))
     if args.rho:
@@ -292,8 +275,7 @@ def _cmd_experiment_report(cfg: RunConfig, args) -> int:
         print(
             f"{rep.group} {rep.convention}: n={rep.n_points} MAE={rep.mae:.6f} "
             f"MAPE={rep.mape:.4%} RMSE={rep.rmse:.6f} MaxAE={rep.max_ae:.6f} "
-            f"MStd={rep.mstd if not math.isnan(rep.mstd) else float('nan'):.6f} "
-            f"ATM={rep.atm_error if not math.isnan(rep.atm_error) else float('nan'):.6f}"
+            f"MStd={rep.mstd:.6f} ATM={rep.atm_error:.6f}"
         )
     if args.report:
         spec = _grid_from_args(cfg, args)
@@ -390,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs is None and "jobs" not in raw.get("mc", {}):
             cfg = replace(cfg, mc=replace(cfg.mc, jobs=os.cpu_count() or 1))
         if args.print_config:
-            _print_config(cfg)
+            print(yaml.safe_dump(cfg.raw, sort_keys=True, default_flow_style=False), end="")
             return 0
         if args.command is None:
             parser.print_help()

@@ -112,11 +112,12 @@ def a_star_observables(obs: SmileObservables, rho: float) -> float:
     return _a_star(*_a_star_terms(obs.level_x, obs.level_y, obs.skew_x, obs.skew_y, rho))
 
 
-def bound_a(a: float, bounds: tuple[float, float] = A_BOUNDS) -> float:
-    """Clamp a into [-1, 2] (extreme a pick vols from unquotable strikes)."""
+def bound_a(a: float) -> float:
+    """Clamp a into A_BOUNDS = [-1, 2] (extreme a pick vols from unquotable
+    strikes)."""
     if not np.isfinite(a):
         raise InputError(f"a must be finite, got {a}")
-    return min(max(a, bounds[0]), bounds[1])
+    return min(max(a, A_BOUNDS[0]), A_BOUNDS[1])
 
 
 def linear_convention_residual(a: float, limits: ModelLimits) -> float:

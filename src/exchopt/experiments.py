@@ -15,13 +15,13 @@ import io
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import convention as conv
 from . import heston, margrabe
-from .errors import DegenerateConventionError, DomainError, NumericalError
+from .errors import DegenerateConventionError, DomainError, InputError, NumericalError
 from .models import (
     AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
 )
@@ -167,20 +167,21 @@ class TestCaseResult:
     rows: list[dict]
 
 
-def _convention_a(name: str, a_star: float | None) -> float:
-    if name == "a=0":
-        return 0.0
-    if name == "a=1":
-        return 1.0
-    if name == "a_star":
-        if a_star is None:
-            raise DegenerateConventionError("a_star unavailable for this point")
-        return a_star
-    if name == "a_star_bounded":
-        if a_star is None:
-            raise DegenerateConventionError("a_star unavailable for this point")
-        return conv.bound_a(a_star)
-    raise ValueError(f"unknown convention {name!r}")
+def _convention_a(name: str, a_star: Callable[[], float | None]) -> float:
+    """The log-linear weight of a named convention: ``a=<v>`` (so ``a=0`` is
+    own-ATM vols and ``a=1`` the look-up rule), ``a_star`` or
+    ``a_star_bounded``; ``a_star`` is called only for the last two."""
+    if name.startswith("a="):
+        try:
+            return float(name[2:])
+        except ValueError as err:
+            raise InputError(f"bad convention value {name!r}") from err
+    if name not in ("a_star", "a_star_bounded"):
+        raise InputError(f"unknown convention {name!r}")
+    a = a_star()
+    if a is None:
+        raise DegenerateConventionError("a_star unavailable for this point")
+    return conv.bound_a(a) if name == "a_star_bounded" else a
 
 
 def _price_point(
@@ -225,7 +226,7 @@ def _point_rows(
         warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)
         for name in conventions:
             try:
-                a = _convention_a(name, a_star)
+                a = _convention_a(name, lambda: a_star)
             except DegenerateConventionError:
                 rows.append(
                     _excluded_row(T, rho, rho_x, rho_y, s0y, name,
@@ -273,10 +274,7 @@ def run_test_case(
     smile_y = heston.build_smile_grid(params, model.asset_y, T, asset_id="Y")
     obs = heston.measure_smile_observables(params, model.asset_x, model.asset_y, T)
     a_star = conv.a_star_observables(obs, model.rho)
-    limits = conv.ModelLimits(
-        lam_x=model.lam_x, lam_y=model.lam_y,
-        rho=model.rho, rho_x=model.corr.rho_x, rho_y=model.corr.rho_y,
-    )
+    limits = conv.ModelLimits(lam_x=model.lam_x, lam_y=model.lam_y, **asdict(model.corr))
     a_param = conv.a_star_parametric(limits)
 
     sample = simulate_terminal(model, T, mc)
@@ -296,15 +294,12 @@ def run_test_case(
 def grid_exclusion_summary(spec: GridSpec) -> ExclusionSummary:
     """Deterministic point counts (no simulation): how many correlation
     triples, and hence grid points, the PSD test excludes."""
-    total_triples = 0
-    invalid_triples = 0
-    for rho in spec.rho_list:
-        for rho_x in spec.rho_x_list:
-            for rho_y in spec.rho_y_list:
-                total_triples += 1
-                c = CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
-                if not validate_correlation(c)[0]:
-                    invalid_triples += 1
+    triples = [
+        CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
+        for rho in spec.rho_list for rho_x in spec.rho_x_list for rho_y in spec.rho_y_list
+    ]
+    total_triples = len(triples)
+    invalid_triples = sum(not validate_correlation(c)[0] for c in triples)
     points_per_triple = len(spec.T_list) * len(spec.s0y_list)
     return ExclusionSummary(
         total_points=spec.n_points(),
@@ -351,12 +346,10 @@ def run_grid(spec: GridSpec) -> list[dict]:
     for i_t, i_r, i_x, i_y, T, rho, rho_x, rho_y in spec.combos():
         corr = CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
         if not validate_correlation(corr)[0]:
-            for s0y in spec.s0y_list:
-                for name in spec.conventions:
-                    rows.append(
-                        _excluded_row(T, rho, rho_x, rho_y, s0y, name,
-                                      "invalid_correlation")
-                    )
+            rows += [
+                _excluded_row(T, rho, rho_x, rho_y, s0y, name, "invalid_correlation")
+                for s0y in spec.s0y_list for name in spec.conventions
+            ]
             continue
 
         smile_x = leg_smile("X", rho_x, T)
@@ -376,11 +369,11 @@ def run_grid(spec: GridSpec) -> list[dict]:
         for s0y in spec.s0y_list:
             est = exchange_estimate_from_sample(sample, spec.s0x, s0y, rho, mc)
             if est.value < SUB_CENT_THRESHOLD:
-                for name in spec.conventions:
-                    rows.append(
-                        _excluded_row(T, rho, rho_x, rho_y, s0y, name,
-                                      "sub_cent", est.value, est.stderr)
-                    )
+                rows += [
+                    _excluded_row(T, rho, rho_x, rho_y, s0y, name, "sub_cent",
+                                  est.value, est.stderr)
+                    for name in spec.conventions
+                ]
                 continue
             rows += _point_rows(
                 smile_x, smile_y, corr, T, spec.s0x, s0y, est, a_star, spec.conventions
@@ -566,9 +559,6 @@ def emit_plot_data(result, kind: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "x", "y"])
 
-    def rows_of(res):
-        return res.rows if isinstance(res, TestCaseResult) else list(res)
-
     if kind == "skew":
         if not isinstance(result, TestCaseResult):
             raise ValueError("kind='skew' needs a TestCaseResult with smiles")
@@ -579,7 +569,8 @@ def emit_plot_data(result, kind: str) -> str:
                 )
         return buf.getvalue()
 
-    rows = [r for r in rows_of(result) if not r["excluded"]]
+    rows = result.rows if isinstance(result, TestCaseResult) else result
+    rows = [r for r in rows if not r["excluded"]]
     if kind in ("implied_corr", "difference", "ratio"):
         for r in rows:
             if kind == "ratio":
@@ -602,43 +593,28 @@ def emit_plot_data(result, kind: str) -> str:
     raise ValueError(f"unknown plot kind {kind!r}")
 
 
-def report_json_payload(
-    spec: GridSpec, rows: list[dict], groupings: Sequence[Sequence[str]] = (("T", "rho"), ("T",)),
-) -> dict:
-    """Metrics per grouping and convention plus exclusion accounting and the
-    run configuration (seed and stream layout included), in a
-    JSON-serializable layout."""
+def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:
+    """Metrics per grouping ((T, rho) and T) and convention plus exclusion
+    accounting and the run configuration (seed and stream layout included),
+    in a JSON-serializable layout."""
     def clean(v):
         return None if isinstance(v, float) and math.isnan(v) else v
 
+    config = asdict(spec)
+    del config["mc"]["jobs"]  # results do not depend on the worker count
+    # per-combination streams: SeedSequence((seed, iT, irho, irx, iry)),
+    # then Philox blocks of 4096 paths keyed (stream, block index)
+    config["mc"]["stream_derivation"] = (
+        "seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of 4096"
+    )
     payload: dict = {
-        "config": {
-            "T_list": list(spec.T_list),
-            "s0x": spec.s0x,
-            "s0y_list": list(spec.s0y_list),
-            "lam_x": spec.lam_x,
-            "lam_y": spec.lam_y,
-            "heston": asdict(spec.heston),
-            "rho_list": list(spec.rho_list),
-            "rho_x_list": list(spec.rho_x_list),
-            "rho_y_list": list(spec.rho_y_list),
-            "mc": {
-                "n_paths": spec.mc.n_paths,
-                "n_steps": spec.mc.n_steps,
-                "seed": spec.mc.seed,
-                "use_control_variate": spec.mc.use_control_variate,
-                # per-combination streams: SeedSequence((seed, iT, irho, irx, iry)),
-                # then Philox blocks of 4096 paths keyed (stream, block index)
-                "stream_derivation": "seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of 4096",
-            },
-            "conventions": list(spec.conventions),
-        },
+        "config": config,
         "exclusions": asdict(summarize_exclusions(rows)),
+        "metrics": {},
     }
-    payload["metrics"] = {}
-    for group_by in groupings:
+    for group_by in (("T", "rho"), ("T",)):
         for variant, flag in (("all", False), ("exclude_extreme_a", True)):
-            reports = compute_metrics(rows, group_by=tuple(group_by), exclude_extreme_a=flag)
+            reports = compute_metrics(rows, group_by=group_by, exclude_extreme_a=flag)
             key = "+".join(group_by) + ":" + variant
             payload["metrics"][key] = [
                 {k: clean(v) for k, v in asdict(r).items()} for r in reports

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import re
 
 import pytest
@@ -9,6 +10,93 @@ from exchopt import heston
 from exchopt.cli import _build_run_config, load_config, main
 from exchopt.errors import InputError
 from exchopt.experiments import results_csv
+
+
+# `price exchange` stdout of the default model at (s0y 95, T 0.05) and
+# (s0y 110, T 1.0), recorded before the CLI names became aliases of the
+# experiments conventions
+PRICE_EXCHANGE_STDOUT = {
+    "atm": {
+        "95": (
+            "convention atm (a=0.000000)\n"
+            "strikes kX=4.605170 kY=4.553877 (K_X=100.0000 K_Y=95.0000)\n"
+            "leg vols IX=0.242800 IY=0.161937\n"
+            "gamma 0.214143\n"
+            "price 5.338854\n"
+        ),
+        "110": (
+            "convention atm (a=0.000000)\n"
+            "strikes kX=4.605170 kY=4.700480 (K_X=100.0000 K_Y=110.0000)\n"
+            "leg vols IX=0.411015 IY=0.273579\n"
+            "gamma 0.362400\n"
+            "price 10.610904\n"
+        ),
+    },
+    "lookup": {
+        "95": (
+            "convention lookup (a=1.000000)\n"
+            "strikes kX=4.553877 kY=4.605170 (K_X=95.0000 K_Y=100.0000)\n"
+            "leg vols IX=0.259213 IY=0.143124\n"
+            "gamma 0.224891\n"
+            "price 5.392960\n"
+        ),
+        "110": (
+            "convention lookup (a=1.000000)\n"
+            "strikes kX=4.700480 kY=4.605170 (K_X=110.0000 K_Y=100.0000)\n"
+            "leg vols IX=0.402862 IY=0.287006\n"
+            "gamma 0.359230\n"
+            "price 10.484892\n"
+        ),
+    },
+    "a=0.3": {
+        "95": (
+            "convention a=0.3 (a=0.300000)\n"
+            "strikes kX=4.589782 kY=4.569265 (K_X=98.4730 K_Y=96.4732)\n"
+            "leg vols IX=0.247434 IY=0.155424\n"
+            "gamma 0.216617\n"
+            "price 5.351050\n"
+        ),
+        "110": (
+            "convention a=0.3 (a=0.300000)\n"
+            "strikes kX=4.633763 kY=4.671887 (K_X=102.9006 K_Y=106.8993)\n"
+            "leg vols IX=0.408447 IY=0.277560\n"
+            "gamma 0.361248\n"
+            "price 10.565091\n"
+        ),
+    },
+    "a-star": {
+        "95": (
+            "convention a-star (a=0.418571)\n"
+            "strikes kX=4.583700 kY=4.575347 (K_X=97.8759 K_Y=97.0617)\n"
+            "leg vols IX=0.249350 IY=0.152962\n"
+            "gamma 0.217789\n"
+            "price 5.356880\n"
+        ),
+        "110": (
+            "convention a-star (a=0.045990)\n"
+            "strikes kX=4.609554 kY=4.696097 (K_X=100.4393 K_Y=109.5189)\n"
+            "leg vols IX=0.410615 IY=0.274186\n"
+            "gamma 0.362212\n"
+            "price 10.603441\n"
+        ),
+    },
+    "a-star-bounded": {
+        "95": (
+            "convention a-star-bounded (a=0.418571)\n"
+            "strikes kX=4.583700 kY=4.575347 (K_X=97.8759 K_Y=97.0617)\n"
+            "leg vols IX=0.249350 IY=0.152962\n"
+            "gamma 0.217789\n"
+            "price 5.356880\n"
+        ),
+        "110": (
+            "convention a-star-bounded (a=0.045990)\n"
+            "strikes kX=4.609554 kY=4.696097 (K_X=100.4393 K_Y=109.5189)\n"
+            "leg vols IX=0.410615 IY=0.274186\n"
+            "gamma 0.362212\n"
+            "price 10.603441\n"
+        ),
+    },
+}
 
 
 def run_cli(capsys, *argv):
@@ -49,11 +137,66 @@ class TestPriceExchange:
         assert extract(r"\(a=([0-9.]+)\)", out) == "0.500000"
 
     def test_unknown_convention_exit_2(self, capsys, out_dir):
+        # the experiments spelling a_star is not a CLI name
+        for name in ("bogus", "a_star"):
+            code, out, err = run_cli(
+                capsys, "--out", out_dir, "price", "exchange", "--convention", name,
+            )
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f'ERROR code=2 type=InputError msg="unknown convention \'{name}\': '
+                'expected atm|lookup|a=<v>|a-star|a-star-bounded"\n'
+            )
+
+    def test_bad_a_value_exit_2(self, capsys, out_dir):
         code, _, err = run_cli(
-            capsys, "--out", out_dir, "price", "exchange", "--convention", "bogus",
+            capsys, "--out", out_dir, "price", "exchange", "--convention", "a=0.5x",
         )
         assert code == 2
-        assert "ERROR code=2" in err
+        assert err == 'ERROR code=2 type=InputError msg="bad convention value \'a=0.5x\'"\n'
+
+    @pytest.mark.parametrize("name", sorted(PRICE_EXCHANGE_STDOUT))
+    @pytest.mark.parametrize("s0y, T", [("95", "0.05"), ("110", "1.0")])
+    def test_stdout_pinned(self, capsys, out_dir, name, s0y, T):
+        code, out, _ = run_cli(
+            capsys, "--out", out_dir, "price", "exchange",
+            "--convention", name, "--s0y", s0y, "--T", T,
+        )
+        assert code == 0
+        assert out == PRICE_EXCHANGE_STDOUT[name][s0y]
+
+    def test_bounded_a_star_clamps(self, capsys, out_dir, tmp_path):
+        cfg = tmp_path / "steep.yaml"
+        cfg.write_text(yaml.safe_dump(
+            {"model": {"lam_x": 1.0, "lam_y": 1.24, "rho_x": -0.12, "rho_y": -0.01}}
+        ))
+        outs = {}
+        for name in ("a-star", "a-star-bounded"):
+            code, outs[name], _ = run_cli(
+                capsys, "--config", str(cfg), "--out", out_dir, "price", "exchange",
+                "--convention", name, "--s0y", "95", "--T", "0.05",
+            )
+            assert code == 0
+        assert outs["a-star"].splitlines()[0] == "convention a-star (a=8.064462)"
+        assert outs["a-star-bounded"] == (
+            "convention a-star-bounded (a=2.000000)\n"
+            "strikes kX=4.502584 kY=4.656463 (K_X=90.2500 K_Y=105.2632)\n"
+            "leg vols IX=0.183997 IY=0.214802\n"
+            "gamma 0.201176\n"
+            "price 5.277640\n"
+        )
+
+    def test_a_star_solved_only_when_asked(self, capsys, out_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fixed-a convention needs no a*")
+
+        monkeypatch.setattr(heston, "measure_smile_observables", refuse)
+        for name in ("atm", "lookup", "a=0.3"):
+            code, _, _ = run_cli(
+                capsys, "--out", out_dir, "price", "exchange", "--convention", name,
+            )
+            assert code == 0
 
 
 class TestPriceMc:
@@ -204,16 +347,18 @@ class TestExperiment:
             )
         )
         blobs = []
-        for jobs, sub in (("1", "j1"), ("4", "j4")):
-            sub_out = str(tmp_path / sub)
+        for jobs in ("1", "2", "4"):
+            sub_out = str(tmp_path / f"j{jobs}")
             code, _, _ = run_cli(
                 capsys, "--config", str(cfg), "--out", sub_out, "--jobs", jobs,
                 "experiment", "run",
             )
             assert code == 0
-            with open(os.path.join(sub_out, "results.csv"), "rb") as fh:
-                blobs.append(fh.read())
-        assert blobs[0] == blobs[1]
+            blobs.append([
+                pathlib.Path(sub_out, name).read_bytes()
+                for name in ("results.csv", "report.json")
+            ])
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
 class TestConfigHandling:
@@ -227,6 +372,62 @@ class TestConfigHandling:
         )
         assert code == 0
         assert first == second
+
+    def test_default_print_config(self, capsys, out_dir):
+        code, out, _ = run_cli(capsys, "--out", out_dir, "--print-config")
+        assert code == 0
+        assert out == (
+            "grid: null\n"
+            "maturity: 0.05\n"
+            "mc:\n"
+            "  n_paths: 100000\n"
+            "  n_steps: 2000\n"
+            "  seed: 0\n"
+            "  use_control_variate: true\n"
+            "model:\n"
+            "  kappa: 1.5\n"
+            "  lam_x: 1.5\n"
+            "  lam_y: 1.0\n"
+            "  nu: 0.5\n"
+            "  rho: 0.5\n"
+            "  rho_x: -0.4\n"
+            "  rho_y: -0.6\n"
+            "  s0x: 100.0\n"
+            "  s0y: 100.0\n"
+            "  sigma0: 0.15\n"
+            "  theta: 0.15\n"
+        )
+
+    def test_benchmark_sweep_config_loads(self, capsys, out_dir):
+        sweep = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "sweep.yaml"
+        code, out, _ = run_cli(
+            capsys, "--config", str(sweep), "--out", out_dir,
+            "experiment", "run", "--dry-run",
+        )
+        assert code == 0
+        assert out.startswith("grid: 264 points, 2/12 correlation triples invalid")
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"modle": {"kappa": 2.0}}, "modle"),
+            ({"model": {"kapa": 9.0}}, "kapa"),
+            ({"mc": {"n_path": 10}}, "n_path"),
+            ({"grid": {"rho_lst": [0.5], "T_list": [0.05]}}, "rho_lst"),
+        ],
+        ids=["top", "model", "mc", "grid"],
+    )
+    def test_unknown_key_exit_2(self, capsys, out_dir, tmp_path, config, key):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        code, out, err = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir,
+            "experiment", "run", "--dry-run",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR code=2 type=InputError")
+        assert key in err
 
     def test_flags_override_config(self, capsys, out_dir, tmp_path):
         cfg = tmp_path / "cfg.yaml"

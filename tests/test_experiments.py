@@ -4,10 +4,11 @@ from dataclasses import asdict
 import pytest
 
 from exchopt.convention import ModelLimits, a_star_parametric
-from exchopt.errors import DegenerateConventionError
+from exchopt.errors import DegenerateConventionError, InputError
 from exchopt.experiments import (
     CONVENTIONS,
     GridSpec,
+    _convention_a,
     compute_metrics,
     emit_plot_data,
     grid_exclusion_summary,
@@ -243,3 +244,43 @@ class TestReportPayload:
         text = json.dumps(payload)
         assert "exclusions" in payload and "metrics" in payload
         assert "NaN" not in text
+
+    def test_config_is_the_spec_without_jobs(self, tiny_rows):
+        spec = tiny_spec(mc=McConfig(n_paths=10_000, n_steps=2000, seed=123, jobs=2))
+        payload = report_json_payload(spec, tiny_rows)
+        config = payload["config"]
+        assert "jobs" not in config["mc"]
+        assert config["mc"]["stream_derivation"] == (
+            "seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of 4096"
+        )
+        del config["mc"]["stream_derivation"]
+        expected = asdict(spec)
+        del expected["mc"]["jobs"]
+        assert config == expected
+        assert sorted(payload["metrics"]) == [
+            "T+rho:all", "T+rho:exclude_extreme_a", "T:all", "T:exclude_extreme_a",
+        ]
+
+
+class TestConventionTable:
+    @pytest.mark.parametrize(
+        "name, a", [("a=0", 0.0), ("a=1", 1.0), ("a=-0.25", -0.25),
+                    ("a_star", 7.5), ("a_star_bounded", 2.0)],
+    )
+    def test_weights(self, name, a):
+        assert _convention_a(name, lambda: 7.5) == a
+
+    def test_a_star_read_only_when_needed(self):
+        def refuse():
+            raise AssertionError("a fixed-a convention needs no a*")
+
+        assert _convention_a("a=0.3", refuse) == 0.3
+
+    def test_unavailable_a_star_is_degenerate(self):
+        with pytest.raises(DegenerateConventionError):
+            _convention_a("a_star_bounded", lambda: None)
+
+    @pytest.mark.parametrize("name", ["a-star", "atm", "a=x"])
+    def test_unknown_names(self, name):
+        with pytest.raises(InputError):
+            _convention_a(name, lambda: 1.0)
