@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
@@ -41,7 +41,7 @@ _SCHEMA = {
         if f.name not in ("heston", "mc", "conventions")
     },
 }
-# jobs stays unset so that main can tell an unpinned worker count
+# jobs stays unset so that an unpinned worker count defaults to all cores
 _DEFAULT_CONFIG = {
     "model": _SCHEMA["model"],
     "maturity": 0.05,
@@ -120,7 +120,7 @@ def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
             **{f.name: m.pop(f.name) for f in fields(CorrelationStructure)}
         )
         model = TwoAssetModel(heston=heston, corr=corr, **m)
-        mc = McConfig(**_section("mc", raw["mc"]))
+        mc = McConfig(**{"jobs": os.cpu_count() or 1, **_section("mc", raw["mc"])})
         maturity = float(raw["maturity"])
         if not (maturity > 0 and math.isfinite(maturity)):
             raise InputError(f"maturity must be positive, got {maturity}")
@@ -215,30 +215,16 @@ def _cmd_convention_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _grid_from_args(cfg: RunConfig, args) -> experiments.GridSpec:
-    spec = replace(cfg.grid, mc=cfg.mc)
-    if args.T:
-        spec = replace(spec, T_list=tuple(args.T))
-    if args.rho:
-        spec = replace(spec, rho_list=tuple(args.rho))
-    if args.paths:
-        spec = replace(spec, mc=replace(spec.mc, n_paths=args.paths))
-    return spec
-
-
-def _write_report(
-    cfg: RunConfig, name: str, spec: experiments.GridSpec, rows: list[dict]
-) -> str:
+def _write_report(cfg: RunConfig, name: str, rows: list[dict]) -> str:
     path = cfg.out_path(name)
     with open(path, "w") as fh:
-        json.dump(experiments.report_json_payload(spec, rows), fh, indent=2, sort_keys=True)
+        json.dump(experiments.report_json_payload(cfg.grid, rows), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
 def _cmd_experiment_run(cfg: RunConfig, args) -> int:
-    spec = _grid_from_args(cfg, args)
-    summary = experiments.grid_exclusion_summary(spec)
+    summary = experiments.grid_exclusion_summary(cfg.grid)
     print(
         f"grid: {summary.total_points} points, "
         f"{summary.invalid_triples}/{summary.total_triples} correlation triples invalid "
@@ -247,10 +233,10 @@ def _cmd_experiment_run(cfg: RunConfig, args) -> int:
     if args.dry_run:
         print("dry run: no simulation (sub-cent and degenerate counts need prices)")
         return 0
-    rows = experiments.run_grid(spec)
+    rows = experiments.run_grid(cfg.grid)
     results_path = cfg.out_path(args.results)
     experiments.write_results_csv(rows, results_path)
-    report_path = _write_report(cfg, args.report, spec, rows)
+    report_path = _write_report(cfg, args.report, rows)
     summary = experiments.summarize_exclusions(rows)
     print(
         f"included {summary.included}, invalid-corr {summary.invalid_correlation}, "
@@ -264,7 +250,7 @@ def _cmd_experiment_report(cfg: RunConfig, args) -> int:
     if not os.path.exists(args.results):
         raise InputError(f"results file not found: {args.results}")
     rows = experiments.read_results_csv(args.results)
-    reports = experiments.compute_metrics(rows)
+    reports = experiments.compute_metrics(rows, atm_s0y=cfg.grid.s0x)
     if all(r.empty for r in reports) or not reports:
         print("empty results: no included rows")
         return 0
@@ -278,8 +264,7 @@ def _cmd_experiment_report(cfg: RunConfig, args) -> int:
             f"MStd={rep.mstd:.6f} ATM={rep.atm_error:.6f}"
         )
     if args.report:
-        spec = _grid_from_args(cfg, args)
-        print(f"wrote {_write_report(cfg, args.report, spec, rows)}")
+        print(f"wrote {_write_report(cfg, args.report, rows)}")
     return 0
 
 
@@ -289,8 +274,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, root: bool) -> None:
     # root value
     kw: dict = {} if root else {"default": argparse.SUPPRESS}
     parser.add_argument("--config", help="YAML configuration file", **kw)
-    parser.add_argument("--seed", type=int, help="override mc.seed", **kw)
-    parser.add_argument("--jobs", type=int,
+    parser.add_argument("--seed", type=int, dest="mc.seed", help="Monte Carlo seed", **kw)
+    parser.add_argument("--jobs", type=int, dest="mc.jobs",
                         help="parallel workers (default: all cores)", **kw)
     parser.add_argument("--out", help="output directory",
                         **({"default": "."} if root else kw))
@@ -312,20 +297,19 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--convention", default="a-star",
                     help="atm | lookup | a=<v> | a-star | a-star-bounded")
     pm = price_sub.add_parser("mc", help="Monte Carlo benchmark")
-    pm.add_argument("--paths", type=int)
+    pm.add_argument("--paths", type=int, dest="mc.n_paths")
     for leaf in (pe, pm):
-        leaf.add_argument("--s0y", type=float, help="override the Y spot")
-        leaf.add_argument("--T", type=float, help="override the maturity")
+        leaf.add_argument("--s0y", type=float, dest="model.s0y", help="the Y spot")
 
     surface = sub.add_parser("surface", help="write a leg smile CSV")
     surface.add_argument("--asset", choices=("X", "Y"), required=True)
-    surface.add_argument("--T", type=float)
     surface.add_argument("--output", default="smile.csv")
 
     convention = sub.add_parser("convention", help="solve for the optimal a")
     conv_sub = convention.add_subparsers(dest="subcommand", required=True)
     cs = conv_sub.add_parser("solve")
-    cs.add_argument("--T", type=float)
+    for leaf in (pe, pm, surface, cs):
+        leaf.add_argument("--T", type=float, dest="maturity", help="the maturity")
 
     experiment = sub.add_parser("experiment", help="grid sweeps and reports")
     exp_sub = experiment.add_subparsers(dest="subcommand", required=True)
@@ -337,9 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--results", required=True)
     ep.add_argument("--report", default=None)
     for leaf in (er, ep):
-        leaf.add_argument("--T", type=float, action="append")
-        leaf.add_argument("--rho", type=float, action="append")
-        leaf.add_argument("--paths", type=int)
+        leaf.add_argument("--T", type=float, action="append", dest="grid.T_list")
+        leaf.add_argument("--rho", type=float, action="append", dest="grid.rho_list")
+        leaf.add_argument("--paths", type=int, dest="mc.n_paths")
 
     for leaf, handler in (
         (pe, _cmd_price_exchange), (pm, _cmd_price_mc), (surface, _cmd_surface),
@@ -354,23 +338,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # a flag's dest names the config key it overrides: "section.key" or
+        # the top-level "maturity"
         overrides: dict = {}
-        if args.seed is not None:
-            overrides.setdefault("mc", {})["seed"] = args.seed
-        if args.jobs is not None:
-            overrides.setdefault("mc", {})["jobs"] = args.jobs
-        if args.command in ("price", "surface", "convention") and args.T is not None:
-            overrides["maturity"] = args.T
-        if getattr(args, "s0y", None) is not None:
-            overrides.setdefault("model", {})["s0y"] = args.s0y
-        if getattr(args, "paths", None) is not None and args.command == "price":
-            overrides.setdefault("mc", {})["n_paths"] = args.paths
+        for dest, value in vars(args).items():
+            if value is None:
+                continue
+            if "." in dest:
+                section, key = dest.split(".")
+                overrides.setdefault(section, {})[key] = value
+            elif dest == "maturity":
+                overrides[dest] = value
         raw = load_config(args.config, overrides)
         os.makedirs(args.out, exist_ok=True)
         cfg = _build_run_config(raw, args.out)
-        # default to all cores only when neither flag nor config pins jobs
-        if args.jobs is None and "jobs" not in raw.get("mc", {}):
-            cfg = replace(cfg, mc=replace(cfg.mc, jobs=os.cpu_count() or 1))
         if args.print_config:
             print(yaml.safe_dump(cfg.raw, sort_keys=True, default_flow_style=False), end="")
             return 0

@@ -22,9 +22,7 @@ import numpy as np
 from . import convention as conv
 from . import heston, margrabe
 from .errors import DegenerateConventionError, DomainError, InputError, NumericalError
-from .models import (
-    AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
-)
+from .models import CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation
 from .simulation import (
     McConfig,
     PriceEstimate,
@@ -325,44 +323,34 @@ def _excluded_row(T, rho, rho_x, rho_y, s0y, name, reason, mc_price=math.nan,
 def run_grid(spec: GridSpec) -> list[dict]:
     """Run the sweep; one row per (grid point, convention), excluded points
     included with their reason so the accounting closes."""
-    @functools.cache
-    def leg_smile(asset_id: str, rho_sv: float, T: float) -> heston.Smile:
-        lam = spec.lam_x if asset_id == "X" else spec.lam_y
-        s0 = spec.s0x  # reference spot; lookups go through log-moneyness
-        return heston.build_smile_grid(
-            spec.heston, AssetSpec(lam=lam, rho_sv=rho_sv, s0=s0), T, asset_id=asset_id,
-        )
-
-    @functools.cache
-    def observables(rho_x: float, rho_y: float, T: float) -> heston.SmileObservables:
-        return heston.measure_smile_observables(
-            spec.heston,
-            AssetSpec(lam=spec.lam_x, rho_sv=rho_x, s0=spec.s0x),
-            AssetSpec(lam=spec.lam_y, rho_sv=rho_y, s0=spec.s0x),
-            T,
-        )
-
+    # smiles and observables depend on a leg only through its AssetSpec, which
+    # repeats across rho; every leg sits at the reference spot s0x, and
+    # lookups go through log-moneyness
+    smile = functools.cache(heston.build_smile_grid)
+    observables = functools.cache(heston.measure_smile_observables)
     rows: list[dict] = []
     for i_t, i_r, i_x, i_y, T, rho, rho_x, rho_y in spec.combos():
-        corr = CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
-        if not validate_correlation(corr)[0]:
+        model = TwoAssetModel(
+            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y,
+            s0x=spec.s0x, s0y=spec.s0x,
+            corr=CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y),
+        )
+        if not validate_correlation(model.corr)[0]:
             rows += [
                 _excluded_row(T, rho, rho_x, rho_y, s0y, name, "invalid_correlation")
                 for s0y in spec.s0y_list for name in spec.conventions
             ]
             continue
 
-        smile_x = leg_smile("X", rho_x, T)
-        smile_y = leg_smile("Y", rho_y, T)
+        smile_x = smile(spec.heston, model.asset_x, T, asset_id="X")
+        smile_y = smile(spec.heston, model.asset_y, T, asset_id="Y")
         try:
-            a_star = conv.a_star_observables(observables(rho_x, rho_y, T), rho)
+            a_star = conv.a_star_observables(
+                observables(spec.heston, model.asset_x, model.asset_y, T), rho
+            )
         except (DegenerateConventionError, DomainError):
             a_star = None
 
-        model = TwoAssetModel(
-            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y,
-            s0x=spec.s0x, s0y=spec.s0x, corr=corr,
-        )
         mc = replace(spec.mc, seed=_derived_seed(spec.mc.seed, i_t, i_r, i_x, i_y))
         sample = simulate_terminal(model, T, mc)
 
@@ -376,7 +364,8 @@ def run_grid(spec: GridSpec) -> list[dict]:
                 ]
                 continue
             rows += _point_rows(
-                smile_x, smile_y, corr, T, spec.s0x, s0y, est, a_star, spec.conventions
+                smile_x, smile_y, model.corr, T, spec.s0x, s0y, est, a_star,
+                spec.conventions,
             )
     rows.sort(key=_row_key)
     return rows
@@ -614,7 +603,9 @@ def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:
     }
     for group_by in (("T", "rho"), ("T",)):
         for variant, flag in (("all", False), ("exclude_extreme_a", True)):
-            reports = compute_metrics(rows, group_by=group_by, exclude_extreme_a=flag)
+            reports = compute_metrics(
+                rows, group_by=group_by, exclude_extreme_a=flag, atm_s0y=spec.s0x
+            )
             key = "+".join(group_by) + ":" + variant
             payload["metrics"][key] = [
                 {k: clean(v) for k, v in asdict(r).items()} for r in reports

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import blackscholes
+from . import blackscholes, margrabe
 from .errors import DomainError, InputError, NumericalError
 from .models import AssetSpec, HestonParams, TwoAssetModel, validate_correlation
 
@@ -256,7 +256,7 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
         raise DomainError(f"correlation structure not PSD (det={det:.6f})")
     h = model.heston
     lx, ly = model.lam_x, model.lam_y
-    lam_u = math.sqrt(max(lx * lx + ly * ly - 2.0 * model.rho * lx * ly, 0.0))
+    lam_u = margrabe.convention_gamma(lx, ly, model.rho)
     if lam_u == 0.0:
         return max(model.s0x - model.s0y, 0.0)  # identical legs never cross
     kappa_hat = h.kappa - h.nu * ly * c.rho_y

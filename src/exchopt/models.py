@@ -159,10 +159,3 @@ class TwoAssetModel:
         if asset_id == "Y":
             return self.asset_y
         raise InputError(f"asset_id must be 'X' or 'Y', got {asset_id!r}")
-
-    def sigma_tilde0(self) -> float:
-        """Spot exchange volatility sigma0 sqrt(lam_X^2 + lam_Y^2 - 2 rho lam_X lam_Y)."""
-        lx, ly = self.lam_x, self.lam_y
-        return self.heston.sigma0 * math.sqrt(
-            max(lx * lx + ly * ly - 2.0 * self.rho * lx * ly, 0.0)
-        )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blackscholes, margrabe
+from . import margrabe
 from .errors import DomainError, InputError, NumericalError
 from .models import CorrelationStructure, TwoAssetModel, validate_correlation
 
@@ -136,13 +136,8 @@ class TerminalSample:
     gx: np.ndarray
     gy: np.ndarray
     T: float
-    seed: int
     sigma_cv_x: float
     sigma_cv_y: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.rx.shape[0]
 
 
 def _simulate_block(
@@ -221,31 +216,37 @@ def simulate_terminal(model: TwoAssetModel, T: float, mc: McConfig) -> TerminalS
     gx = np.concatenate([p[2] for p in parts])
     gy = np.concatenate([p[3] for p in parts])
     return TerminalSample(
-        rx=rx, ry=ry, gx=gx, gy=gy, T=T, seed=mc.seed,
+        rx=rx, ry=ry, gx=gx, gy=gy, T=T,
         sigma_cv_x=model.lam_x * model.heston.sigma0,
         sigma_cv_y=model.lam_y * model.heston.sigma0,
     )
 
 
-def _controlled_estimate(
-    payoff: np.ndarray,
-    cv_payoff: np.ndarray | None,
-    cv_mean: float,
-    mc: McConfig,
+def _estimate(
+    leg_x: np.ndarray, leg_y: np.ndarray | float, cv_x: np.ndarray, cv_y: np.ndarray | float,
+    s0x: float, s0y: float, sigma_cv: float, T: float, mc: McConfig,
 ) -> PriceEstimate:
+    """Estimate of E(leg_x - leg_y)^+ from terminal leg values.  With the
+    control variate on, (cv_x - cv_y)^+ is the control; its mean is the
+    Margrabe price of (s0x, s0y) at sigma_cv, or the intrinsic value when
+    sigma_cv or s0y is 0."""
+    payoff = np.maximum(leg_x - leg_y, 0.0)
     n = payoff.shape[0]
-    if cv_payoff is None:
-        value = float(np.mean(payoff))
-        err = float(np.std(payoff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return PriceEstimate(value, err, n, mc.seed, beta=None)
-    beta = 1.0  # kept when the control is too sparse or constant to fit
-    if np.count_nonzero(cv_payoff) >= _MIN_FIT_NONZERO_CONTROL:
-        var_cv = float(np.var(cv_payoff, ddof=1))
-        if var_cv > 0.0:
-            beta = float(np.cov(payoff, cv_payoff, ddof=1)[0, 1]) / var_cv
-    adjusted = payoff - beta * (cv_payoff - cv_mean)
-    value = float(np.mean(adjusted))
-    err = float(np.std(adjusted, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    beta = None
+    if mc.use_control_variate:
+        cv_payoff = np.maximum(cv_x - cv_y, 0.0)
+        if sigma_cv == 0.0 or s0y == 0.0:
+            cv_mean = max(s0x - s0y, 0.0)
+        else:
+            cv_mean = margrabe.margrabe_price(math.log(s0x), math.log(s0y), sigma_cv, T)
+        beta = 1.0  # kept when the control is too sparse or constant to fit
+        if np.count_nonzero(cv_payoff) >= _MIN_FIT_NONZERO_CONTROL:
+            var_cv = float(np.var(cv_payoff, ddof=1))
+            if var_cv > 0.0:
+                beta = float(np.cov(payoff, cv_payoff, ddof=1)[0, 1]) / var_cv
+        payoff = payoff - beta * (cv_payoff - cv_mean)
+    value = float(np.mean(payoff))
+    err = float(np.std(payoff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return PriceEstimate(value, err, n, mc.seed, beta=beta)
 
 
@@ -258,24 +259,13 @@ def exchange_estimate_from_sample(
 ) -> PriceEstimate:
     """Exchange-option estimate for the spot pair (s0x, s0y) from an existing
     normalized sample (payoff homogeneity in the initial spots)."""
-    payoff = np.maximum(s0x * sample.rx - s0y * sample.ry, 0.0)
-    if not mc.use_control_variate:
-        return _controlled_estimate(payoff, None, 0.0, mc)
-    sigma_cv = math.sqrt(
-        max(
-            sample.sigma_cv_x**2 + sample.sigma_cv_y**2
-            - 2.0 * rho * sample.sigma_cv_x * sample.sigma_cv_y,
-            0.0,
-        )
+    sx, sy = sample.sigma_cv_x, sample.sigma_cv_y
+    # not margrabe.convention_gamma: x**2 and x*x differ in the last bit for some x
+    sigma_cv = math.sqrt(max(sx**2 + sy**2 - 2.0 * rho * sx * sy, 0.0))
+    return _estimate(
+        s0x * sample.rx, s0y * sample.ry, s0x * sample.gx, s0y * sample.gy,
+        s0x, s0y, sigma_cv, sample.T, mc,
     )
-    cv_payoff = np.maximum(s0x * sample.gx - s0y * sample.gy, 0.0)
-    if sigma_cv == 0.0:
-        cv_mean = max(s0x - s0y, 0.0)
-    else:
-        cv_mean = margrabe.margrabe_price(
-            math.log(s0x), math.log(s0y), sigma_cv, sample.T
-        )
-    return _controlled_estimate(payoff, cv_payoff, cv_mean, mc)
 
 
 def simulate_exchange(model: TwoAssetModel, T: float, mc: McConfig) -> PriceEstimate:
@@ -291,22 +281,15 @@ def simulate_vanilla(
 ) -> PriceEstimate:
     """One-leg vanilla call estimate with a Black-Scholes control variate at
     the leg's spot volatility lam_i sigma0.  Uses the same three-factor path
-    engine so the leg dynamics match simulate_exchange exactly."""
+    engine so the leg dynamics match simulate_exchange exactly.  A call struck
+    at K is the option to exchange the leg for a riskless asset worth K
+    (Margrabe 1978), so it goes through the exchange estimator."""
     if not (np.isfinite(strike) and strike >= 0):
         raise InputError(f"strike must be >= 0, got {strike}")
-    asset = model.asset(asset_id)
+    s0 = model.asset(asset_id).s0
     sample = simulate_terminal(model, T, mc)
-    r = sample.rx if asset_id == "X" else sample.ry
-    g = sample.gx if asset_id == "X" else sample.gy
-    payoff = np.maximum(asset.s0 * r - strike, 0.0)
-    if not mc.use_control_variate:
-        return _controlled_estimate(payoff, None, 0.0, mc)
-    sigma_cv = sample.sigma_cv_x if asset_id == "X" else sample.sigma_cv_y
-    cv_payoff = np.maximum(asset.s0 * g - strike, 0.0)
-    if strike == 0.0:
-        cv_mean = asset.s0
+    if asset_id == "X":
+        r, g, sigma_cv = sample.rx, sample.gx, sample.sigma_cv_x
     else:
-        cv_mean = blackscholes.bs_price(
-            0.0, asset.x0, math.log(strike), sigma_cv, T
-        )
-    return _controlled_estimate(payoff, cv_payoff, cv_mean, mc)
+        r, g, sigma_cv = sample.ry, sample.gy, sample.sigma_cv_y
+    return _estimate(s0 * r, strike, s0 * g, strike, s0, strike, sigma_cv, T, mc)

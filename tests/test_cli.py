@@ -360,6 +360,51 @@ class TestExperiment:
             ])
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_flags_write_what_the_equivalent_config_writes(self, capsys, tmp_path):
+        grid = {"rho_x_list": [-0.72], "rho_y_list": [-0.61, 0.29],
+                "s0y_list": [90.0, 100.0, 110.0]}
+        base, full = tmp_path / "base.yaml", tmp_path / "full.yaml"
+        base.write_text(yaml.safe_dump({"mc": {"n_steps": 500}, "grid": grid}))
+        full.write_text(yaml.safe_dump({
+            "mc": {"n_steps": 500, "n_paths": 4096},
+            "grid": {**grid, "T_list": [0.05], "rho_list": [-0.1]},
+        }))
+        flag_out, config_out = str(tmp_path / "flags"), str(tmp_path / "config")
+        code, _, _ = run_cli(
+            capsys, "--config", str(base), "--out", flag_out, "experiment", "run",
+            "--T", "0.05", "--rho", "-0.1", "--paths", "4096",
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "--config", str(full), "--out", config_out, "experiment", "run",
+        )
+        assert code == 0
+        for name in ("results.csv", "report.json"):
+            assert (pathlib.Path(flag_out, name).read_bytes()
+                    == pathlib.Path(config_out, name).read_bytes())
+
+    def test_atm_error_read_at_the_grid_s0x(self, capsys, out_dir, tmp_path):
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "grid": {"s0x": 90.0, "s0y_list": [86.0, 90.0, 94.0], "T_list": [0.25],
+                     "rho_list": [0.5], "rho_x_list": [-0.42], "rho_y_list": [-0.31]},
+            "mc": {"n_paths": 4096, "n_steps": 500},
+        }))
+        code, _, _ = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "experiment", "run",
+        )
+        assert code == 0
+        with open(os.path.join(out_dir, "report.json")) as fh:
+            metrics = json.load(fh)["metrics"]["T+rho:all"]
+        assert len(metrics) == 4
+        assert all(m["atm_error"] == pytest.approx(0.064952, abs=1e-6) for m in metrics)
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "experiment", "report",
+            "--results", os.path.join(out_dir, "results.csv"),
+        )
+        assert code == 0
+        assert re.findall(r"ATM=(\S+)", out) == ["0.064952"] * 4
+
 
 class TestConfigHandling:
     def test_print_config_round_trip(self, capsys, out_dir, tmp_path):
@@ -397,6 +442,16 @@ class TestConfigHandling:
             "  sigma0: 0.15\n"
             "  theta: 0.15\n"
         )
+
+    def test_print_config_shows_experiment_flags(self, capsys, out_dir):
+        code, out, _ = run_cli(
+            capsys, "--out", out_dir, "experiment", "run",
+            "--T", "0.05", "--T", "0.25", "--rho", "0.5", "--paths", "10", "--print-config",
+        )
+        assert code == 0
+        echoed = yaml.safe_load(out)
+        assert echoed["grid"] == {"T_list": [0.05, 0.25], "rho_list": [0.5]}
+        assert echoed["mc"]["n_paths"] == 10
 
     def test_benchmark_sweep_config_loads(self, capsys, out_dir):
         sweep = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "sweep.yaml"

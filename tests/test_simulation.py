@@ -6,7 +6,7 @@ import pytest
 
 from exchopt.errors import DomainError, InputError
 from exchopt.heston import exchange_option_price
-from exchopt.margrabe import margrabe_price
+from exchopt.margrabe import convention_gamma, margrabe_price
 from exchopt.models import CorrelationStructure, HestonParams, TwoAssetModel
 from exchopt.simulation import (
     BLOCK_SIZE,
@@ -28,6 +28,30 @@ CORNER_RHOS = [
     for rho_y in (-0.61, 0.59)
     if validate_correlation(CorrelationStructure(rho, rho_x, rho_y))[0]
 ]
+
+
+# simulate_vanilla of reference case 1 at T 0.05 (10 000 paths, 500 steps a
+# year, seed 3), recorded while the vanilla estimate had a Black-Scholes
+# control mean of its own: (leg, strike, control variate) -> (value, stderr,
+# beta)
+VANILLA_PINNED = {
+    ("X", 0.0, True): (100.00621012673086, 0.01215921167958224, 1.0661317824779009),
+    ("X", 80.0, True): (20.0072976309158, 0.012108969552053143, 1.0654459734279944),
+    ("X", 100.0, True): (2.1659464911896738, 0.00861618133551526, 0.9903696196538178),
+    ("X", 120.0, True): (0.0009286724054809806, 0.00044425484391622563, 1.0),
+    ("Y", 0.0, True): (99.99689737997873, 0.008188196287514772, 1.0634188474262856),
+    ("Y", 80.0, True): (19.996897379985413, 0.008188196287514774, 1.0634188474262856),
+    ("Y", 100.0, True): (1.4386323147989022, 0.005419745415056276, 0.944953179604777),
+    ("Y", 120.0, True): (1.7359090085459774e-08, 0.0, 1.0),
+    ("X", 0.0, False): (99.94016156115174, 0.05483820867257325, None),
+    ("X", 80.0, False): (19.941286992763008, 0.05479354274552975, None),
+    ("X", 100.0, False): (2.1264267806910597, 0.030744807747501043, None),
+    ("X", 120.0, False): (0.000987827941564788, 0.000566532420192948, None),
+    ("Y", 0.0, False): (99.93873993195997, 0.036801534184857154, None),
+    ("Y", 80.0, False): (19.93873993195998, 0.036801534184857154, None),
+    ("Y", 100.0, False): (1.4245417143500465, 0.019553939061779244, None),
+    ("Y", 120.0, False): (0.0, 0.0, None),
+}
 
 
 def grid_model(rho, rho_x, rho_y, s0y=100.0):
@@ -98,7 +122,7 @@ class TestControlVariate:
         )
         mc = McConfig(n_paths=30_000, n_steps=250, seed=4)
         est = simulate_exchange(model, 0.05, mc)
-        sigma_t = model.sigma_tilde0()
+        sigma_t = model.heston.sigma0 * convention_gamma(model.lam_x, model.lam_y, model.rho)
         exact = margrabe_price(math.log(100.0), math.log(100.0), sigma_t, 0.05)
         assert est.value == pytest.approx(exact, abs=1e-9)
         assert est.stderr < 1e-9
@@ -150,6 +174,14 @@ class TestMartingale:
         est = simulate_exchange(model, 1.0, McConfig(n_paths=5_000, n_steps=100, seed=3))
         assert math.isfinite(est.value)
 
+
+class TestVanilla:
+    @pytest.mark.parametrize("leg, strike, cv", sorted(VANILLA_PINNED))
+    def test_pinned_estimates(self, case1_model, leg, strike, cv):
+        # a call struck at K is priced as an exchange against a riskless K
+        mc = McConfig(n_paths=10_000, n_steps=500, seed=3, use_control_variate=cv)
+        est = simulate_vanilla(case1_model, leg, strike, 0.05, mc)
+        assert (est.value, est.stderr, est.beta) == VANILLA_PINNED[leg, strike, cv]
 
 class TestDeterminism:
     def test_bit_identical_repeat(self, case1_model, fast_mc):
