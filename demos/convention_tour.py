@@ -11,7 +11,6 @@ different number in the finely balanced first case).
 import math
 
 from exchopt.convention import (
-    ModelLimits,
     a_star_observables,
     a_star_parametric,
     bound_a,
@@ -21,6 +20,7 @@ from exchopt.convention import (
 )
 from exchopt.experiments import reference_case_model
 from exchopt.heston import measure_atm_observables, measure_smile_observables
+from exchopt.models import CorrelationStructure
 
 print("log-linear strike rules on (x, y) = (ln 100, ln 90):")
 x, y = math.log(100.0), math.log(90.0)
@@ -30,26 +30,26 @@ for a, label in ((0.0, "own-ATM"), (1.0, "look-up"), (0.5, "midpoint")):
 print()
 
 print("special cases of the closed-form optimum:")
-cases = [
-    ("uncorrelated assets (rho = 0)", ModelLimits(1.5, 1.0, 0.0, -0.4, 0.4), 1.0),
-    ("equal vol levels (lam_X = lam_Y)", ModelLimits(1.2, 1.2, 0.5, -0.4, 0.4), 1.0 / 0.5),
-    ("equal spot-vol corr (rho_X = rho_Y)", ModelLimits(1.5, 1.0, 0.5, -0.4, -0.4), 1.0 / 1.5),
-    ("rho_Y = 0", ModelLimits(1.5, 1.0, 0.5, -0.4, 0.0), 1.5 / (1.5 - 0.5)),
+cases = [  # (label, lam_X, lam_Y, (rho, rho_X, rho_Y), closed form)
+    ("uncorrelated assets (rho = 0)", 1.5, 1.0, (0.0, -0.4, 0.4), 1.0),
+    ("equal vol levels (lam_X = lam_Y)", 1.2, 1.2, (0.5, -0.4, 0.4), 1.0 / 0.5),
+    ("equal spot-vol corr (rho_X = rho_Y)", 1.5, 1.0, (0.5, -0.4, -0.4), 1.0 / 1.5),
+    ("rho_Y = 0", 1.5, 1.0, (0.5, -0.4, 0.0), 1.5 / (1.5 - 0.5)),
 ]
-for label, lim, expected in cases:
-    got = a_star_parametric(lim)
+for label, lam_x, lam_y, rhos, expected in cases:
+    got = a_star_parametric(lam_x, lam_y, CorrelationStructure(*rhos))
     print(f"  {label:38s}: a* = {got:+.6f} (closed form {expected:+.6f})")
 print()
 
 print("optimality residual vanishes exactly at a*:")
-lim = ModelLimits(1.5, 1.0, 0.5, -0.4, 0.4)
-a_opt = a_star_parametric(lim)
+corr = CorrelationStructure(rho=0.5, rho_x=-0.4, rho_y=0.4)
+a_opt = a_star_parametric(1.5, 1.0, corr)
 for a in (0.0, 1.0, a_opt, 2.5):
-    r_lin = linear_convention_residual(a, lim)
+    r_lin = linear_convention_residual(a, 1.5, 1.0, corr)
     r_gen = general_residual(
         sigma0_x=1.5 * 0.15, sigma0_y=0.15,
         dplus_x=1.5 * 0.25, dplus_y=0.25,
-        rho=0.5, rho_x=-0.4, rho_y=0.4, dkx_dy=a, dky_dy=1.0 - a,
+        corr=corr, dkx_dy=a, dky_dy=1.0 - a,
     )
     print(f"  a = {a:+.3f}: linear residual {r_lin:+.6f}   general residual {r_gen:+.6f}")
 print()

@@ -10,7 +10,6 @@ that makes the closed form track the true price to first order in moneyness.
 
 from .blackscholes import bs_price, bs_vega, implied_vol
 from .convention import (
-    ModelLimits,
     a_star_observables,
     a_star_parametric,
     bound_a,
@@ -57,8 +56,7 @@ __all__ = [
     "Smile", "SmileObservables", "effective_heston", "heston_vanilla_price",
     "exchange_option_price", "build_smile", "build_smile_grid",
     "measure_atm_observables", "measure_smile_observables",
-    "ModelLimits", "strikes",
-    "a_star_parametric", "a_star_observables", "bound_a",
+    "strikes", "a_star_parametric", "a_star_observables", "bound_a",
     "linear_convention_residual", "general_residual",
     "McConfig", "PriceEstimate", "validate_correlation", "cholesky3",
     "simulate_exchange", "simulate_vanilla",

@@ -202,14 +202,14 @@ def _cmd_surface(cfg: RunConfig, args) -> int:
 def _cmd_convention_solve(cfg: RunConfig, args) -> int:
     model = cfg.model
     obs, a_star = _solve_a_star(cfg)
-    limits = conv.ModelLimits(lam_x=model.lam_x, lam_y=model.lam_y, **asdict(model.corr))
     print(f"inputs: rho={model.rho} T={cfg.maturity} skew_span=+-{obs.dz:.6f}")
     print(f"levels IX={obs.level_x:.6f} IY={obs.level_y:.6f}")
     print(f"skews  SX={obs.skew_x:.6f} SY={obs.skew_y:.6f}")
     print(f"a_star_observables {a_star:.6f}")
     print(f"a_star_bounded {conv.bound_a(a_star):.6f}")
     try:
-        print(f"a_star_parametric {conv.a_star_parametric(limits):.6f}")
+        a_param = conv.a_star_parametric(model.lam_x, model.lam_y, model.corr)
+        print(f"a_star_parametric {a_param:.6f}")
     except DomainError as err:
         print(f"a_star_parametric n/a ({err})")
     return 0
@@ -250,7 +250,7 @@ def _cmd_experiment_report(cfg: RunConfig, args) -> int:
     if not os.path.exists(args.results):
         raise InputError(f"results file not found: {args.results}")
     rows = experiments.read_results_csv(args.results)
-    reports = experiments.compute_metrics(rows, atm_s0y=cfg.grid.s0x)
+    reports = experiments.compute_metrics(rows)
     if all(r.empty for r in reports) or not reports:
         print("empty results: no included rows")
         return 0

@@ -13,15 +13,14 @@ from model limits or from measured ATM levels and skews.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateConventionError, DomainError, InputError
 from .heston import SmileObservables
+from .models import CorrelationStructure
 
 __all__ = [
-    "ModelLimits",
     "strikes",
     "a_star_parametric",
     "a_star_observables",
@@ -33,29 +32,6 @@ __all__ = [
 
 A_BOUNDS = (-1.0, 2.0)
 _DENOM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ModelLimits:
-    """Short-time model inputs of the parametric optimum: scaling factors and
-    the three correlations.  Joint PSD of the correlation structure is
-    checked by models.validate_correlation, not enforced here."""
-
-    lam_x: float
-    lam_y: float
-    rho: float
-    rho_x: float
-    rho_y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam_x) and self.lam_x > 0):
-            raise InputError(f"lam_x must be > 0, got {self.lam_x}")
-        if not (np.isfinite(self.lam_y) and self.lam_y > 0):
-            raise InputError(f"lam_y must be > 0, got {self.lam_y}")
-        for name in ("rho", "rho_x", "rho_y"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and abs(v) <= 1.0):
-                raise InputError(f"{name} must lie in [-1, 1], got {v}")
 
 
 def strikes(a: float, x: float, y: float) -> tuple[float, float]:
@@ -88,14 +64,20 @@ def _a_star(numer: float, denom: float) -> float:
     return numer / denom
 
 
-def _limit_terms(limits: ModelLimits) -> tuple[float, float]:
-    return _a_star_terms(limits.lam_x, limits.lam_y, limits.rho_x, limits.rho_y, limits.rho)
+def _limit_terms(
+    lam_x: float, lam_y: float, corr: CorrelationStructure
+) -> tuple[float, float]:
+    """_a_star_terms at the short-time limits: levels lam_i, skews rho_i."""
+    for name, lam in (("lam_x", lam_x), ("lam_y", lam_y)):
+        if not (np.isfinite(lam) and lam > 0):
+            raise InputError(f"{name} must be > 0, got {lam}")
+    return _a_star_terms(lam_x, lam_y, corr.rho_x, corr.rho_y, corr.rho)
 
 
-def a_star_parametric(limits: ModelLimits) -> float:
+def a_star_parametric(lam_x: float, lam_y: float, corr: CorrelationStructure) -> float:
     """a* = (rho_X lam_X - rho_Y lam_Y) /
     (rho_X (lam_X - rho lam_Y) - rho_Y (lam_Y - rho lam_X))."""
-    return _a_star(*_limit_terms(limits))
+    return _a_star(*_limit_terms(lam_x, lam_y, corr))
 
 
 def a_star_observables(obs: SmileObservables, rho: float) -> float:
@@ -120,7 +102,9 @@ def bound_a(a: float) -> float:
     return min(max(a, A_BOUNDS[0]), A_BOUNDS[1])
 
 
-def linear_convention_residual(a: float, limits: ModelLimits) -> float:
+def linear_convention_residual(
+    a: float, lam_x: float, lam_y: float, corr: CorrelationStructure
+) -> float:
     """First-order optimality defect of the log-linear convention:
 
         a [rho_X (lam_X - rho lam_Y) - rho_Y (lam_Y - rho lam_X)]
@@ -128,9 +112,9 @@ def linear_convention_residual(a: float, limits: ModelLimits) -> float:
 
     zero exactly at a = a_star_parametric.
     """
+    numer, denom = _limit_terms(lam_x, lam_y, corr)
     if not np.isfinite(a):
         raise InputError(f"a must be finite, got {a}")
-    numer, denom = _limit_terms(limits)
     return a * denom - numer
 
 
@@ -139,9 +123,7 @@ def general_residual(
     sigma0_y: float,
     dplus_x: float,
     dplus_y: float,
-    rho: float,
-    rho_x: float,
-    rho_y: float,
+    corr: CorrelationStructure,
     dkx_dy: float,
     dky_dy: float,
 ) -> float:
@@ -166,9 +148,7 @@ def general_residual(
     ):
         if not np.isfinite(v):
             raise InputError(f"non-finite {name}={v}")
-    for name, v in (("rho", rho), ("rho_x", rho_x), ("rho_y", rho_y)):
-        if not (np.isfinite(v) and abs(v) <= 1.0):
-            raise InputError(f"{name} must lie in [-1, 1], got {v}")
+    rho, rho_x, rho_y = corr.rho, corr.rho_x, corr.rho_y
     st2 = sigma0_x**2 + sigma0_y**2 - 2.0 * rho * sigma0_x * sigma0_y
     if st2 <= 0.0:
         raise DomainError(f"degenerate model: sigma_tilde0^2 = {st2} <= 0")

@@ -24,6 +24,7 @@ from . import heston, margrabe
 from .errors import DegenerateConventionError, DomainError, InputError, NumericalError
 from .models import CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation
 from .simulation import (
+    BLOCK_SIZE,
     McConfig,
     PriceEstimate,
     exchange_estimate_from_sample,
@@ -52,8 +53,10 @@ __all__ = [
 CONVENTIONS = ("a=0", "a=1", "a_star", "a_star_bounded")
 SUB_CENT_THRESHOLD = 0.01
 
-RESULT_COLUMNS = (
-    "T", "rho", "rho_X", "rho_Y", "s0Y", "convention", "a_value",
+# the grid point a results row is priced at; every row key is built from it
+POINT = ("T", "rho", "rho_X", "rho_Y", "s0X", "s0Y")
+RESULT_COLUMNS = POINT + (
+    "convention", "a_value",
     "kX", "kY", "IX", "IY", "margrabe_price", "mc_price", "mc_stderr",
     "error", "implied_corr", "excluded", "exclusion_reason",
 )
@@ -200,21 +203,22 @@ def _price_point(
     return k_x, k_y, i_x, i_y, gamma, margrabe.margrabe_price(x, y, gamma, T)
 
 
+def _point(T: float, corr: CorrelationStructure, s0x: float, s0y: float) -> dict:
+    return dict(zip(POINT, (T, corr.rho, corr.rho_x, corr.rho_y, s0x, s0y)))
+
+
 def _point_rows(
     smile_x: heston.Smile,
     smile_y: heston.Smile,
-    corr: CorrelationStructure,
-    T: float,
-    s0x: float,
-    s0y: float,
+    point: dict,
     est: PriceEstimate,
     a_star: float | None,
     conventions: Sequence[str],
 ) -> list[dict]:
     """Rows of one priced grid point, one per convention; a convention whose
     a* is unavailable gets an excluded row."""
-    rho, rho_x, rho_y = corr.rho, corr.rho_x, corr.rho_y
-    x, y = math.log(s0x), math.log(s0y)
+    T, rho = point["T"], point["rho"]
+    x, y = math.log(point["s0X"]), math.log(point["s0Y"])
     try:
         gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
     except (DomainError, NumericalError):
@@ -226,10 +230,7 @@ def _point_rows(
             try:
                 a = _convention_a(name, lambda: a_star)
             except DegenerateConventionError:
-                rows.append(
-                    _excluded_row(T, rho, rho_x, rho_y, s0y, name,
-                                  "degenerate_convention", est.value, est.stderr)
-                )
+                rows.append(_excluded_row(point, name, "degenerate_convention", est))
                 continue
             k_x, k_y, i_x, i_y, _, price = _price_point(
                 smile_x, smile_y, rho, x, y, T, a
@@ -241,8 +242,7 @@ def _point_rows(
             )
             rows.append(
                 {
-                    "T": T, "rho": rho, "rho_X": rho_x, "rho_Y": rho_y,
-                    "s0Y": s0y, "convention": name, "a_value": a,
+                    **point, "convention": name, "a_value": a,
                     "kX": k_x, "kY": k_y, "IX": i_x, "IY": i_y,
                     "margrabe_price": price,
                     "mc_price": est.value, "mc_stderr": est.stderr,
@@ -272,15 +272,14 @@ def run_test_case(
     smile_y = heston.build_smile_grid(params, model.asset_y, T, asset_id="Y")
     obs = heston.measure_smile_observables(params, model.asset_x, model.asset_y, T)
     a_star = conv.a_star_observables(obs, model.rho)
-    limits = conv.ModelLimits(lam_x=model.lam_x, lam_y=model.lam_y, **asdict(model.corr))
-    a_param = conv.a_star_parametric(limits)
+    a_param = conv.a_star_parametric(model.lam_x, model.lam_y, model.corr)
 
     sample = simulate_terminal(model, T, mc)
     rows: list[dict] = []
     for s0y in s0y_values:
         est = exchange_estimate_from_sample(sample, model.s0x, s0y, model.rho, mc)
         rows += _point_rows(
-            smile_x, smile_y, model.corr, T, model.s0x, s0y, est, a_star,
+            smile_x, smile_y, _point(T, model.corr, model.s0x, s0y), est, a_star,
             ("a=0", "a=1", "a_star"),
         )
     return TestCaseResult(
@@ -310,13 +309,11 @@ def grid_exclusion_summary(spec: GridSpec) -> ExclusionSummary:
     )
 
 
-def _excluded_row(T, rho, rho_x, rho_y, s0y, name, reason, mc_price=math.nan,
-                  mc_stderr=math.nan):
+def _excluded_row(point: dict, name: str, reason: str, est: PriceEstimate | None = None):
     row = dict.fromkeys(RESULT_COLUMNS, math.nan)
-    row.update(
-        T=T, rho=rho, rho_X=rho_x, rho_Y=rho_y, s0Y=s0y, convention=name,
-        mc_price=mc_price, mc_stderr=mc_stderr, excluded=True, exclusion_reason=reason,
-    )
+    row.update(point, convention=name, excluded=True, exclusion_reason=reason)
+    if est is not None:
+        row.update(mc_price=est.value, mc_stderr=est.stderr)
     return row
 
 
@@ -335,10 +332,11 @@ def run_grid(spec: GridSpec) -> list[dict]:
             s0x=spec.s0x, s0y=spec.s0x,
             corr=CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y),
         )
+        points = [_point(T, model.corr, spec.s0x, s0y) for s0y in spec.s0y_list]
         if not validate_correlation(model.corr)[0]:
             rows += [
-                _excluded_row(T, rho, rho_x, rho_y, s0y, name, "invalid_correlation")
-                for s0y in spec.s0y_list for name in spec.conventions
+                _excluded_row(point, name, "invalid_correlation")
+                for point in points for name in spec.conventions
             ]
             continue
 
@@ -354,26 +352,18 @@ def run_grid(spec: GridSpec) -> list[dict]:
         mc = replace(spec.mc, seed=_derived_seed(spec.mc.seed, i_t, i_r, i_x, i_y))
         sample = simulate_terminal(model, T, mc)
 
-        for s0y in spec.s0y_list:
-            est = exchange_estimate_from_sample(sample, spec.s0x, s0y, rho, mc)
+        for point in points:
+            est = exchange_estimate_from_sample(sample, spec.s0x, point["s0Y"], rho, mc)
             if est.value < SUB_CENT_THRESHOLD:
-                rows += [
-                    _excluded_row(T, rho, rho_x, rho_y, s0y, name, "sub_cent",
-                                  est.value, est.stderr)
-                    for name in spec.conventions
-                ]
+                rows += [_excluded_row(point, name, "sub_cent", est) for name in spec.conventions]
                 continue
-            rows += _point_rows(
-                smile_x, smile_y, model.corr, T, spec.s0x, s0y, est, a_star,
-                spec.conventions,
-            )
+            rows += _point_rows(smile_x, smile_y, point, est, a_star, spec.conventions)
     rows.sort(key=_row_key)
     return rows
 
 
 def _row_key(row: dict):
-    return (
-        row["T"], row["rho"], row["rho_X"], row["rho_Y"], row["s0Y"],
+    return tuple(row[k] for k in POINT) + (
         CONVENTIONS.index(row["convention"])
         if row["convention"] in CONVENTIONS
         else len(CONVENTIONS),
@@ -389,7 +379,7 @@ def summarize_exclusions(rows: Iterable[dict]) -> ExclusionSummary:
     """
     reasons: dict[tuple, set[str]] = {}
     for row in rows:
-        key = (row["T"], row["rho"], row["rho_X"], row["rho_Y"], row["s0Y"])
+        key = tuple(row[k] for k in POINT)
         reasons.setdefault(key, set()).add(
             row["exclusion_reason"] if row["excluded"] else ""
         )
@@ -424,29 +414,25 @@ def compute_metrics(
     rows: Iterable[dict],
     group_by: Sequence[str] = ("T", "rho"),
     exclude_extreme_a: bool = False,
-    atm_s0y: float = 100.0,
 ) -> list[ErrorReport]:
     """Per-group, per-convention error metrics over included rows.
 
     MAE/MAPE/RMSE/MaxAE act on |margrabe - mc|; MStd is the mean over
     (T, rho, rho_X, rho_Y) combinations of the standard deviation of signed
     errors across the moneyness grid; atm_error is the MAE restricted to
-    s0Y == atm_s0y.  ``exclude_extreme_a`` drops every grid point whose raw a*
+    s0Y == s0X.  ``exclude_extreme_a`` drops every grid point whose raw a*
     falls outside [-1, 2] (all conventions, mirroring the reference study's
     exclusion variant).
     """
     rows = [r for r in rows if not r["excluded"]]
     if exclude_extreme_a:
         extreme_keys = {
-            (r["T"], r["rho"], r["rho_X"], r["rho_Y"], r["s0Y"])
+            tuple(r[k] for k in POINT)
             for r in rows
             if r["convention"] == "a_star"
             and not conv.A_BOUNDS[0] <= r["a_value"] <= conv.A_BOUNDS[1]
         }
-        rows = [
-            r for r in rows
-            if (r["T"], r["rho"], r["rho_X"], r["rho_Y"], r["s0Y"]) not in extreme_keys
-        ]
+        rows = [r for r in rows if tuple(r[k] for k in POINT) not in extreme_keys]
 
     groups: dict[tuple, dict[str, list[dict]]] = {}
     for r in rows:
@@ -470,11 +456,11 @@ def compute_metrics(
             abs_err = np.abs(err)
             combos: dict[tuple, list[float]] = {}
             for r in sel:
-                ckey = (r["T"], r["rho"], r["rho_X"], r["rho_Y"])
-                combos.setdefault(ckey, []).append(r["error"])
+                # the point without s0Y: one combination's moneyness grid
+                combos.setdefault(tuple(r[k] for k in POINT[:-1]), []).append(r["error"])
             # population std: a single-moneyness combo contributes zero spread
             stds = [float(np.std(v)) for v in combos.values()]
-            atm = [abs(r["error"]) for r in sel if r["s0Y"] == atm_s0y]
+            atm = [abs(r["error"]) for r in sel if r["s0Y"] == r["s0X"]]
             reports.append(
                 ErrorReport(
                     group=group,
@@ -521,12 +507,17 @@ def write_results_csv(rows: Iterable[dict], path) -> None:
 
 
 def read_results_csv(path) -> list[dict]:
+    """Rows of a results file; a file without every column is an InputError."""
     rows: list[dict] = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [col for col in RESULT_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise InputError(f"results file {path} lacks column(s): {', '.join(missing)}")
+        for rec in reader:
             row: dict = {}
             for col in RESULT_COLUMNS:
-                raw = rec.get(col, "")
+                raw = rec[col]
                 if col == "convention" or col == "exclusion_reason":
                     row[col] = raw
                 elif col == "excluded":
@@ -592,9 +583,9 @@ def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:
     config = asdict(spec)
     del config["mc"]["jobs"]  # results do not depend on the worker count
     # per-combination streams: SeedSequence((seed, iT, irho, irx, iry)),
-    # then Philox blocks of 4096 paths keyed (stream, block index)
+    # then Philox blocks of BLOCK_SIZE paths keyed (stream, block index)
     config["mc"]["stream_derivation"] = (
-        "seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of 4096"
+        f"seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of {BLOCK_SIZE}"
     )
     payload: dict = {
         "config": config,
@@ -603,9 +594,7 @@ def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:
     }
     for group_by in (("T", "rho"), ("T",)):
         for variant, flag in (("all", False), ("exclude_extreme_a", True)):
-            reports = compute_metrics(
-                rows, group_by=group_by, exclude_extreme_a=flag, atm_s0y=spec.s0x
-            )
+            reports = compute_metrics(rows, group_by=group_by, exclude_extreme_a=flag)
             key = "+".join(group_by) + ":" + variant
             payload["metrics"][key] = [
                 {k: clean(v) for k, v in asdict(r).items()} for r in reports

@@ -217,19 +217,15 @@ def _leg_time_values(
 
 
 def heston_vanilla_price(
-    params: HestonParams, rho_sv: float, s0: float, strike: float, T: float
+    params: HestonParams, asset: AssetSpec, strike: float, T: float
 ) -> float:
-    """European call (r = 0) under the effective one-asset Heston model.
-
-    ``params`` are the leg's own (effective) parameters; ``rho_sv`` is the
-    spot-vol correlation of the leg.
-    """
-    if not (np.isfinite(strike) and strike > 0 and np.isfinite(s0) and s0 > 0):
-        raise InputError(f"spot and strike must be positive, got {s0}, {strike}")
-    if not (np.isfinite(rho_sv) and abs(rho_sv) <= 1.0):
-        raise InputError(f"rho_sv must lie in [-1, 1], got {rho_sv}")
-    k, kt = math.log(strike / s0), params.kappa * params.theta
-    return s0 * _unit_call(k, params.kappa, kt, params.nu, params.v0, rho_sv, T)
+    """European call (r = 0) on one leg: ``params`` are the shared variance
+    parameters, scaled to the leg by ``effective_heston``."""
+    if not (np.isfinite(strike) and strike > 0):
+        raise InputError(f"strike must be positive, got {strike}")
+    eff = effective_heston(params, asset)
+    k, kt = math.log(strike / asset.s0), eff.kappa * eff.theta
+    return asset.s0 * _unit_call(k, eff.kappa, kt, eff.nu, eff.v0, asset.rho_sv, T)
 
 
 def _vol_from_time_value(tv: float, z: float, T: float) -> float:

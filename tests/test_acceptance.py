@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from exchopt.blackscholes import bs_price, bs_vega, implied_vol
-from exchopt.convention import ModelLimits, a_star_observables, a_star_parametric
+from exchopt.convention import a_star_observables, a_star_parametric
 from exchopt.errors import DegenerateConventionError
 from exchopt.experiments import (
     GridSpec,
@@ -29,7 +29,6 @@ from exchopt.experiments import (
     reference_case_model,
 )
 from exchopt.heston import (
-    effective_heston,
     heston_vanilla_price,
     measure_atm_observables,
     measure_smile_observables,
@@ -96,24 +95,29 @@ def test_criterion_2_special_case_closed_forms():
         lam_x, lam_y = rng.uniform(0.3, 2.5, size=2)
         rho = rng.uniform(-0.9, 0.9)
         rho_x, rho_y = rng.uniform(-0.95, 0.95, size=2)
-        cases = []
+        cases = []  # ((lam_X, lam_Y, corr), closed form)
         # case 1: uncorrelated assets -> the look-up heuristic
         if abs(rho_x * lam_x - rho_y * lam_y) > 0.3:
-            cases.append((ModelLimits(lam_x, lam_y, 0.0, rho_x, rho_y), 1.0))
+            cases.append(((lam_x, lam_y, CorrelationStructure(0.0, rho_x, rho_y)), 1.0))
         # case 2: equal volatility levels
         if abs(rho_x - rho_y) > 0.3:
-            cases.append((ModelLimits(lam_x, lam_x, rho, rho_x, rho_y), 1.0 / (1.0 - rho)))
+            cases.append(
+                ((lam_x, lam_x, CorrelationStructure(rho, rho_x, rho_y)), 1.0 / (1.0 - rho))
+            )
         # case 3: equal spot-vol correlations
         if abs(lam_x - lam_y) > 0.3 and abs(rho_x) > 0.3:
-            cases.append((ModelLimits(lam_x, lam_y, rho, rho_x, rho_x), 1.0 / (1.0 + rho)))
+            cases.append(
+                ((lam_x, lam_y, CorrelationStructure(rho, rho_x, rho_x)), 1.0 / (1.0 + rho))
+            )
         # case 4: rho_Y = 0
         if abs(rho_x) > 0.3 and abs(lam_x - rho * lam_y) > 0.3:
-            cases.append(
-                (ModelLimits(lam_x, lam_y, rho, rho_x, 0.0), lam_x / (lam_x - rho * lam_y))
-            )
+            cases.append((
+                (lam_x, lam_y, CorrelationStructure(rho, rho_x, 0.0)),
+                lam_x / (lam_x - rho * lam_y),
+            ))
         for limits, expected in cases:
             try:
-                got = a_star_parametric(limits)
+                got = a_star_parametric(*limits)
             except DegenerateConventionError:
                 continue
             checks += 1
@@ -389,8 +393,8 @@ def test_criterion_8_cross_oracle_on_corners():
         for lam in (1.0, 1.24):
             for rho_sv in (-0.72, 0.59):
                 for strike in (80.0, 100.0, 120.0):
-                    eff = effective_heston(BASE_PARAMS, AssetSpec(lam=lam, rho_sv=rho_sv, s0=100.0))
-                    exact = heston_vanilla_price(eff, rho_sv, 100.0, strike, T)
+                    asset = AssetSpec(lam=lam, rho_sv=rho_sv, s0=100.0)
+                    exact = heston_vanilla_price(BASE_PARAMS, asset, strike, T)
                     if exact - max(100.0 - strike, 0.0) < 0.01:
                         n_subcent += 1
                         continue

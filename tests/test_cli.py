@@ -262,7 +262,7 @@ class TestExperiment:
     def test_report_on_empty_results(self, capsys, out_dir, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text(
-            "T,rho,rho_X,rho_Y,s0Y,convention,a_value,kX,kY,IX,IY,"
+            "T,rho,rho_X,rho_Y,s0X,s0Y,convention,a_value,kX,kY,IX,IY,"
             "margrabe_price,mc_price,mc_stderr,error,implied_corr,excluded,"
             "exclusion_reason\n"
         )
@@ -272,6 +272,21 @@ class TestExperiment:
         )
         assert code == 0
         assert "empty results" in out
+
+    def test_report_on_results_without_a_column_exit_2(self, capsys, out_dir, tmp_path):
+        # the header of a results file written before rows carried s0X
+        old = tmp_path / "old.csv"
+        old.write_text(
+            "T,rho,rho_X,rho_Y,s0Y,convention,a_value,kX,kY,IX,IY,"
+            "margrabe_price,mc_price,mc_stderr,error,implied_corr,excluded,"
+            "exclusion_reason\n"
+        )
+        code, out, err = run_cli(
+            capsys, "--out", out_dir, "experiment", "report", "--results", str(old),
+        )
+        assert code == 2
+        assert "type=InputError" in err and "lacks column(s): s0X" in err
+        assert out == ""
 
     def test_missing_results_exit_2(self, capsys, out_dir):
         code, _, err = run_cli(
@@ -285,8 +300,8 @@ class TestExperiment:
         cfg.write_text(yaml.safe_dump({"model": {"kappa": 2.0}}))
         results = tmp_path / "results.csv"
         row = {
-            "T": 0.05, "rho": 0.5, "rho_X": -0.12, "rho_Y": -0.01, "s0Y": 100.0,
-            "convention": "a=0", "margrabe_price": 1.01, "mc_price": 1.0,
+            "T": 0.05, "rho": 0.5, "rho_X": -0.12, "rho_Y": -0.01, "s0X": 100.0,
+            "s0Y": 100.0, "convention": "a=0", "margrabe_price": 1.01, "mc_price": 1.0,
             "error": 0.01, "excluded": False, "exclusion_reason": "",
         }
         results.write_text(results_csv([row]))
@@ -398,12 +413,14 @@ class TestExperiment:
             metrics = json.load(fh)["metrics"]["T+rho:all"]
         assert len(metrics) == 4
         assert all(m["atm_error"] == pytest.approx(0.064952, abs=1e-6) for m in metrics)
-        code, out, _ = run_cli(
-            capsys, "--config", str(cfg), "--out", out_dir, "experiment", "report",
-            "--results", os.path.join(out_dir, "results.csv"),
-        )
-        assert code == 0
-        assert re.findall(r"ATM=(\S+)", out) == ["0.064952"] * 4
+        # rows carry their s0X, so the report needs no config to find it
+        for config in (["--config", str(cfg)], []):
+            code, out, _ = run_cli(
+                capsys, *config, "--out", out_dir, "experiment", "report",
+                "--results", os.path.join(out_dir, "results.csv"),
+            )
+            assert code == 0
+            assert re.findall(r"ATM=(\S+)", out) == ["0.064952"] * 4
 
 
 class TestConfigHandling:

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from exchopt.convention import ModelLimits, a_star_parametric
+from exchopt.convention import a_star_parametric
 from exchopt.errors import DegenerateConventionError, InputError
 from exchopt.experiments import (
     CONVENTIONS,
@@ -19,6 +19,7 @@ from exchopt.experiments import (
     run_test_case,
     summarize_exclusions,
 )
+from exchopt.models import CorrelationStructure
 from exchopt.simulation import McConfig
 
 
@@ -81,9 +82,9 @@ class TestAStarRangeOnGrid:
         values = []
         for rho_x in spec.rho_x_list:
             for rho_y in spec.rho_y_list:
-                lim = ModelLimits(1.0, 1.24, 0.5, rho_x, rho_y)
+                corr = CorrelationStructure(rho=0.5, rho_x=rho_x, rho_y=rho_y)
                 try:
-                    values.append(a_star_parametric(lim))
+                    values.append(a_star_parametric(1.0, 1.24, corr))
                 except DegenerateConventionError:
                     continue
         assert max(values) == pytest.approx(7.592760180995471, abs=1e-12)
@@ -135,13 +136,27 @@ class TestRunGrid:
     def test_csv_round_trip(self, tiny_rows, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text(results_csv(tiny_rows))
+        # each row names its whole grid point
+        assert path.read_text().startswith("T,rho,rho_X,rho_Y,s0X,s0Y,convention,")
         back = read_results_csv(path)
         assert len(back) == len(tiny_rows)
         for a, b in zip(back, tiny_rows):
+            assert a["s0X"] == tiny_spec().s0x
             assert a["convention"] == b["convention"]
             assert a["excluded"] == b["excluded"]
             if not a["excluded"]:
                 assert a["margrabe_price"] == b["margrabe_price"]  # exact repr round trip
+
+    @pytest.mark.parametrize("dropped", [("rho_X",), ("s0X",), ("excluded", "error")])
+    def test_read_rejects_missing_columns(self, tiny_rows, tmp_path, dropped):
+        # a missing key column would read as one shared NaN and merge points
+        lines = [line.split(",") for line in results_csv(tiny_rows).splitlines()]
+        keep = [i for i, col in enumerate(lines[0]) if col not in dropped]
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(",".join(f[i] for i in keep) + "\n" for f in lines))
+        with pytest.raises(InputError, match="lacks column") as err:
+            read_results_csv(path)
+        assert all(col in str(err.value) for col in dropped)
 
     def test_included_rows_have_prices(self, tiny_rows):
         for r in tiny_rows:
@@ -155,7 +170,7 @@ class TestComputeMetrics:
     def _mk_row(self, error, s0y=100.0, convention="a=0", mc=1.0, **kw):
         row = {
             "T": 0.05, "rho": 0.5, "rho_X": -0.12, "rho_Y": -0.01,
-            "s0Y": s0y, "convention": convention, "a_value": 0.0,
+            "s0X": 100.0, "s0Y": s0y, "convention": convention, "a_value": 0.0,
             "kX": 0.0, "kY": 0.0, "IX": 0.2, "IY": 0.2,
             "margrabe_price": mc + error, "mc_price": mc, "mc_stderr": 0.0,
             "error": error, "implied_corr": 0.5,
@@ -174,6 +189,13 @@ class TestComputeMetrics:
         assert rep.mae == rep.rmse == rep.max_ae == 0.5
         assert rep.mstd == 0.0
         assert rep.atm_error == 0.5
+
+    def test_atm_error_read_at_each_rows_s0x(self):
+        rows = [self._mk_row(0.1 * i, s0y=s, s0X=90.0)
+                for i, s in enumerate((86.0, 90.0, 94.0), start=1)]
+        rows.append(self._mk_row(0.5, s0y=100.0, rho_Y=0.29))  # s0X 100
+        rep = compute_metrics(rows, group_by=("T",))[0]
+        assert rep.atm_error == pytest.approx((0.2 + 0.5) / 2, abs=1e-15)
 
     def test_empty_group_marker(self):
         reports = compute_metrics([])

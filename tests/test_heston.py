@@ -71,10 +71,9 @@ def gil_pelaez_call(s0, strike, params, rho_sv, T):
 def assert_knots_reprice(params, asset, smile):
     """Every knot vol reprices to heston_vanilla_price, which lies within the
     no-arbitrage bounds, to 2e-12 of spot."""
-    eff = effective_heston(params, asset)
     for z in smile.log_moneyness:
         k = asset.x0 + float(z)
-        heston_p = heston_vanilla_price(eff, asset.rho_sv, asset.s0, math.exp(k), smile.T)
+        heston_p = heston_vanilla_price(params, asset, math.exp(k), smile.T)
         assert max(asset.s0 - math.exp(k), 0.0) < heston_p < asset.s0
         bs_p = bs_price(0.0, asset.x0, k, smile.vol(k), smile.T)
         assert abs(bs_p - heston_p) <= 2e-12 * asset.s0
@@ -97,35 +96,54 @@ class TestEffectiveHeston:
         # MC of the scaled leg vs the pricer under effective parameters
         mc = McConfig(n_paths=200_000, n_steps=2000, seed=3)
         est = simulate_vanilla(case1_model, "X", 100.0, 0.05, mc)
-        eff = effective_heston(BASE_PARAMS, case1_model.asset_x)
-        exact = heston_vanilla_price(eff, -0.4, 100.0, 100.0, 0.05)
+        exact = heston_vanilla_price(BASE_PARAMS, case1_model.asset_x, 100.0, 0.05)
         assert abs(est.value - exact) <= 3.0 * est.stderr
 
 
+# heston_vanilla_price of reference case 1's legs at strikes 80, 100, 120,
+# recorded when callers still passed effective parameters, rho_sv and s0
+CASE1_VANILLAS = {
+    ("X", 0.05): (20.00135282806561, 2.16565241956703, 0.00037798693679123673),
+    ("X", 1.0): (27.412064827561533, 16.28244748896961, 9.055239006033647),
+    ("Y", 0.05): (20.000021403833035, 1.444482698932916, 6.042515296904153e-09),
+    ("Y", 1.0): (23.676086271334306, 10.880273282142069, 3.721883156689751),
+}
+FROZEN = {"kappa": 5.0, "theta": 0.0225, "sigma0": 0.15}  # nu -> 0: variance stays sigma0^2
+UNIT_LEG = AssetSpec(lam=1.0, rho_sv=-0.5, s0=100.0)
+
+
 class TestVanillaPricer:
+    @pytest.mark.parametrize("leg, T", sorted(CASE1_VANILLAS))
+    def test_pinned_case1_prices(self, case1_model, leg, T):
+        asset = case1_model.asset(leg)
+        got = tuple(
+            heston_vanilla_price(BASE_PARAMS, asset, strike, T)
+            for strike in (80.0, 100.0, 120.0)
+        )
+        assert got == CASE1_VANILLAS[(leg, T)]
+
+    def test_pinned_degenerate_price(self):
+        params = HestonParams(nu=1e-4, **FROZEN)
+        assert heston_vanilla_price(params, UNIT_LEG, 110.0, 0.25) == 0.3807039068101607
+
     def test_degenerate_is_black_scholes(self):
-        # nu -> 0 with theta = sigma0^2 freezes the variance at sigma0^2
-        frozen = {"kappa": 5.0, "theta": 0.0225, "sigma0": 0.15}
         bs = bs_price(0.0, X100, math.log(110.0), 0.15, 0.25)
         gaps = []
         for nu in (1e-3, 1e-4):
-            p = heston_vanilla_price(
-                HestonParams(nu=nu, **frozen), -0.5, 100.0, 110.0, 0.25
-            )
+            p = heston_vanilla_price(HestonParams(nu=nu, **FROZEN), UNIT_LEG, 110.0, 0.25)
             gaps.append(abs(p - bs))
         assert gaps[1] < gaps[0]
         assert gaps[1] < 1e-4
 
     def test_zero_strike_limit(self):
-        eff = effective_heston(BASE_PARAMS, AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0))
-        assert heston_vanilla_price(eff, -0.6, 100.0, 1e-10, 0.5) == pytest.approx(
+        asset = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
+        assert heston_vanilla_price(BASE_PARAMS, asset, 1e-10, 0.5) == pytest.approx(
             100.0, abs=1e-8
         )
 
     def test_case1_asset_x_vs_mc_oracle(self, case1_model):
         mc = McConfig(n_paths=200_000, n_steps=2000, seed=5)
-        eff = effective_heston(BASE_PARAMS, case1_model.asset_x)
-        exact = heston_vanilla_price(eff, -0.4, 100.0, 100.0, 0.05)
+        exact = heston_vanilla_price(BASE_PARAMS, case1_model.asset_x, 100.0, 0.05)
         est = simulate_vanilla(case1_model, "X", 100.0, 0.05, mc)
         assert abs(exact - est.value) <= 3.0 * est.stderr
 
@@ -145,16 +163,21 @@ class TestVanillaPricer:
 
     @pytest.mark.parametrize("strike", [85.0, 100.0, 120.0])
     def test_matches_gil_pelaez(self, strike):
-        eff = effective_heston(BASE_PARAMS, AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0))
-        mine = heston_vanilla_price(eff, -0.6, 100.0, strike, 0.05)
-        other = gil_pelaez_call(100.0, strike, eff, -0.6, 0.05)
+        asset = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
+        mine = heston_vanilla_price(BASE_PARAMS, asset, strike, 0.05)
+        other = gil_pelaez_call(100.0, strike, effective_heston(BASE_PARAMS, asset), -0.6, 0.05)
         assert mine == pytest.approx(other, abs=1e-9)
 
     def test_input_validation(self):
-        with pytest.raises(InputError):
-            heston_vanilla_price(BASE_PARAMS, -0.4, 100.0, -5.0, 0.5)
-        with pytest.raises(InputError):
-            heston_vanilla_price(BASE_PARAMS, -1.4, 100.0, 100.0, 0.5)
+        for strike in (-5.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="strike must be positive"):
+                heston_vanilla_price(BASE_PARAMS, UNIT_LEG, strike, 0.5)
+        # the leg's spot and spot-vol correlation are checked by AssetSpec
+        for rho_sv, s0 in ((-1.4, 100.0), (-0.4, -100.0)):
+            with pytest.raises(InputError):
+                heston_vanilla_price(
+                    BASE_PARAMS, AssetSpec(lam=1.0, rho_sv=rho_sv, s0=s0), 100.0, 0.5
+                )
 
 
 class TestSmile:

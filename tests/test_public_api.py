@@ -10,7 +10,9 @@ MODULES = [exchopt] + [
     for info in pkgutil.iter_modules(exchopt.__path__)
 ]
 
-REMOVED = ("ExchangeQuote", "VanillaSpec", "price", "vega", "LinearConvention")
+REMOVED = (
+    "ExchangeQuote", "VanillaSpec", "price", "vega", "LinearConvention", "ModelLimits",
+)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
