@@ -38,7 +38,7 @@ _SCHEMA = {
     "grid": {
         f.name: getattr(experiments.GridSpec, f.name)
         for f in fields(experiments.GridSpec)
-        if f.name not in ("heston", "mc", "conventions")
+        if f.name not in ("heston", "mc")
     },
 }
 # jobs stays unset so that an unpinned worker count defaults to all cores

@@ -83,7 +83,6 @@ class GridSpec:
     rho_x_list: tuple[float, ...] = (-0.72, -0.42, -0.12, 0.18, 0.48)
     rho_y_list: tuple[float, ...] = (-0.61, -0.31, -0.01, 0.29, 0.59)
     mc: McConfig = field(default_factory=McConfig)
-    conventions: tuple[str, ...] = CONVENTIONS
 
     def combos(self):
         """(iT, irho, irx, iry, T, rho, rho_x, rho_y) in canonical order."""
@@ -141,7 +140,7 @@ def _derived_seed(master: int, *indices: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def reference_case_model(case_id: int, s0y: float = 100.0) -> TwoAssetModel:
+def reference_case_model(case_id: int) -> TwoAssetModel:
     """The two reference parameterisations; they differ only in rho_Y."""
     if case_id not in (1, 2):
         raise ValueError(f"case_id must be 1 or 2, got {case_id}")
@@ -151,7 +150,7 @@ def reference_case_model(case_id: int, s0y: float = 100.0) -> TwoAssetModel:
         lam_x=1.5,
         lam_y=1.0,
         s0x=100.0,
-        s0y=s0y,
+        s0y=100.0,
         corr=CorrelationStructure(rho=0.5, rho_x=-0.4, rho_y=rho_y),
     )
 
@@ -336,7 +335,7 @@ def run_grid(spec: GridSpec) -> list[dict]:
         if not validate_correlation(model.corr)[0]:
             rows += [
                 _excluded_row(point, name, "invalid_correlation")
-                for point in points for name in spec.conventions
+                for point in points for name in CONVENTIONS
             ]
             continue
 
@@ -355,19 +354,15 @@ def run_grid(spec: GridSpec) -> list[dict]:
         for point in points:
             est = exchange_estimate_from_sample(sample, spec.s0x, point["s0Y"], rho, mc)
             if est.value < SUB_CENT_THRESHOLD:
-                rows += [_excluded_row(point, name, "sub_cent", est) for name in spec.conventions]
+                rows += [_excluded_row(point, name, "sub_cent", est) for name in CONVENTIONS]
                 continue
-            rows += _point_rows(smile_x, smile_y, point, est, a_star, spec.conventions)
+            rows += _point_rows(smile_x, smile_y, point, est, a_star, CONVENTIONS)
     rows.sort(key=_row_key)
     return rows
 
 
 def _row_key(row: dict):
-    return tuple(row[k] for k in POINT) + (
-        CONVENTIONS.index(row["convention"])
-        if row["convention"] in CONVENTIONS
-        else len(CONVENTIONS),
-    )
+    return tuple(row[k] for k in POINT) + (CONVENTIONS.index(row["convention"]),)
 
 
 def summarize_exclusions(rows: Iterable[dict]) -> ExclusionSummary:
@@ -507,23 +502,36 @@ def write_results_csv(rows: Iterable[dict], path) -> None:
 
 
 def read_results_csv(path) -> list[dict]:
-    """Rows of a results file; a file without every column is an InputError."""
+    """Rows of a results file.  A file without every column, a row whose field
+    count differs from the header's, a number cell that does not parse or an
+    ``excluded`` cell other than true/false is an InputError naming the line."""
     rows: list[dict] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in RESULT_COLUMNS if col not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [col for col in RESULT_COLUMNS if col not in header]
         if missing:
             raise InputError(f"results file {path} lacks column(s): {', '.join(missing)}")
-        for rec in reader:
+        for cells in reader:
+            if not cells:
+                continue  # blank line
+            where = f"results file {path} line {reader.line_num}"
+            if len(cells) != len(header):
+                raise InputError(f"{where}: {len(cells)} fields, header has {len(header)}")
             row: dict = {}
             for col in RESULT_COLUMNS:
-                raw = rec[col]
+                raw = cells[header.index(col)]
                 if col == "convention" or col == "exclusion_reason":
                     row[col] = raw
                 elif col == "excluded":
+                    if raw not in ("true", "false"):
+                        raise InputError(f"{where} column {col}: {raw!r} is not true or false")
                     row[col] = raw == "true"
                 else:
-                    row[col] = float(raw) if raw != "" else math.nan
+                    try:
+                        row[col] = float(raw) if raw != "" else math.nan
+                    except ValueError:
+                        raise InputError(f"{where} column {col}: {raw!r} is not a number") from None
             rows.append(row)
     return rows
 
@@ -580,7 +588,7 @@ def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:
     def clean(v):
         return None if isinstance(v, float) and math.isnan(v) else v
 
-    config = asdict(spec)
+    config = {**asdict(spec), "conventions": CONVENTIONS}
     del config["mc"]["jobs"]  # results do not depend on the worker count
     # per-combination streams: SeedSequence((seed, iT, irho, irx, iry)),
     # then Philox blocks of BLOCK_SIZE paths keyed (stream, block index)

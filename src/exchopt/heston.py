@@ -80,8 +80,11 @@ class SmileObservables:
     skew_x: float
     skew_y: float
     T: float
-    dz: float
-    window: tuple[float, float] | None = None
+    window: tuple[float, float]
+
+    @property
+    def dz(self) -> float:
+        return 0.5 * (self.window[1] - self.window[0])
 
     def __post_init__(self):
         if not (self.level_x > 0 and self.level_y > 0):
@@ -230,7 +233,7 @@ def heston_vanilla_price(
 
 def _vol_from_time_value(tv: float, z: float, T: float) -> float:
     """Implied vol at log-moneyness z from the unit-spot time value tv."""
-    return blackscholes.implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, 0.0, z, T)
+    return blackscholes.implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
 
 
 def exchange_option_price(model: TwoAssetModel, T: float) -> float:
@@ -249,7 +252,7 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
     c = model.corr
     valid, det = validate_correlation(c)
     if not valid:
-        raise DomainError(f"correlation structure not PSD (det={det:.6f})")
+        raise DomainError(f"correlation structure not PSD (det={det:.6e})")
     h = model.heston
     lx, ly = model.lam_x, model.lam_y
     lam_u = margrabe.convention_gamma(lx, ly, model.rho)
@@ -264,7 +267,7 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
 
 
 class Smile:
-    """Implied-vol smile of one leg: interpolating vol lookup over log strikes.
+    """Implied-vol smile of one leg: interpolating vol lookup over log-moneyness.
 
     Monotone cubic (PCHIP) interpolation between knots, flat extrapolation
     beyond them; strikes are stored as log-moneyness relative to the leg spot.
@@ -290,23 +293,14 @@ class Smile:
         self._interp = PchipInterpolator(z, v, extrapolate=False)
 
     @property
-    def x0(self) -> float:
-        return math.log(self.s0)
-
-    @property
     def z_bounds(self) -> tuple[float, float]:
         return float(self.log_moneyness[0]), float(self.log_moneyness[-1])
 
-    def vol(self, log_strike: float) -> float:
-        """Implied vol at an absolute log strike (flat beyond the knot span)."""
-        z = np.clip(log_strike - self.x0, *self.z_bounds)
-        return float(self._interp(z))
-
     def vol_at_moneyness(self, z: float) -> float:
+        """Implied vol at log-moneyness z = log(K / s0), flat beyond the knots."""
+        if not math.isfinite(z):
+            raise InputError(f"log-moneyness must be finite, got {z}")
         return float(self._interp(np.clip(z, *self.z_bounds)))
-
-    def atm_vol(self) -> float:
-        return self.vol_at_moneyness(0.0)
 
 
 def build_smile(
@@ -379,7 +373,7 @@ def _observables(
             continue
         return SmileObservables(
             level_x=levels[0], level_y=levels[1], skew_x=skews[0], skew_y=skews[1],
-            T=T, dz=0.5 * (hi - lo), window=(lo, hi),
+            T=T, window=(lo, hi),
         )
     raise DomainError(
         f"no shrink of window {window} has resolvable wings at T={T}"
@@ -423,9 +417,9 @@ def measure_smile_observables(
 
 def smile_csv_rows(smile: Smile) -> list[dict[str, object]]:
     """Rows for the smile export CSV: asset, T, log_strike, strike, implied_vol."""
-    rows = []
+    rows, x0 = [], math.log(smile.s0)
     for z, v in zip(smile.log_moneyness, smile.vols):
-        k = smile.x0 + float(z)
+        k = x0 + float(z)
         rows.append(
             {
                 "asset": smile.asset_id,

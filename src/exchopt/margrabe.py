@@ -31,12 +31,12 @@ class ImpliedCorrelationBoundsWarning(UserWarning):
 
 
 def margrabe_price(x: float, y: float, gamma: float, T: float) -> float:
-    """BS(0, x, y, gamma): e^x N(d1) - e^y N(d2) with the Y leg as strike."""
+    """BS(x, y, gamma, T): e^x N(d1) - e^y N(d2) with the Y leg as strike."""
     if not np.isfinite(gamma) or gamma < 0:
         raise InputError(f"gamma must be finite and >= 0, got {gamma}")
     if not (np.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
-    return blackscholes.bs_price(0.0, x, y, gamma, T)
+    return blackscholes.bs_price(x, y, gamma, T)
 
 
 def convention_gamma(i_x: float, i_y: float, rho: float) -> float:
@@ -55,7 +55,7 @@ def exchange_implied_vol(price: float, x: float, y: float, T: float) -> float:
     Reuses the vanilla implied-vol inversion with k = y; same tolerance and
     error behaviour.
     """
-    return blackscholes.implied_vol(price, 0.0, x, y, T)
+    return blackscholes.implied_vol(price, x, y, T)
 
 
 def implied_correlation(gamma_hat: float, i_x: float, i_y: float) -> float:

@@ -22,6 +22,8 @@ __all__ = [
     "validate_correlation",
 ]
 
+_DET_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class HestonParams:
@@ -105,20 +107,16 @@ def validate_correlation(c: CorrelationStructure) -> tuple[bool, float]:
     """(valid, det) where det is the 3x3 determinant
     1 + 2 rho rho_x rho_y - rho^2 - rho_x^2 - rho_y^2.
 
-    Valid means det >= 0 and every 2x2 principal minor >= 0 (the latter holds
-    automatically for entries in [-1, 1] but is checked anyway).
+    Valid means positive semi-definite up to rounding, det >= -1e-12, so a
+    singular structure (det rounds to about -1e-16) is valid.  The one validity
+    check: cholesky3 and exchange_option_price defer to it.
     """
     det = (
         1.0
         + 2.0 * c.rho * c.rho_x * c.rho_y
         - c.rho * c.rho - c.rho_x * c.rho_x - c.rho_y * c.rho_y
     )
-    minors_ok = (
-        1.0 - c.rho * c.rho >= 0.0
-        and 1.0 - c.rho_x * c.rho_x >= 0.0
-        and 1.0 - c.rho_y * c.rho_y >= 0.0
-    )
-    return (det >= 0.0 and minors_ok), det
+    return det >= -_DET_TOL, det
 
 
 @dataclass(frozen=True)

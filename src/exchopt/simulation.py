@@ -95,11 +95,10 @@ class PriceEstimate:
 def cholesky3(c: CorrelationStructure) -> np.ndarray:
     """Lower-triangular L with L L^T equal to the correlation matrix, factor
     order (W^X, W^Y, Z).  PSD-but-singular structures pivot to zero columns
-    (tolerance 1e-12); non-PSD input raises DomainError."""
-    _, det = validate_correlation(c)
-    # singular structures round to tiny negative determinants; the pivoted
-    # factorization below still applies within the pivot tolerance
-    if det < -_PIVOT_TOL:
+    (tolerance 1e-12); a structure validate_correlation rejects raises
+    DomainError."""
+    valid, det = validate_correlation(c)
+    if not valid:
         raise DomainError(f"correlation structure not PSD (det={det:.6e})")
     rho, rho_x, rho_y = c.rho, c.rho_x, c.rho_y
     L = np.zeros((3, 3))
@@ -193,7 +192,6 @@ def simulate_terminal(model: TwoAssetModel, T: float, mc: McConfig) -> TerminalS
     regardless of ``mc.jobs``."""
     if not (np.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
-    # cholesky3 rejects non-PSD structures (with pivot tolerance at the boundary)
     L = cholesky3(model.corr)
     n_steps = mc.steps_for(T)
     n_blocks = (mc.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -281,11 +281,11 @@ def test_criterion_7_property_suite():
         k = x + rng.uniform(-1.0, 1.0)
         T = rng.uniform(0.01, 2.0)
         sigma = rng.uniform(0.01, 3.0)
-        if bs_vega(0.0, x, k, sigma, T) < 1e-4 * math.exp(x):
+        if bs_vega(x, k, sigma, T) < 1e-4 * math.exp(x):
             continue
-        p = bs_price(0.0, x, k, sigma, T)
+        p = bs_price(x, k, sigma, T)
         n += 1
-        worst = max(worst, abs(implied_vol(p, 0.0, x, k, T) - sigma))
+        worst = max(worst, abs(implied_vol(p, x, k, T) - sigma))
     checks.append(("iv round trip", worst <= 1e-8, f"worst {worst:.2e}"))
 
     # implied_correlation o convention_gamma identity to 1e-12

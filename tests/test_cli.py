@@ -111,6 +111,14 @@ def extract(pattern, text):
     return match.group(1)
 
 
+# one included results row, the unset columns empty
+REPORT_ROW = {
+    "T": 0.05, "rho": 0.5, "rho_X": -0.12, "rho_Y": -0.01, "s0X": 100.0,
+    "s0Y": 100.0, "convention": "a=0", "margrabe_price": 1.01, "mc_price": 1.0,
+    "error": 0.01, "excluded": False, "exclusion_reason": "",
+}
+
+
 @pytest.fixture()
 def out_dir(tmp_path):
     return str(tmp_path / "out")
@@ -288,6 +296,23 @@ class TestExperiment:
         assert "type=InputError" in err and "lacks column(s): s0X" in err
         assert out == ""
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:8] + ["abc"] + cells[9:], "column kX: 'abc' is not a number"),
+        (lambda cells: cells[:5], "5 fields, header has 19"),
+        (lambda cells: cells[:-2] + ["maybe", ""], "column excluded: 'maybe' is not true or false"),
+        (lambda cells: cells[:-1], "18 fields, header has 19"),  # no exclusion_reason
+    ], ids=["non-numeric", "five-fields", "excluded-not-boolean", "missing-text-cell"])
+    def test_report_on_malformed_cell_exit_2(self, capsys, out_dir, tmp_path, edit, message):
+        header, line = results_csv([REPORT_ROW]).splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{line}\n{','.join(edit(line.split(',')))}\n")
+        code, out, err = run_cli(
+            capsys, "--out", out_dir, "experiment", "report", "--results", str(bad),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR code=2 type=InputError")
+        assert f"results file {bad} line 3" in err and message in err
+
     def test_missing_results_exit_2(self, capsys, out_dir):
         code, _, err = run_cli(
             capsys, "--out", out_dir, "experiment", "report",
@@ -299,12 +324,7 @@ class TestExperiment:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({"model": {"kappa": 2.0}}))
         results = tmp_path / "results.csv"
-        row = {
-            "T": 0.05, "rho": 0.5, "rho_X": -0.12, "rho_Y": -0.01, "s0X": 100.0,
-            "s0Y": 100.0, "convention": "a=0", "margrabe_price": 1.01, "mc_price": 1.0,
-            "error": 0.01, "excluded": False, "exclusion_reason": "",
-        }
-        results.write_text(results_csv([row]))
+        results.write_text(results_csv([REPORT_ROW]))
         code, _, _ = run_cli(
             capsys, "--config", str(cfg), "--out", out_dir, "experiment", "report",
             "--results", str(results), "--report", "report.json", "--T", "0.05",

@@ -39,7 +39,7 @@ def limit_observables(lam_x, lam_y, corr, sigma0=0.15, nu=0.5, T=0.05):
         skew_x=corr.rho_x * nu / (4.0 * sigma0),
         skew_y=corr.rho_y * nu / (4.0 * sigma0),
         T=T,
-        dz=0.01,
+        window=(-0.01, 0.01),
     )
 
 
@@ -163,13 +163,13 @@ class TestAStarObservables:
         # analogue of equal spot-vol correlations); identical levels as well
         # would zero the denominator, see test_degenerate
         obs = SmileObservables(
-            level_x=0.25, level_y=0.2, skew_x=-0.3, skew_y=-0.3, T=0.05, dz=0.01
+            level_x=0.25, level_y=0.2, skew_x=-0.3, skew_y=-0.3, T=0.05, window=(-0.01, 0.01)
         )
         assert a_star_observables(obs, 0.4) == pytest.approx(1.0 / 1.4, rel=1e-13)
 
     def test_degenerate(self):
         obs = SmileObservables(
-            level_x=0.2, level_y=0.2, skew_x=0.3, skew_y=0.3, T=0.05, dz=0.01
+            level_x=0.2, level_y=0.2, skew_x=0.3, skew_y=0.3, T=0.05, window=(-0.01, 0.01)
         )
         with pytest.raises(DegenerateConventionError):
             a_star_observables(obs, 0.0)
@@ -186,7 +186,7 @@ class TestOneFormula:
     ):
         c = Corr(rho, rho_x, rho_y)
         obs = SmileObservables(
-            level_x=lam_x, level_y=lam_y, skew_x=rho_x, skew_y=rho_y, T=0.05, dz=0.01
+            level_x=lam_x, level_y=lam_y, skew_x=rho_x, skew_y=rho_y, T=0.05, window=(-0.01, 0.01)
         )
         try:
             a = a_star_parametric(lam_x, lam_y, c)

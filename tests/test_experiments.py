@@ -65,6 +65,17 @@ class TestExclusionCounts:
         assert from_spec.invalid_triples == 1
         assert asdict(summarize_exclusions(run_grid(spec))) == asdict(from_spec)
 
+    @pytest.mark.parametrize("rhos", [(1.0, 0.3, 0.3), (1.0, -0.5, -0.5), (-1.0, -0.95, 0.95)])
+    def test_singular_triples_are_priced(self, rhos):
+        rho, rho_x, rho_y = rhos
+        spec = GridSpec(
+            T_list=(0.05,), rho_list=(rho,), rho_x_list=(rho_x,), rho_y_list=(rho_y,),
+            s0y_list=(92.0, 100.0), mc=McConfig(n_paths=4096, n_steps=500, seed=1),
+        )
+        rows = run_grid(spec)
+        assert not [r for r in rows if r["exclusion_reason"] == "invalid_correlation"]
+        assert asdict(summarize_exclusions(rows)) == asdict(grid_exclusion_summary(spec))
+
     def test_point_accounting_identity(self, tiny_rows):
         spec = tiny_spec()
         summary = summarize_exclusions(tiny_rows)
@@ -276,7 +287,7 @@ class TestReportPayload:
             "seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of 4096"
         )
         del config["mc"]["stream_derivation"]
-        expected = asdict(spec)
+        expected = {**asdict(spec), "conventions": CONVENTIONS}
         del expected["mc"]["jobs"]
         assert config == expected
         assert sorted(payload["metrics"]) == [

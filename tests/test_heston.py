@@ -75,7 +75,7 @@ def assert_knots_reprice(params, asset, smile):
         k = asset.x0 + float(z)
         heston_p = heston_vanilla_price(params, asset, math.exp(k), smile.T)
         assert max(asset.s0 - math.exp(k), 0.0) < heston_p < asset.s0
-        bs_p = bs_price(0.0, asset.x0, k, smile.vol(k), smile.T)
+        bs_p = bs_price(asset.x0, k, smile.vol_at_moneyness(float(z)), smile.T)
         assert abs(bs_p - heston_p) <= 2e-12 * asset.s0
 
 
@@ -127,7 +127,7 @@ class TestVanillaPricer:
         assert heston_vanilla_price(params, UNIT_LEG, 110.0, 0.25) == 0.3807039068101607
 
     def test_degenerate_is_black_scholes(self):
-        bs = bs_price(0.0, X100, math.log(110.0), 0.15, 0.25)
+        bs = bs_price(X100, math.log(110.0), 0.15, 0.25)
         gaps = []
         for nu in (1e-3, 1e-4):
             p = heston_vanilla_price(HestonParams(nu=nu, **FROZEN), UNIT_LEG, 110.0, 0.25)
@@ -157,7 +157,7 @@ class TestVanillaPricer:
         assert smile.log_moneyness.size >= 30
         for z, vol in zip(smile.log_moneyness, smile.vols):
             k = X100 + float(z)
-            mine = bs_price(0.0, X100, k, vol, T)
+            mine = bs_price(X100, k, vol, T)
             other = gil_pelaez_call(100.0, math.exp(k), eff, -0.6, T)
             assert mine == pytest.approx(other, abs=1e-9)
 
@@ -245,6 +245,12 @@ class TestSmile:
     def test_smile_knot_validation(self):
         with pytest.raises(InputError):
             Smile("X", 100.0, 0.5, [0.0, 0.0], [0.2, 0.2])
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_moneyness_rejected(self, z):
+        smile = Smile("X", 100.0, 0.5, [-0.1, 0.0, 0.1], [0.25, 0.2, 0.22])
+        with pytest.raises(InputError, match="log-moneyness must be finite"):
+            smile.vol_at_moneyness(z)
 
 
 class TestObservables:

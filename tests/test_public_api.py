@@ -26,6 +26,14 @@ def test_removed_names_not_exported(module):
     assert not set(REMOVED) & set(getattr(module, "__all__", ()))
 
 
+def test_no_second_smile_lookup_or_unused_grid_knob():
+    from dataclasses import fields
+
+    for name in ("vol", "atm_vol", "x0"):
+        assert not hasattr(exchopt.Smile, name), name
+    assert "conventions" not in {f.name for f in fields(exchopt.experiments.GridSpec)}
+
+
 def test_validate_correlation_reachable_from_package_and_simulation():
     from exchopt import models, simulation
 

@@ -30,6 +30,11 @@ CORNER_RHOS = [
 ]
 
 
+# singular (det 0 up to rounding) but positive semi-definite structures: rho = 1
+# with equal spot-vol correlations, and rho = -1 with opposite ones
+SINGULAR_RHOS = [(1.0, 0.3, 0.3), (1.0, -0.5, -0.5), (-1.0, -0.95, 0.95)]
+
+
 # simulate_vanilla of reference case 1 at T 0.05 (10 000 paths, 500 steps a
 # year, seed 3), recorded while the vanilla estimate had a Black-Scholes
 # control mean of its own: (leg, strike, control variate) -> (value, stderr,
@@ -81,6 +86,20 @@ class TestValidateCorrelation:
         with pytest.raises(InputError):
             CorrelationStructure(1.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("rhos", SINGULAR_RHOS)
+    def test_singular_structures_are_valid(self, rhos):
+        valid, det = validate_correlation(CorrelationStructure(*rhos))
+        assert valid and abs(det) < 1e-15
+
+    def test_determinant_below_tolerance_is_invalid(self):
+        # rho = rho_x = rho_y = r has det (1 - r)^2 (1 + 2r), about -2.2e-11 here
+        r = -0.5 - 5e-12
+        below = CorrelationStructure(r, r, r)
+        valid, det = validate_correlation(below)
+        assert not valid and -1e-10 < det < -1e-11
+        with pytest.raises(DomainError, match="not PSD"):
+            cholesky3(below)
+
 
 class TestCholesky3:
     def test_identity(self):
@@ -101,14 +120,23 @@ class TestCholesky3:
             assert np.allclose(L, np.tril(L))
 
     def test_rank_deficient_pivots_to_zero(self):
-        c = CorrelationStructure(1.0, 0.3, 0.3)
-        L = cholesky3(c)
-        assert L[1, 1] == 0.0
-        assert np.allclose(L @ L.T, c.matrix(), atol=1e-12)
+        for rhos in SINGULAR_RHOS:
+            c = CorrelationStructure(*rhos)
+            L = cholesky3(c)
+            assert L[1, 1] == 0.0
+            assert np.allclose(L @ L.T, c.matrix(), atol=1e-12)
 
     def test_non_psd_rejected(self):
         with pytest.raises(DomainError):
             cholesky3(CorrelationStructure(0.9, -0.72, 0.59))
+
+
+@pytest.mark.parametrize("T", [0.05, 0.25])
+@pytest.mark.parametrize("rhos", SINGULAR_RHOS)
+def test_singular_structure_exact_price_matches_mc(rhos, T):
+    model = grid_model(*rhos)
+    est = simulate_exchange(model, T, McConfig(n_paths=65_536, seed=0))
+    assert abs(exchange_option_price(model, T) - est.value) <= 3.0 * est.stderr
 
 
 class TestControlVariate:
@@ -241,5 +269,5 @@ class TestImpliedCorrelationAtm:
         gamma_hat = exchange_implied_vol(est.value, x, x, 0.05)
         sx = build_smile_grid(BASE_PARAMS, case1_model.asset_x, 0.05, asset_id="X")
         sy = build_smile_grid(BASE_PARAMS, case1_model.asset_y, 0.05, asset_id="Y")
-        rho_hat = implied_correlation(gamma_hat, sx.atm_vol(), sy.atm_vol())
+        rho_hat = implied_correlation(gamma_hat, sx.vol_at_moneyness(0.0), sy.vol_at_moneyness(0.0))
         assert rho_hat == pytest.approx(0.5, abs=0.02)
