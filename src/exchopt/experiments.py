@@ -512,6 +512,7 @@ def read_results_csv(path) -> list[dict]:
         missing = [col for col in RESULT_COLUMNS if col not in header]
         if missing:
             raise InputError(f"results file {path} lacks column(s): {', '.join(missing)}")
+        pos = {col: header.index(col) for col in RESULT_COLUMNS}
         for cells in reader:
             if not cells:
                 continue  # blank line
@@ -519,8 +520,8 @@ def read_results_csv(path) -> list[dict]:
             if len(cells) != len(header):
                 raise InputError(f"{where}: {len(cells)} fields, header has {len(header)}")
             row: dict = {}
-            for col in RESULT_COLUMNS:
-                raw = cells[header.index(col)]
+            for col, i in pos.items():
+                raw = cells[i]
                 if col == "convention" or col == "exclusion_reason":
                     row[col] = raw
                 elif col == "excluded":

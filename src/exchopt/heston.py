@@ -260,7 +260,7 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
         return max(model.s0x - model.s0y, 0.0)  # identical legs never cross
     kappa_hat = h.kappa - h.nu * ly * c.rho_y
     rho_u = (lx * c.rho_x - ly * c.rho_y) / lam_u
-    rho_u = min(1.0, max(-1.0, rho_u))  # PSD guarantees |rho_u| <= 1 up to rounding
+    rho_u = min(1.0, max(-1.0, rho_u))  # clips only the 1e-12 slack of a valid structure
     k = math.log(model.s0y / model.s0x)
     kappa_theta, v0 = h.kappa * h.theta * lam_u * lam_u, h.v0 * lam_u * lam_u
     return model.s0x * _unit_call(k, kappa_hat, kappa_theta, h.nu * lam_u, v0, rho_u, T)

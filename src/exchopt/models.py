@@ -1,4 +1,4 @@
-"""Model dataclasses for the shared-volatility two-asset setup.
+"""Model dataclasses and the correlation factorisation for the shared-volatility two-asset setup.
 
 Both assets load on a single CIR variance process v_t = sigma_t^2:
 
@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 __all__ = [
     "HestonParams", "AssetSpec", "CorrelationStructure", "TwoAssetModel",
-    "validate_correlation",
+    "validate_correlation", "cholesky3",
 ]
 
-_DET_TOL = 1e-12
+_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,20 +103,48 @@ class CorrelationStructure:
         )
 
 
-def validate_correlation(c: CorrelationStructure) -> tuple[bool, float]:
-    """(valid, det) where det is the 3x3 determinant
-    1 + 2 rho rho_x rho_y - rho^2 - rho_x^2 - rho_y^2.
+def _pivots(c: CorrelationStructure) -> tuple[float, float, float] | None:
+    """(L[1,1], L[2,1], L[2,2]) of the pivoted Cholesky factor L of c.matrix(),
+    or None when there is none: a second pivot 1 - rho^2 <= 1e-12 is taken as
+    zero and then needs |rho_y - rho rho_x| <= 1e-12, and the final pivot must
+    be >= -1e-12 (it is clamped to zero).  So L L^T differs from the matrix by
+    at most 1e-12 in any entry."""
+    d22 = 1.0 - c.rho * c.rho
+    resid = c.rho_y - c.rho * c.rho_x
+    if d22 > _PIVOT_TOL:
+        l11 = math.sqrt(d22)
+        l21 = resid / l11
+    elif abs(resid) <= _PIVOT_TOL:
+        l11 = l21 = 0.0
+    else:
+        return None
+    d33 = 1.0 - c.rho_x ** 2 - l21 ** 2
+    return None if d33 < -_PIVOT_TOL else (l11, l21, math.sqrt(max(d33, 0.0)))
 
-    Valid means positive semi-definite up to rounding, det >= -1e-12, so a
-    singular structure (det rounds to about -1e-16) is valid.  The one validity
-    check: cholesky3 and exchange_option_price defer to it.
-    """
+
+def validate_correlation(c: CorrelationStructure) -> tuple[bool, float]:
+    """(valid, det): valid means the pivoted Cholesky factor of cholesky3 exists
+    (see _pivots), so a singular structure such as (1, 0.3, 0.3) is valid; the
+    determinant 1 + 2 rho rho_x rho_y - rho^2 - rho_x^2 - rho_y^2 is for messages.
+    The one validity verdict: cholesky3, exchange_option_price and run_grid use it."""
     det = (
         1.0
         + 2.0 * c.rho * c.rho_x * c.rho_y
         - c.rho * c.rho - c.rho_x * c.rho_x - c.rho_y * c.rho_y
     )
-    return det >= -_DET_TOL, det
+    return _pivots(c) is not None, det
+
+
+def cholesky3(c: CorrelationStructure) -> np.ndarray:
+    """Lower-triangular L with L L^T equal to the correlation matrix, factor
+    order (W^X, W^Y, Z); singular structures pivot to zero columns.  A
+    structure validate_correlation rejects raises DomainError."""
+    pivots = _pivots(c)
+    if pivots is None:
+        det = validate_correlation(c)[1]
+        raise DomainError(f"correlation structure not PSD (det={det:.6e})")
+    l11, l21, l22 = pivots
+    return np.array([[1.0, 0.0, 0.0], [c.rho, l11, 0.0], [c.rho_x, l21, l22]])
 
 
 @dataclass(frozen=True)

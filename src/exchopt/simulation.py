@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import margrabe
-from .errors import DomainError, InputError, NumericalError
-from .models import CorrelationStructure, TwoAssetModel, validate_correlation
+from .errors import InputError, NumericalError
+from .models import TwoAssetModel, cholesky3, validate_correlation
 
 __all__ = [
     "McConfig",
@@ -42,8 +42,6 @@ BLOCK_SIZE = 4096
 # error at 1e5 paths for the short maturities where the control variate makes
 # stderr small.  (Coarser "daily" stepping fails the step-refinement check.)
 DEFAULT_STEPS_PER_YEAR = 2000
-
-_PIVOT_TOL = 1e-12
 
 # The control-variate beta is fitted only when at least this many control
 # payoffs are non-zero; a regression on a handful of hits can move the estimate
@@ -90,35 +88,6 @@ class PriceEstimate:
     def __post_init__(self):
         if self.stderr < 0:
             raise InputError(f"stderr must be >= 0, got {self.stderr}")
-
-
-def cholesky3(c: CorrelationStructure) -> np.ndarray:
-    """Lower-triangular L with L L^T equal to the correlation matrix, factor
-    order (W^X, W^Y, Z).  PSD-but-singular structures pivot to zero columns
-    (tolerance 1e-12); a structure validate_correlation rejects raises
-    DomainError."""
-    valid, det = validate_correlation(c)
-    if not valid:
-        raise DomainError(f"correlation structure not PSD (det={det:.6e})")
-    rho, rho_x, rho_y = c.rho, c.rho_x, c.rho_y
-    L = np.zeros((3, 3))
-    L[0, 0] = 1.0
-    L[1, 0] = rho
-    d22 = 1.0 - rho * rho
-    L[1, 1] = math.sqrt(d22) if d22 > _PIVOT_TOL else 0.0
-    L[2, 0] = rho_x
-    resid = rho_y - rho * rho_x
-    if L[1, 1] > 0.0:
-        L[2, 1] = resid / L[1, 1]
-    elif abs(resid) > _PIVOT_TOL:
-        raise DomainError(
-            f"inconsistent rank-deficient structure: rho_y - rho rho_x = {resid:.3e}"
-        )
-    d33 = 1.0 - L[2, 0] ** 2 - L[2, 1] ** 2
-    if d33 < -_PIVOT_TOL:
-        raise DomainError(f"negative final pivot {d33:.3e}")
-    L[2, 2] = math.sqrt(max(d33, 0.0))
-    return L
 
 
 @dataclass(frozen=True)

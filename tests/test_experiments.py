@@ -76,6 +76,18 @@ class TestExclusionCounts:
         assert not [r for r in rows if r["exclusion_reason"] == "invalid_correlation"]
         assert asdict(summarize_exclusions(rows)) == asdict(grid_exclusion_summary(spec))
 
+    # det within 1e-12 of zero, but the pivoted factorisation fails
+    @pytest.mark.parametrize("rhos", [(1.0, 0.3, 0.3000001), (1.0 - 1e-9, 0.3, 0.300042667)])
+    def test_near_singular_non_psd_triples_are_excluded(self, rhos):
+        rho, rho_x, rho_y = rhos
+        spec = GridSpec(
+            T_list=(0.05,), rho_list=(rho,), rho_x_list=(rho_x,), rho_y_list=(rho_y,),
+            s0y_list=(92.0, 100.0), mc=McConfig(n_paths=4096, n_steps=500, seed=1),
+        )
+        rows = run_grid(spec)
+        assert {r["exclusion_reason"] for r in rows} == {"invalid_correlation"}
+        assert asdict(summarize_exclusions(rows)) == asdict(grid_exclusion_summary(spec))
+
     def test_point_accounting_identity(self, tiny_rows):
         spec = tiny_spec()
         summary = summarize_exclusions(tiny_rows)

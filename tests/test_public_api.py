@@ -39,3 +39,4 @@ def test_validate_correlation_reachable_from_package_and_simulation():
 
     assert exchopt.validate_correlation is models.validate_correlation
     assert simulation.validate_correlation is models.validate_correlation
+    assert exchopt.cholesky3 is simulation.cholesky3 is models.cholesky3

@@ -34,6 +34,11 @@ CORNER_RHOS = [
 # with equal spot-vol correlations, and rho = -1 with opposite ones
 SINGULAR_RHOS = [(1.0, 0.3, 0.3), (1.0, -0.5, -0.5), (-1.0, -0.95, 0.95)]
 
+# not PSD although det is within 1e-12 of zero: rho = 1 with rho_y - rho rho_x =
+# 1e-7 (det -1e-14), and a nearly singular leading block whose final pivot is
+# -2.5e-4 (det -5e-13)
+NEAR_SINGULAR_INVALID_RHOS = [(1.0, 0.3, 0.3000001), (1.0 - 1e-9, 0.3, 0.300042667)]
+
 
 # simulate_vanilla of reference case 1 at T 0.05 (10 000 paths, 500 steps a
 # year, seed 3), recorded while the vanilla estimate had a Black-Scholes
@@ -101,6 +106,36 @@ class TestValidateCorrelation:
             cholesky3(below)
 
 
+    @pytest.mark.parametrize("rhos", NEAR_SINGULAR_INVALID_RHOS)
+    def test_near_singular_non_psd_is_invalid_everywhere(self, rhos):
+        valid, det = validate_correlation(CorrelationStructure(*rhos))
+        assert not valid and -1e-12 < det < 0.0
+        with pytest.raises(DomainError, match="not PSD"):
+            cholesky3(CorrelationStructure(*rhos))
+        with pytest.raises(DomainError, match="not PSD"):
+            exchange_option_price(grid_model(*rhos), 0.05)
+
+    def test_verdict_is_the_factorisation(self, rng):
+        # near-singular draws: |rho| at or near 1, rho_y at or near the PSD boundary
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            rho = rng.choice([1.0, -1.0, 1.0 - 10.0 ** rng.uniform(-16, -3), rng.uniform(-1, 1)])
+            rho_x = rng.uniform(-1, 1)
+            edge = math.sqrt((1.0 - rho * rho) * (1.0 - rho_x * rho_x)) * rng.choice([-1, 1])
+            rho_y = rho * rho_x + rng.choice([0.0, 1.0]) * edge + 10.0 ** rng.uniform(-16, -4)
+            c = CorrelationStructure(rho, rho_x, float(np.clip(rho_y, -1, 1)))
+            valid, _ = validate_correlation(c)
+            seen[valid] += 1
+            if valid:
+                L = cholesky3(c)
+                assert np.abs(L @ L.T - c.matrix()).max() <= 1.1e-12
+            else:
+                with pytest.raises(DomainError):
+                    cholesky3(c)
+                assert np.linalg.eigvalsh(c.matrix()).min() < 1e-12
+        assert min(seen.values()) > 300
+
+
 class TestCholesky3:
     def test_identity(self):
         L = cholesky3(CorrelationStructure(0.0, 0.0, 0.0))
@@ -125,6 +160,15 @@ class TestCholesky3:
             L = cholesky3(c)
             assert L[1, 1] == 0.0
             assert np.allclose(L @ L.T, c.matrix(), atol=1e-12)
+
+    # structures within rounding of PSD: rho = 1 with rho_y one ulp above rho_x
+    # (rho_y - rho rho_x = 5.6e-17), and (-0.7, -0.7, 1) with final pivot -1.1e-16
+    @pytest.mark.parametrize("rhos", [(1.0, 0.3, math.nextafter(0.3, 1.0)), (-0.7, -0.7, 1.0)])
+    def test_rounding_level_pivots_are_tolerated(self, rhos):
+        c = CorrelationStructure(*rhos)
+        assert validate_correlation(c)[0]
+        L = cholesky3(c)
+        assert np.allclose(L @ L.T, c.matrix(), atol=1e-12)
 
     def test_non_psd_rejected(self):
         with pytest.raises(DomainError):
