@@ -276,7 +276,7 @@ def run_test_case(
     sample = simulate_terminal(model, T, mc)
     rows: list[dict] = []
     for s0y in s0y_values:
-        est = exchange_estimate_from_sample(sample, model.s0x, s0y, model.rho, mc)
+        est = exchange_estimate_from_sample(sample, model.s0x, s0y)
         rows += _point_rows(
             smile_x, smile_y, _point(T, model.corr, model.s0x, s0y), est, a_star,
             ("a=0", "a=1", "a_star"),
@@ -352,7 +352,7 @@ def run_grid(spec: GridSpec) -> list[dict]:
         sample = simulate_terminal(model, T, mc)
 
         for point in points:
-            est = exchange_estimate_from_sample(sample, spec.s0x, point["s0Y"], rho, mc)
+            est = exchange_estimate_from_sample(sample, spec.s0x, point["s0Y"])
             if est.value < SUB_CENT_THRESHOLD:
                 rows += [_excluded_row(point, name, "sub_cent", est) for name in CONVENTIONS]
                 continue

@@ -8,7 +8,9 @@ on the same Brownian increments.
 Paths are generated in fixed blocks of ``BLOCK_SIZE``; block b of a run with
 seed s draws from a dedicated Philox stream keyed (s, b), so results are
 bit-identical for a given (seed, n_paths, n_steps) no matter how blocks are
-scheduled across workers.
+scheduled across workers.  A block draws one step's normals at a time, so
+memory does not grow with the step count; each step draws a full ``BLOCK_SIZE``
+row, so a path's draws do not depend on n_paths.
 """
 
 from __future__ import annotations
@@ -92,11 +94,11 @@ class PriceEstimate:
 
 @dataclass(frozen=True)
 class TerminalSample:
-    """Terminal unit-spot factors of one simulation run.
+    """Terminal unit-spot factors of one simulation run and its inputs.
 
     ``rx, ry``: gross returns S_T^i / S_0^i of the Heston legs.
-    ``gx, gy``: gross returns of the constant-vol control-variate legs driven
-    by the same increments.  Prices for any spot pair follow by homogeneity.
+    ``gx, gy``: gross returns of the constant-vol (lam_i sigma0) control legs
+    driven by the same increments.  Prices for any spot pair follow by homogeneity.
     """
 
     rx: np.ndarray
@@ -104,8 +106,8 @@ class TerminalSample:
     gx: np.ndarray
     gy: np.ndarray
     T: float
-    sigma_cv_x: float
-    sigma_cv_y: float
+    model: TwoAssetModel
+    mc: McConfig
 
 
 def _simulate_block(
@@ -130,21 +132,15 @@ def _simulate_block(
     log_y = np.zeros(n_in_block)
     w_x = np.zeros(n_in_block)
     w_y = np.zeros(n_in_block)
-    # draws come in fixed step chunks (layout independent of scheduling; the
-    # generator consumes values sequentially, so chunking is memory-only)
-    chunk = 256
-    for start in range(0, n_steps, chunk):
-        todo = min(chunk, n_steps - start)
-        Z = rng.standard_normal((todo, 3, BLOCK_SIZE))[:, :, :n_in_block]
-        for t in range(todo):
-            e = L @ Z[t]
-            v_pos = np.maximum(v, 0.0)
-            sq = np.sqrt(v_pos)
-            log_x += (-0.5 * lam_x * lam_x) * v_pos * dt + lam_x * sdt * sq * e[0]
-            log_y += (-0.5 * lam_y * lam_y) * v_pos * dt + lam_y * sdt * sq * e[1]
-            w_x += e[0]
-            w_y += e[1]
-            v = v + h.kappa * (h.theta - v_pos) * dt + h.nu * sdt * sq * e[2]
+    for _ in range(n_steps):
+        e = L @ rng.standard_normal((3, BLOCK_SIZE))[:, :n_in_block]
+        v_pos = np.maximum(v, 0.0)
+        sq = np.sqrt(v_pos)
+        log_x += (-0.5 * lam_x * lam_x) * v_pos * dt + lam_x * sdt * sq * e[0]
+        log_y += (-0.5 * lam_y * lam_y) * v_pos * dt + lam_y * sdt * sq * e[1]
+        w_x += e[0]
+        w_y += e[1]
+        v = v + h.kappa * (h.theta - v_pos) * dt + h.nu * sdt * sq * e[2]
     if not (np.all(np.isfinite(log_x)) and np.all(np.isfinite(log_y))):
         raise NumericalError(
             f"non-finite path values in block {block_index} (T={T}, steps={n_steps})"
@@ -165,28 +161,14 @@ def simulate_terminal(model: TwoAssetModel, T: float, mc: McConfig) -> TerminalS
     n_steps = mc.steps_for(T)
     n_blocks = (mc.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    sizes = [
-        min(mc.n_paths, (b + 1) * BLOCK_SIZE) - b * BLOCK_SIZE for b in range(n_blocks)
-    ]
-
     def run(b: int):
-        return _simulate_block(b, sizes[b], model, L, T, n_steps, mc.seed)
+        n_in_block = min(BLOCK_SIZE, mc.n_paths - b * BLOCK_SIZE)
+        return _simulate_block(b, n_in_block, model, L, T, n_steps, mc.seed)
 
-    if mc.jobs > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=mc.jobs) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
-    else:
-        parts = [run(b) for b in range(n_blocks)]
-
-    rx = np.concatenate([p[0] for p in parts])
-    ry = np.concatenate([p[1] for p in parts])
-    gx = np.concatenate([p[2] for p in parts])
-    gy = np.concatenate([p[3] for p in parts])
-    return TerminalSample(
-        rx=rx, ry=ry, gx=gx, gy=gy, T=T,
-        sigma_cv_x=model.lam_x * model.heston.sigma0,
-        sigma_cv_y=model.lam_y * model.heston.sigma0,
-    )
+    with ThreadPoolExecutor(max_workers=mc.jobs) as pool:
+        parts = list(pool.map(run, range(n_blocks)))
+    rx, ry, gx, gy = (np.concatenate(leg) for leg in zip(*parts))
+    return TerminalSample(rx=rx, ry=ry, gx=gx, gy=gy, T=T, model=model, mc=mc)
 
 
 def _estimate(
@@ -218,20 +200,17 @@ def _estimate(
 
 
 def exchange_estimate_from_sample(
-    sample: TerminalSample,
-    s0x: float,
-    s0y: float,
-    rho: float,
-    mc: McConfig,
+    sample: TerminalSample, s0x: float, s0y: float
 ) -> PriceEstimate:
     """Exchange-option estimate for the spot pair (s0x, s0y) from an existing
     normalized sample (payoff homogeneity in the initial spots)."""
-    sx, sy = sample.sigma_cv_x, sample.sigma_cv_y
+    model = sample.model
+    sx, sy = model.lam_x * model.heston.sigma0, model.lam_y * model.heston.sigma0
     # not margrabe.convention_gamma: x**2 and x*x differ in the last bit for some x
-    sigma_cv = math.sqrt(max(sx**2 + sy**2 - 2.0 * rho * sx * sy, 0.0))
+    sigma_cv = math.sqrt(max(sx**2 + sy**2 - 2.0 * model.rho * sx * sy, 0.0))
     return _estimate(
         s0x * sample.rx, s0y * sample.ry, s0x * sample.gx, s0y * sample.gy,
-        s0x, s0y, sigma_cv, sample.T, mc,
+        s0x, s0y, sigma_cv, sample.T, sample.mc,
     )
 
 
@@ -240,7 +219,7 @@ def simulate_exchange(model: TwoAssetModel, T: float, mc: McConfig) -> PriceEsti
     Margrabe control variate (beta fitted per run unless disabled or the
     control is too sparse to fit)."""
     sample = simulate_terminal(model, T, mc)
-    return exchange_estimate_from_sample(sample, model.s0x, model.s0y, model.rho, mc)
+    return exchange_estimate_from_sample(sample, model.s0x, model.s0y)
 
 
 def simulate_vanilla(
@@ -253,10 +232,8 @@ def simulate_vanilla(
     (Margrabe 1978), so it goes through the exchange estimator."""
     if not (np.isfinite(strike) and strike >= 0):
         raise InputError(f"strike must be >= 0, got {strike}")
-    s0 = model.asset(asset_id).s0
+    leg = model.asset(asset_id)
+    s0, sigma_cv = leg.s0, leg.lam * model.heston.sigma0
     sample = simulate_terminal(model, T, mc)
-    if asset_id == "X":
-        r, g, sigma_cv = sample.rx, sample.gx, sample.sigma_cv_x
-    else:
-        r, g, sigma_cv = sample.ry, sample.gy, sample.sigma_cv_y
+    r, g = (sample.rx, sample.gx) if asset_id == "X" else (sample.ry, sample.gy)
     return _estimate(s0 * r, strike, s0 * g, strike, s0, strike, sigma_cv, T, mc)

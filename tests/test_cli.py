@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import yaml
 
 from exchopt import heston
 from exchopt.cli import _build_run_config, load_config, main
-from exchopt.errors import InputError
+from exchopt.errors import InputError, NumericalError
 from exchopt.experiments import results_csv
 
 
@@ -205,6 +206,18 @@ class TestPriceExchange:
                 capsys, "--out", out_dir, "price", "exchange", "--convention", name,
             )
             assert code == 0
+
+    def test_numerical_failure_exit_3(self, capsys, out_dir, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("smile did not converge")
+
+        monkeypatch.setattr(heston, "build_smile_grid", fail)
+        code, out, err = run_cli(
+            capsys, "--out", out_dir, "price", "exchange", "--convention", "atm",
+        )
+        assert code == 3
+        assert err.startswith("ERROR code=3 type=NumericalError")
+        assert out == ""
 
 
 class TestPriceMc:
@@ -489,6 +502,26 @@ class TestConfigHandling:
         echoed = yaml.safe_load(out)
         assert echoed["grid"] == {"T_list": [0.05, 0.25], "rho_list": [0.5]}
         assert echoed["mc"]["n_paths"] == 10
+
+    # sha256 of results.csv and report.json of the benchmark's sweep config at
+    # seed 7, T 0.05 and 0.25, 4096 paths; a change that alters these bytes
+    # records the new digests and says why
+    SWEEP_DIGESTS = {
+        "results.csv": "f327fd492ed119ec0e9659fe40fb5b838dcd46a474958c816c7a543f046e5e7b",
+        "report.json": "45a0bd33cb5d83aad7198a1175b8f6fccdd888907c461e510fc664c3f36aa28e",
+    }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_benchmark_sweep_bytes_pinned(self, capsys, out_dir, jobs):
+        sweep = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "sweep.yaml"
+        code, _, _ = run_cli(
+            capsys, "--config", str(sweep), "--seed", "7", "--jobs", jobs, "--out", out_dir,
+            "experiment", "run", "--T", "0.05", "--T", "0.25", "--paths", "4096",
+        )
+        assert code == 0
+        for name, digest in self.SWEEP_DIGESTS.items():
+            data = pathlib.Path(out_dir, name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_benchmark_sweep_config_loads(self, capsys, out_dir):
         sweep = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "sweep.yaml"

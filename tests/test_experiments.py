@@ -88,6 +88,25 @@ class TestExclusionCounts:
         assert {r["exclusion_reason"] for r in rows} == {"invalid_correlation"}
         assert asdict(summarize_exclusions(rows)) == asdict(grid_exclusion_summary(spec))
 
+    def test_identical_legs_exclude_only_the_a_star_rows(self):
+        # equal leg specs make a*'s numerator and denominator exactly 0
+        spec = GridSpec(
+            T_list=(0.05,), lam_x=1.1, lam_y=1.1, rho_list=(0.5,), rho_x_list=(-0.4,),
+            rho_y_list=(-0.4,), s0y_list=(96.0, 100.0, 104.0),
+            mc=McConfig(n_paths=4096, seed=3),
+        )
+        rows = run_grid(spec)
+        assert len(rows) == 3 * len(CONVENTIONS)
+        for row in rows:
+            if row["convention"] in ("a=0", "a=1"):
+                assert not row["excluded"] and math.isfinite(row["margrabe_price"])
+            else:
+                assert row["exclusion_reason"] == "degenerate_convention"
+        summary = summarize_exclusions(rows)
+        assert (summary.included, summary.degenerate_convention) == (3, 3)
+        assert summary.invalid_correlation == summary.sub_cent == 0
+        assert report_json_payload(spec, rows)["exclusions"] == asdict(summary)
+
     def test_point_accounting_identity(self, tiny_rows):
         spec = tiny_spec()
         summary = summarize_exclusions(tiny_rows)

@@ -334,6 +334,17 @@ class TestExchangeOraclePrice:
         with pytest.raises(DomainError):
             exchange_option_price(bad, 0.05)
 
+    def test_identical_legs_pay_intrinsic(self, case1_model):
+        from dataclasses import replace
+        from exchopt.models import CorrelationStructure
+
+        same = replace(
+            case1_model, lam_x=1.2, lam_y=1.2,
+            corr=CorrelationStructure(rho=1.0, rho_x=0.3, rho_y=0.3),
+        )
+        for s0y, intrinsic in ((90.0, 10.0), (100.0, 0.0), (110.0, 0.0)):
+            assert exchange_option_price(replace(same, s0y=s0y), 0.05) == intrinsic
+
 
 class TestFourierKernel:
     @settings(max_examples=15, deadline=None, derandomize=True)

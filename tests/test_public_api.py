@@ -40,3 +40,16 @@ def test_validate_correlation_reachable_from_package_and_simulation():
     assert exchopt.validate_correlation is models.validate_correlation
     assert simulation.validate_correlation is models.validate_correlation
     assert exchopt.cholesky3 is simulation.cholesky3 is models.cholesky3
+
+
+def test_sample_carries_its_inputs():
+    import inspect
+    from dataclasses import fields
+
+    from exchopt import simulation
+
+    params = inspect.signature(simulation.exchange_estimate_from_sample).parameters
+    assert list(params) == ["sample", "s0x", "s0y"]
+    names = {f.name for f in fields(simulation.TerminalSample)}
+    assert {"model", "mc", "T"} <= names
+    assert not {"sigma_cv_x", "sigma_cv_y"} & names

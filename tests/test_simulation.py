@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +63,17 @@ VANILLA_PINNED = {
     ("Y", 80.0, False): (19.93873993195998, 0.036801534184857154, None),
     ("Y", 100.0, False): (1.4245417143500465, 0.019553939061779244, None),
     ("Y", 120.0, False): (0.0, 0.0, None),
+}
+
+
+# sha256 of the terminal factors of reference case 1 at T 0.15 (300 steps, more
+# than one 256-step draw chunk), 4097 paths (one partial block),
+# seed 11; the same for any worker count
+SAMPLE_DIGESTS = {
+    "rx": "1ecd8405134398b8534d56ee704c3bfcaf04dedbb154468a64b4bdd96b8ffa72",
+    "ry": "b300e847abc84e4a50d299aca9f9db2da8a266cb5c646b983683c3cd045b52ab",
+    "gx": "6daf42c7d66b9e9957e0b3117a8b97d005e48d77ce3ccfd981befa044639ae69",
+    "gy": "8e3d41271e96401b2ca7bdb4077216f18a38138d08abe079484cb928cc66da1f",
 }
 
 
@@ -275,10 +288,31 @@ class TestDeterminism:
         b = simulate_exchange(case1_model, 0.05, mc)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_pinned_sample_digests(self, case1_model, jobs):
+        mc = McConfig(n_paths=BLOCK_SIZE + 1, seed=11, jobs=jobs)
+        sample = simulate_terminal(case1_model, 0.15, mc)
+        for name, digest in SAMPLE_DIGESTS.items():
+            assert hashlib.sha256(getattr(sample, name).tobytes()).hexdigest() == digest, name
+
     def test_seed_changes_result(self, case1_model, fast_mc):
         a = simulate_exchange(case1_model, 0.05, fast_mc)
         b = simulate_exchange(case1_model, 0.05, replace(fast_mc, seed=8))
         assert a.value != b.value
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_steps(self, case1_model):
+        # 8192 paths over 500 steps draw 94 MiB of normals; one step at a
+        # time, a block holds 96 KiB of them
+        mc = McConfig(n_paths=2 * BLOCK_SIZE, seed=1)
+        tracemalloc.start()
+        try:
+            simulate_terminal(case1_model, 0.25, mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestAccuracy:
