@@ -103,54 +103,55 @@ class CorrelationStructure:
         )
 
 
-def _pivots(c: CorrelationStructure) -> tuple[float, float, float] | None:
-    """(L[1,1], L[2,1], L[2,2]) of the pivoted Cholesky factor L of c.matrix(),
-    or None when there is none: a second pivot 1 - rho^2 <= 1e-12 is taken as
-    zero and then needs |rho_y - rho rho_x| <= 1e-12, and the final pivot must
-    be >= -1e-12 (it is clamped to zero).  So L L^T differs from the matrix by
-    at most 1e-12 in any entry."""
-    d22 = 1.0 - c.rho * c.rho
-    resid = c.rho_y - c.rho * c.rho_x
+def _pivots(rho: float, rho_x: float, rho_y: float) -> tuple[float, float, float] | None:
+    """(L[1,1], L[2,1], L[2,2]) of the pivoted Cholesky factor L of the matrix of
+    CorrelationStructure(rho, rho_x, rho_y), or None when there is none: a second
+    pivot 1 - rho^2 <= 1e-12 is taken as zero and then needs |rho_y - rho rho_x|
+    <= 1e-12, and the final pivot must be >= -1e-12 (it is clamped to zero).  So
+    L L^T differs from the matrix by at most 1e-12 in any entry."""
+    d22 = 1.0 - rho * rho
+    resid = rho_y - rho * rho_x
     if d22 > _PIVOT_TOL:
-        l11 = math.sqrt(d22)
-        l21 = resid / l11
+        # through resid / d22, so a repeated row (resid == d22) repeats exactly
+        l11, ratio = math.sqrt(d22), resid / d22
     elif abs(resid) <= _PIVOT_TOL:
-        l11 = l21 = 0.0
+        l11 = ratio = 0.0
     else:
         return None
-    d33 = 1.0 - c.rho_x ** 2 - l21 ** 2
-    return None if d33 < -_PIVOT_TOL else (l11, l21, math.sqrt(max(d33, 0.0)))
+    d33 = 1.0 - rho_x * rho_x - ratio * resid
+    return None if d33 < -_PIVOT_TOL else (l11, ratio * l11, math.sqrt(max(d33, 0.0)))
 
 
 def validate_correlation(c: CorrelationStructure) -> tuple[bool, float]:
-    """(valid, det): valid means the pivoted Cholesky factor of cholesky3 exists
-    (see _pivots), so a singular structure such as (1, 0.3, 0.3) is valid; the
-    determinant 1 + 2 rho rho_x rho_y - rho^2 - rho_x^2 - rho_y^2 is for messages.
+    """(valid, det): valid means the pivoted Cholesky factor (see _pivots) exists
+    with each pair of factors leading, in the orders (W^X, W^Y, Z), (Z, W^X, W^Y)
+    and (W^Y, Z, W^X), so the verdict does not depend on the order cholesky3 gets
+    and a singular structure such as (1, 0.3, 0.3) is valid; det is for messages.
     The one validity verdict: cholesky3, exchange_option_price and run_grid use it."""
     det = (
         1.0
         + 2.0 * c.rho * c.rho_x * c.rho_y
         - c.rho * c.rho - c.rho_x * c.rho_x - c.rho_y * c.rho_y
     )
-    return _pivots(c) is not None, det
+    r = (c.rho, c.rho_x, c.rho_y)  # rotated by i: the three orders above
+    return all(_pivots(*r[i:], *r[:i]) is not None for i in range(3)), det
 
 
 def cholesky3(c: CorrelationStructure) -> np.ndarray:
-    """Lower-triangular L with L L^T equal to the correlation matrix, factor
-    order (W^X, W^Y, Z); singular structures pivot to zero columns.  A
-    structure validate_correlation rejects raises DomainError."""
-    pivots = _pivots(c)
-    if pivots is None:
-        det = validate_correlation(c)[1]
+    """Lower-triangular L with L L^T equal to c.matrix() (factor order (W^X,
+    W^Y, Z) for a model's structure); singular structures pivot to zero
+    columns.  A structure validate_correlation rejects raises DomainError."""
+    valid, det = validate_correlation(c)
+    if not valid:
         raise DomainError(f"correlation structure not PSD (det={det:.6e})")
-    l11, l21, l22 = pivots
+    l11, l21, l22 = _pivots(c.rho, c.rho_x, c.rho_y)
     return np.array([[1.0, 0.0, 0.0], [c.rho, l11, 0.0], [c.rho_x, l21, l22]])
 
 
 @dataclass(frozen=True)
 class TwoAssetModel:
     """Full shared-volatility specification: shared variance params, per-leg scaling factors
-    and spots, and the three-factor correlation structure.  The per-leg
+    and spots, and the correlation structure of (W^X, W^Y, Z).  The per-leg
     AssetSpec views are derived so the spot-vol correlations cannot drift out
     of sync with the joint structure."""
 

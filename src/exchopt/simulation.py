@@ -1,9 +1,13 @@
-"""Correlated three-factor Monte Carlo for the shared-volatility model.
+"""Monte Carlo for the shared-volatility model, conditional on the variance path.
 
 Variance follows full-truncation Euler (the negative part of v is truncated
-inside both drift and diffusion), assets follow log-Euler on the truncated
-variance.  A constant-volatility Margrabe/Black-Scholes control variate rides
-on the same Brownian increments.
+inside both drift and diffusion), and each step draws only its driver Z.
+Given the variance path, each leg's log-return is Gaussian (Romano & Touzi
+1997; Willard 1997): its Z part sum sqrt(v+) dZ (left point, compensated with
+the left-point sum of v+) is read off the path, and its part orthogonal to Z
+(variance the trapezoid sum of v+) is drawn once per path after the last step,
+jointly with the plain sums that drive the constant-volatility
+Margrabe/Black-Scholes control variate.
 
 Paths are generated in fixed blocks of ``BLOCK_SIZE``; block b of a run with
 seed s draws from a dedicated Philox stream keyed (s, b), so results are
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import margrabe
 from .errors import InputError, NumericalError
-from .models import TwoAssetModel, cholesky3, validate_correlation
+from .models import CorrelationStructure, TwoAssetModel, cholesky3, validate_correlation
 
 __all__ = [
     "McConfig",
@@ -98,7 +102,7 @@ class TerminalSample:
 
     ``rx, ry``: gross returns S_T^i / S_0^i of the Heston legs.
     ``gx, gy``: gross returns of the constant-vol (lam_i sigma0) control legs
-    driven by the same increments.  Prices for any spot pair follow by homogeneity.
+    driven by each leg's own W^i.  Prices for any spot pair follow by homogeneity.
     """
 
     rx: np.ndarray
@@ -111,44 +115,67 @@ class TerminalSample:
 
 
 def _simulate_block(
-    block_index: int,
-    n_in_block: int,
-    model: TwoAssetModel,
-    L: np.ndarray,
-    T: float,
-    n_steps: int,
-    seed: int,
+    block_index: int, n_in_block: int, model: TwoAssetModel, L: np.ndarray, T: float,
+    n_steps: int, seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One fixed block of paths from its own Philox stream."""
+    """(rx, gx, ry, gy) of one block of paths from its own Philox stream; rows 1
+    and 2 of the Z-first factor ``L`` load W^X and W^Y on Z and on two factors orthogonal to Z."""
     dt = T / n_steps
     sdt = math.sqrt(dt)
     h = model.heston
-    lam_x, lam_y = model.lam_x, model.lam_y
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
     )
+    z_row = np.empty(BLOCK_SIZE)
+    z = z_row[:n_in_block]
     v = np.full(n_in_block, h.v0)
-    log_x = np.zeros(n_in_block)
-    log_y = np.zeros(n_in_block)
-    w_x = np.zeros(n_in_block)
-    w_y = np.zeros(n_in_block)
+    v_pos, sq = np.empty(n_in_block), np.empty(n_in_block)
+    # per path: sum v+ (left point), sum sqrt(v+), sum sqrt(v+) z, sum z
+    i_left, s_left, j, z_sum = np.zeros((4, n_in_block))
     for _ in range(n_steps):
-        e = L @ rng.standard_normal((3, BLOCK_SIZE))[:, :n_in_block]
-        v_pos = np.maximum(v, 0.0)
-        sq = np.sqrt(v_pos)
-        log_x += (-0.5 * lam_x * lam_x) * v_pos * dt + lam_x * sdt * sq * e[0]
-        log_y += (-0.5 * lam_y * lam_y) * v_pos * dt + lam_y * sdt * sq * e[1]
-        w_x += e[0]
-        w_y += e[1]
-        v = v + h.kappa * (h.theta - v_pos) * dt + h.nu * sdt * sq * e[2]
-    if not (np.all(np.isfinite(log_x)) and np.all(np.isfinite(log_y))):
-        raise NumericalError(
-            f"non-finite path values in block {block_index} (T={T}, steps={n_steps})"
-        )
-    s0 = h.sigma0
-    gx = np.exp(-0.5 * (lam_x * s0) ** 2 * T + lam_x * s0 * sdt * w_x)
-    gy = np.exp(-0.5 * (lam_y * s0) ** 2 * T + lam_y * s0 * sdt * w_y)
-    return np.exp(log_x), np.exp(log_y), gx, gy
+        rng.standard_normal(out=z_row)
+        np.sqrt(np.maximum(v, 0.0, out=v_pos), out=sq)
+        i_left += v_pos
+        s_left += sq
+        sq *= z
+        j += sq
+        z_sum += z
+        v += h.kappa * dt * (h.theta - v_pos) + h.nu * sdt * sq
+    # trapezoid sums Q and S of v+ and sqrt(v+): half weight on v_0 and v_N
+    q, s = np.maximum(v, 0.0, out=v_pos), sq
+    np.sqrt(q, out=s)
+    for end, start, left_sum in ((q, h.v0, i_left), (s, math.sqrt(h.v0), s_left)):
+        end -= start
+        end *= 0.5
+        end += left_sum
+    # factor [[a, 0], [b, c]] of [[Q, S], [S, n_steps]], in place of v, s_left, s
+    a = np.sqrt(q, out=v)
+    b = np.divide(s, a, out=s_left)
+    c = np.sqrt(np.maximum(n_steps - b * b, 0.0, out=s), out=s)
+    # given the path, (sum sqrt(v+) dW, sum dW) over unit-variance steps dW of
+    # each factor orthogonal to Z is a pair with covariance [[Q, S], [S, n_steps]]
+    u1, w1, u2, w2 = rng.standard_normal((4, BLOCK_SIZE))[:, :n_in_block]
+    for u, w in ((u1, w1), (u2, w2)):
+        w *= c
+        w += b * u
+        u *= a
+    out = []
+    for lam, (rho_i, l_1, l_2) in ((model.lam_x, L[1]), (model.lam_y, L[2])):
+        log_r = l_1 * u1 + l_2 * u2
+        log_r += rho_i * j
+        log_r *= lam * sdt
+        log_r -= (0.5 * lam * lam * dt * rho_i * rho_i) * i_left
+        log_r -= (0.5 * lam * lam * dt * (1.0 - rho_i * rho_i)) * q
+        if not np.all(np.isfinite(log_r)):
+            raise NumericalError(
+                f"non-finite path values in block {block_index} (T={T}, steps={n_steps})"
+            )
+        log_g = l_1 * w1 + l_2 * w2
+        log_g += rho_i * z_sum
+        log_g *= lam * h.sigma0 * sdt
+        log_g -= 0.5 * (lam * h.sigma0) ** 2 * T
+        out += [np.exp(log_r, out=log_r), np.exp(log_g, out=log_g)]
+    return tuple(out)
 
 
 def simulate_terminal(model: TwoAssetModel, T: float, mc: McConfig) -> TerminalSample:
@@ -157,7 +184,9 @@ def simulate_terminal(model: TwoAssetModel, T: float, mc: McConfig) -> TerminalS
     regardless of ``mc.jobs``."""
     if not (np.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
-    L = cholesky3(model.corr)
+    c = model.corr
+    # the verdict runs inside cholesky3 and does not depend on the factor order
+    L = cholesky3(CorrelationStructure(rho=c.rho_x, rho_x=c.rho_y, rho_y=c.rho))
     n_steps = mc.steps_for(T)
     n_blocks = (mc.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
 
@@ -167,7 +196,7 @@ def simulate_terminal(model: TwoAssetModel, T: float, mc: McConfig) -> TerminalS
 
     with ThreadPoolExecutor(max_workers=mc.jobs) as pool:
         parts = list(pool.map(run, range(n_blocks)))
-    rx, ry, gx, gy = (np.concatenate(leg) for leg in zip(*parts))
+    rx, gx, ry, gy = (np.concatenate(leg) for leg in zip(*parts))
     return TerminalSample(rx=rx, ry=ry, gx=gx, gy=gy, T=T, model=model, mc=mc)
 
 
@@ -226,8 +255,8 @@ def simulate_vanilla(
     model: TwoAssetModel, asset_id: str, strike: float, T: float, mc: McConfig
 ) -> PriceEstimate:
     """One-leg vanilla call estimate with a Black-Scholes control variate at
-    the leg's spot volatility lam_i sigma0.  Uses the same three-factor path
-    engine so the leg dynamics match simulate_exchange exactly.  A call struck
+    the leg's spot volatility lam_i sigma0.  Uses the same path engine as
+    simulate_exchange, so the leg dynamics match it exactly.  A call struck
     at K is the option to exchange the leg for a riskless asset worth K
     (Margrabe 1978), so it goes through the exchange estimator."""
     if not (np.isfinite(strike) and strike >= 0):

@@ -445,7 +445,7 @@ class TestExperiment:
         with open(os.path.join(out_dir, "report.json")) as fh:
             metrics = json.load(fh)["metrics"]["T+rho:all"]
         assert len(metrics) == 4
-        assert all(m["atm_error"] == pytest.approx(0.064952, abs=1e-6) for m in metrics)
+        assert all(m["atm_error"] == pytest.approx(0.022646, abs=1e-6) for m in metrics)
         # rows carry their s0X, so the report needs no config to find it
         for config in (["--config", str(cfg)], []):
             code, out, _ = run_cli(
@@ -453,7 +453,7 @@ class TestExperiment:
                 "--results", os.path.join(out_dir, "results.csv"),
             )
             assert code == 0
-            assert re.findall(r"ATM=(\S+)", out) == ["0.064952"] * 4
+            assert re.findall(r"ATM=(\S+)", out) == ["0.022646"] * 4
 
 
 class TestConfigHandling:
@@ -507,8 +507,8 @@ class TestConfigHandling:
     # seed 7, T 0.05 and 0.25, 4096 paths; a change that alters these bytes
     # records the new digests and says why
     SWEEP_DIGESTS = {
-        "results.csv": "f327fd492ed119ec0e9659fe40fb5b838dcd46a474958c816c7a543f046e5e7b",
-        "report.json": "45a0bd33cb5d83aad7198a1175b8f6fccdd888907c461e510fc664c3f36aa28e",
+        "results.csv": "a0cea9a991460891019c3f2178d7701c3e1a002fc07e19b799ed2607329cf3ba",
+        "report.json": "43f1c4e0e52436d2e1f9e50f007d016d4f3f142d08fc9cae1af9a8b99b73c242",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

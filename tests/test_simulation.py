@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exchopt.errors import DomainError, InputError
 from exchopt.heston import exchange_option_price
 from exchopt.margrabe import convention_gamma, margrabe_price
-from exchopt.models import CorrelationStructure, HestonParams, TwoAssetModel
+from exchopt.models import CorrelationStructure, HestonParams, TwoAssetModel, _pivots
 from exchopt.simulation import (
     BLOCK_SIZE,
     McConfig,
@@ -37,43 +39,65 @@ CORNER_RHOS = [
 SINGULAR_RHOS = [(1.0, 0.3, 0.3), (1.0, -0.5, -0.5), (-1.0, -0.95, 0.95)]
 
 # not PSD although det is within 1e-12 of zero: rho = 1 with rho_y - rho rho_x =
-# 1e-7 (det -1e-14), and a nearly singular leading block whose final pivot is
-# -2.5e-4 (det -5e-13)
-NEAR_SINGULAR_INVALID_RHOS = [(1.0, 0.3, 0.3000001), (1.0 - 1e-9, 0.3, 0.300042667)]
+# 1e-7 (det -1e-14), a nearly singular leading block whose final pivot is
+# -2.5e-4 (det -5e-13), and rho_x = 1 with rho - rho_x rho_y = -1e-7 (det
+# -1e-14), whose (W^X, W^Y, Z) factor exists but whose Z-first one does not
+NEAR_SINGULAR_INVALID_RHOS = [
+    (1.0, 0.3, 0.3000001), (1.0 - 1e-9, 0.3, 0.300042667), (0.0, 1.0, 1e-7),
+]
+
+
+def z_first(c):
+    """c in the factor order (Z, W^X, W^Y) of the Monte Carlo engine."""
+    return CorrelationStructure(rho=c.rho_x, rho_x=c.rho_y, rho_y=c.rho)
+
+
+@st.composite
+def accepted_structures(draw):
+    """Structures the verdict accepts, many of them within a hair of the PSD
+    boundary rho_y = rho rho_x +- sqrt((1 - rho^2)(1 - rho_x^2)) in one of the
+    three cyclic factor orders."""
+    unit = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    rho, rho_x = draw(unit), draw(unit)
+    edge = math.sqrt((1 - rho * rho) * (1 - rho_x * rho_x)) * draw(st.sampled_from([-1, 0, 1]))
+    near = st.floats(-1e-6, 1e-6).map(lambda d: float(np.clip(rho * rho_x + edge + d, -1.0, 1.0)))
+    c = CorrelationStructure(rho, rho_x, draw(st.one_of(unit, near)))
+    for _ in range(draw(st.integers(0, 2))):
+        c = z_first(c)
+    assume(validate_correlation(c)[0])
+    return c
 
 
 # simulate_vanilla of reference case 1 at T 0.05 (10 000 paths, 500 steps a
-# year, seed 3), recorded while the vanilla estimate had a Black-Scholes
-# control mean of its own: (leg, strike, control variate) -> (value, stderr,
-# beta)
+# year, seed 3), recorded from the engine that draws the legs' own noise once
+# per path: (leg, strike, control variate) -> (value, stderr, beta)
 VANILLA_PINNED = {
-    ("X", 0.0, True): (100.00621012673086, 0.01215921167958224, 1.0661317824779009),
-    ("X", 80.0, True): (20.0072976309158, 0.012108969552053143, 1.0654459734279944),
-    ("X", 100.0, True): (2.1659464911896738, 0.00861618133551526, 0.9903696196538178),
-    ("X", 120.0, True): (0.0009286724054809806, 0.00044425484391622563, 1.0),
-    ("Y", 0.0, True): (99.99689737997873, 0.008188196287514772, 1.0634188474262856),
-    ("Y", 80.0, True): (19.996897379985413, 0.008188196287514774, 1.0634188474262856),
-    ("Y", 100.0, True): (1.4386323147989022, 0.005419745415056276, 0.944953179604777),
+    ("X", 0.0, True): (99.99827656127718, 0.012409976277518211, 1.0607677454248337),
+    ("X", 80.0, True): (20.00006770825318, 0.012357571519832333, 1.0596498669978889),
+    ("X", 100.0, True): (2.1659651017869668, 0.008938850123309633, 0.9798684527581326),
+    ("X", 120.0, True): (0.0006808311553805378, 0.00028486362192294955, 1.0),
+    ("Y", 0.0, True): (99.99761189699956, 0.008180938918929554, 1.0590647689573969),
+    ("Y", 80.0, True): (19.99763372374521, 0.008179131957314728, 1.0590413456966052),
+    ("Y", 100.0, True): (1.439518841327336, 0.005471394907105063, 0.9373740363940312),
     ("Y", 120.0, True): (1.7359090085459774e-08, 0.0, 1.0),
-    ("X", 0.0, False): (99.94016156115174, 0.05483820867257325, None),
-    ("X", 80.0, False): (19.941286992763008, 0.05479354274552975, None),
-    ("X", 100.0, False): (2.1264267806910597, 0.030744807747501043, None),
-    ("X", 120.0, False): (0.000987827941564788, 0.000566532420192948, None),
-    ("Y", 0.0, False): (99.93873993195997, 0.036801534184857154, None),
-    ("Y", 80.0, False): (19.93873993195998, 0.036801534184857154, None),
-    ("Y", 100.0, False): (1.4245417143500465, 0.019553939061779244, None),
+    ("X", 0.0, False): (100.09771624672511, 0.055210255561398934, None),
+    ("X", 80.0, False): (20.099398065547092, 0.05514324644482277, None),
+    ("X", 100.0, False): (2.218548529903562, 0.031480098237189995, None),
+    ("X", 120.0, False): (0.00048531590942284595, 0.00028486362192294955, None),
+    ("Y", 0.0, False): (100.04003672187035, 0.036074573955536704, None),
+    ("Y", 80.0, False): (20.040057610302494, 0.03607340738407287, None),
+    ("Y", 100.0, False): (1.4425396769040892, 0.01948267934836114, None),
     ("Y", 120.0, False): (0.0, 0.0, None),
 }
 
 
-# sha256 of the terminal factors of reference case 1 at T 0.15 (300 steps, more
-# than one 256-step draw chunk), 4097 paths (one partial block),
-# seed 11; the same for any worker count
+# sha256 of the terminal factors of reference case 1 at T 0.15 (300 steps),
+# 4097 paths (one partial block), seed 11; the same for any worker count
 SAMPLE_DIGESTS = {
-    "rx": "1ecd8405134398b8534d56ee704c3bfcaf04dedbb154468a64b4bdd96b8ffa72",
-    "ry": "b300e847abc84e4a50d299aca9f9db2da8a266cb5c646b983683c3cd045b52ab",
-    "gx": "6daf42c7d66b9e9957e0b3117a8b97d005e48d77ce3ccfd981befa044639ae69",
-    "gy": "8e3d41271e96401b2ca7bdb4077216f18a38138d08abe079484cb928cc66da1f",
+    "rx": "992d8e57ea2a22c961d5d8bddafd4ef472e51cf91ef3ca4f5cb9ee109b8aabde",
+    "ry": "048009576de5c2f2d7c5c0368695fd5a2ceceee76a6fd18fde76f7f69ef584a8",
+    "gx": "32bec24776bde7cf40b83dbd1a68324c5ff4ef1f7e9535ef84ca367199a8f275",
+    "gy": "f2009de99763a4e0c8875db79455a964d82dc9b20e9882310e25bb8423720e26",
 }
 
 
@@ -127,6 +151,8 @@ class TestValidateCorrelation:
             cholesky3(CorrelationStructure(*rhos))
         with pytest.raises(DomainError, match="not PSD"):
             exchange_option_price(grid_model(*rhos), 0.05)
+        with pytest.raises(DomainError, match="not PSD"):
+            simulate_terminal(grid_model(*rhos), 0.05, McConfig(n_paths=16, n_steps=20))
 
     def test_verdict_is_the_factorisation(self, rng):
         # near-singular draws: |rho| at or near 1, rho_y at or near the PSD boundary
@@ -187,6 +213,19 @@ class TestCholesky3:
         with pytest.raises(DomainError):
             cholesky3(CorrelationStructure(0.9, -0.72, 0.59))
 
+    @settings(max_examples=400, deadline=None)
+    @given(accepted_structures())
+    def test_z_first_factor_exists_for_every_accepted_structure(self, c):
+        L = cholesky3(z_first(c))
+        assert np.abs(L @ L.T - z_first(c).matrix()).max() <= 1e-12 + 1e-15  # plus rounding
+
+    def test_verdict_precedes_the_z_first_factor(self):
+        # (1, 0.3, 0.3000001) has a Z-first factor, but the verdict refuses it
+        c = CorrelationStructure(1.0, 0.3, 0.3000001)
+        assert _pivots(c.rho_x, c.rho_y, c.rho) is not None
+        with pytest.raises(DomainError, match="not PSD"):
+            cholesky3(z_first(c))
+
 
 @pytest.mark.parametrize("T", [0.05, 0.25])
 @pytest.mark.parametrize("rhos", SINGULAR_RHOS)
@@ -224,14 +263,51 @@ class TestControlVariate:
         assert on.value == pytest.approx(off.value, abs=4.0 * off.stderr)
 
     def test_sparse_control_keeps_estimate_near_exact(self):
-        # only 2 of 8192 control payoffs are non-zero; a beta fitted on them
-        # (24.4) put this estimate 5.5 standard errors above the exact price
+        # only 2 of 8192 control payoffs are non-zero, and a beta fitted on so
+        # few can move the estimate many standard errors, so beta stays 1
         model = grid_model(-0.1, 0.18, -0.61, s0y=120.0)
         mc = McConfig(n_paths=8192, n_steps=2000, seed=267)
         est = simulate_exchange(model, 0.05, mc)
         exact = exchange_option_price(model, 0.05)
         assert est.beta == 1.0
         assert abs(est.value - exact) <= 3.0 * est.stderr
+
+
+class TestConditionalLegs:
+    def test_orthogonal_variance_is_the_trapezoid_sum(self):
+        # nu ~ 0 makes the variance path the deterministic Euler path; with
+        # rho_X = 0, var log rx is lam^2 dt times its trapezoid sum, which lies
+        # (v_N - v_0) / 2 away from the left-point sum as v drifts to theta
+        h = HestonParams(kappa=1.5, theta=0.15, nu=1e-14, sigma0=0.15)
+        model = TwoAssetModel(
+            heston=h, lam_x=1.3, lam_y=1.0, s0x=100.0, s0y=100.0,
+            corr=CorrelationStructure(rho=0.3, rho_x=0.0, rho_y=-0.5),
+        )
+        T, mc = 0.5, McConfig(n_paths=200_000, n_steps=20, seed=12)
+        n = mc.steps_for(T)
+        dt = T / n
+        v = [h.v0]
+        for _ in range(n):
+            v.append(v[-1] + h.kappa * (h.theta - v[-1]) * dt)
+        left = sum(v[:-1])
+        trapezoid = left + 0.5 * (v[-1] - v[0])
+        var = np.var(np.log(simulate_terminal(model, T, mc).rx), ddof=1)
+        se = var * math.sqrt(2.0 / (mc.n_paths - 1))
+        assert n == 10
+        assert abs(var - model.lam_x**2 * dt * trapezoid) <= 4.0 * se
+        assert abs(var - model.lam_x**2 * dt * left) > 10.0 * se
+
+    # at -0.61 and 0.59, l21 = resid / l11 would differ from l11 in the last
+    # bit (and L[2, 2] would read 1e-8 at 0.59); _pivots uses resid / d22
+    @pytest.mark.parametrize("rho_sv", [-0.72, -0.61, 0.18, 0.59])
+    def test_identical_legs_are_bit_identical(self, rho_sv):
+        model = TwoAssetModel(
+            heston=BASE_PARAMS, lam_x=1.24, lam_y=1.24, s0x=100.0, s0y=100.0,
+            corr=CorrelationStructure(rho=1.0, rho_x=rho_sv, rho_y=rho_sv),
+        )
+        sample = simulate_terminal(model, 0.05, McConfig(n_paths=BLOCK_SIZE + 5, seed=3))
+        assert np.array_equal(sample.rx, sample.ry)
+        assert np.array_equal(sample.gx, sample.gy)
 
 
 class TestMartingale:
