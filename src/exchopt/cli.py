@@ -96,17 +96,28 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     return raw
 
 
+def _typed(name: str, key: str, like: object, value: object) -> object:
+    """``value`` read as the type of the schema value ``like``: a YAML bool
+    for a bool key and nowhere else, an integral number for an int key, and
+    each entry of a list key as a float key."""
+    if isinstance(like, tuple):
+        return tuple(_typed(name, key, 0.0, x) for x in value)
+    kind = ("true or false" if isinstance(like, bool)
+            else "an integer" if type(like) is int else "a number")
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(like, bool) != isinstance(value, bool) or type(like) is int and not integral:
+        raise InputError(f"{name} config key {key} must be {kind}, got {value!r}")
+    return type(like)(value)
+
+
 def _section(name: str, given: dict) -> dict:
-    """The keys given in one config section, each read as the type of its
-    schema value; a key outside the schema is an InputError."""
+    """The keys given in one config section, each read by ``_typed``; a key
+    outside the schema is an InputError."""
     schema = _SCHEMA[name]
     unknown = [str(k) for k in given if k not in schema]
     if unknown:
         raise InputError(f"unknown {name} config key(s): {', '.join(unknown)}")
-    return {
-        k: tuple(float(x) for x in v) if isinstance(schema[k], tuple) else type(schema[k])(v)
-        for k, v in given.items()
-    }
+    return {k: _typed(name, k, schema[k], v) for k, v in given.items()}
 
 
 def _build_run_config(raw: dict, out_dir: str) -> RunConfig:

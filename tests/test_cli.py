@@ -507,8 +507,8 @@ class TestConfigHandling:
     # seed 7, T 0.05 and 0.25, 4096 paths; a change that alters these bytes
     # records the new digests and says why
     SWEEP_DIGESTS = {
-        "results.csv": "a0cea9a991460891019c3f2178d7701c3e1a002fc07e19b799ed2607329cf3ba",
-        "report.json": "43f1c4e0e52436d2e1f9e50f007d016d4f3f142d08fc9cae1af9a8b99b73c242",
+        "results.csv": "77c8a3f577872b64b386097246efc0fa2f6dc4453ecd6ebd26d0d8943baee602",
+        "report.json": "efc60784f441de57432a82c9633c60024d0c9036c1122cf192408a606797e63f",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -586,6 +586,34 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "ERROR code=2 type=InputError" in err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"mc": {"use_control_variate": "false"}}, "use_control_variate"),
+            ({"mc": {"n_paths": 2000.9}}, "n_paths"),
+            ({"mc": {"seed": True}}, "seed"),
+            ({"model": {"kappa": True}}, "kappa"),
+            ({"grid": {"rho_list": [0.5, False]}}, "rho_list"),
+        ],
+        ids=["bool", "int", "bool-as-int", "bool-as-float", "bool-in-list"],
+    )
+    def test_mistyped_scalar_key_exit_2(self, capsys, out_dir, tmp_path, config, key):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        code, out, err = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "--print-config",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR code=2 type=InputError")
+        assert key in err
+
+    def test_yaml_bool_and_integral_number_are_read(self, out_dir):
+        raw = load_config(None, {"mc": {"use_control_variate": False, "n_paths": 2000.0}})
+        mc = _build_run_config(raw, out_dir).mc
+        assert mc.use_control_variate is False
+        assert mc.n_paths == 2000 and isinstance(mc.n_paths, int)
 
     def test_config_without_model_is_input_error(self, out_dir):
         raw = {k: v for k, v in load_config(None).items() if k != "model"}

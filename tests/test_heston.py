@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from exchopt import heston
 from exchopt.blackscholes import bs_price, implied_vol
 from exchopt.errors import DomainError, InputError, NumericalError
-from exchopt.experiments import reference_case_model
+from exchopt.experiments import GridSpec, reference_case_model
 from exchopt.heston import (
     Smile,
     build_smile,
@@ -22,7 +23,7 @@ from exchopt.heston import (
     smile_csv_rows,
     _cf_log_return,
 )
-from exchopt.models import AssetSpec, HestonParams
+from exchopt.models import AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel
 from exchopt.simulation import McConfig, simulate_exchange, simulate_vanilla
 
 BASE_PARAMS = HestonParams(kappa=1.5, theta=0.15, nu=0.5, sigma0=0.15)
@@ -101,12 +102,12 @@ class TestEffectiveHeston:
 
 
 # heston_vanilla_price of reference case 1's legs at strikes 80, 100, 120,
-# recorded when callers still passed effective parameters, rho_sv and s0
+# recorded from the real-form kernel (cos/sin per strike, real-arithmetic log1p)
 CASE1_VANILLAS = {
-    ("X", 0.05): (20.00135282806561, 2.16565241956703, 0.00037798693679123673),
-    ("X", 1.0): (27.412064827561533, 16.28244748896961, 9.055239006033647),
-    ("Y", 0.05): (20.000021403833035, 1.444482698932916, 6.042515296904153e-09),
-    ("Y", 1.0): (23.676086271334306, 10.880273282142069, 3.721883156689751),
+    ("X", 0.05): (20.00135282806561, 2.165652419567026, 0.00037798693678931037),
+    ("X", 1.0): (27.412064827561533, 16.28244748896961, 9.055239006033649),
+    ("Y", 0.05): (20.000021403833035, 1.4444826989329156, 6.04251182923818e-09),
+    ("Y", 1.0): (23.676086271334306, 10.880273282142072, 3.7218831566897523),
 }
 FROZEN = {"kappa": 5.0, "theta": 0.0225, "sigma0": 0.15}  # nu -> 0: variance stays sigma0^2
 UNIT_LEG = AssetSpec(lam=1.0, rho_sv=-0.5, s0=100.0)
@@ -124,7 +125,7 @@ class TestVanillaPricer:
 
     def test_pinned_degenerate_price(self):
         params = HestonParams(nu=1e-4, **FROZEN)
-        assert heston_vanilla_price(params, UNIT_LEG, 110.0, 0.25) == 0.3807039068101607
+        assert heston_vanilla_price(params, UNIT_LEG, 110.0, 0.25) == 0.3807039068101593
 
     def test_degenerate_is_black_scholes(self):
         bs = bs_price(X100, math.log(110.0), 0.15, 0.25)
@@ -353,7 +354,7 @@ class TestFourierKernel:
         args = leg_kernel(**leg)
         batch = heston._time_values(*args, GRID_Z)
         single = [heston._time_values(*args, [z])[0] for z in GRID_Z]
-        assert np.max(np.abs(batch - single)) <= 5e-13
+        assert np.array_equal(batch, single)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @leg_models
@@ -401,3 +402,34 @@ class TestFourierKernel:
             heston._time_values(*args, [0.0, math.nan])
         with pytest.raises(InputError):
             heston._time_values(*args[:-1], 0.0, [0.0])
+
+    def test_clog1p_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20070101)
+        r = np.exp(rng.uniform(math.log(1e-12), math.log(0.5), 4000))
+        w = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+        got = heston._clog1p(w)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for wi, gi in zip(w, got):
+                exact = mpmath.log(1 + mpmath.mpc(wi.real, wi.imag))
+                err = abs(mpmath.mpc(gi.real, gi.imag) - exact) / abs(exact)
+                worst = max(worst, float(err))
+        assert worst <= 1e-15
+
+    def test_slowly_decaying_exchange_price_stays_small_in_memory(self):
+        # the ratio asset at (0.9, 0.18, 0.59), T 0.1 integrates out to a far
+        # cut-off over 10^5 nodes a level; chunks of whole panels keep each
+        # array at a few thousand nodes
+        spec = GridSpec()
+        model = TwoAssetModel(
+            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y, s0x=spec.s0x,
+            s0y=100.0, corr=CorrelationStructure(rho=0.9, rho_x=0.18, rho_y=0.59),
+        )
+        tracemalloc.start()
+        try:
+            exchange_option_price(model, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
