@@ -9,9 +9,11 @@ accurate near 1e-13 of spot even for far strikes worth almost nothing.  The
 characteristic function over the damping denominator, f, is evaluated once per
 node for the whole batch, in chunks of whole panels (at most 3072 nodes, so
 memory does not grow with the cut-off), and each strike reads it as
-cos(uk) Re f + sin(uk) Im f: a 41-strike smile costs little more than one
-strike, and vanilla and exchange prices are one-strike batches.  The complex
-log1p inside the characteristic function is taken in real arithmetic.
+cos(uk) Re f + sin(uk) Im f, summed panel by panel with its phase split at the
+panel midpoint (``_panel_sums``), so trig runs per panel, not per node: a
+41-strike smile costs little more than one strike, and vanilla and exchange
+prices are one-strike batches.  The complex log1p inside the characteristic
+function is taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -140,23 +142,40 @@ def _cf_log_return(
     return np.exp(A - minus_D * v0)
 
 
+def _panel_sums(
+    f: np.ndarray, mids: np.ndarray, half: float, ks: np.ndarray
+) -> list[float]:
+    """Sum of w_g [cos(uk) Re f + sin(uk) Im f] over the Gauss-Legendre nodes
+    u = m + half x_g of panels with midpoints ``mids`` (f has one row of
+    _GL_NODES values per panel), for each log-strike in ``ks``.
+
+    Splitting uk = mk + (half x_g) k, a panel sums to cos(mk) A + sin(mk) B,
+    where A + iB = f @ (w e^{-i half x k}): A = Re f (w cos(half x k)) +
+    Im f (w sin(half x k)) and B = Im f (w cos(half x k)) - Re f (w sin(half x k)).
+    Trig runs once per panel and once per abscissa, not once per node.  Each
+    strike's product is its own, so its bits do not depend on the rest of ``ks``."""
+    hk = np.multiply.outer(ks, half * _GL_X)
+    weights = _GL_W * (np.cos(hk) - 1j * np.sin(hk))
+    mk = np.multiply.outer(ks, mids)
+    phases = np.cos(mk) + 1j * np.sin(mk)
+    return [np.vdot(p, f @ w).real for p, w in zip(phases, weights)]
+
+
 def _damped_values(
     cf: Callable[[np.ndarray], np.ndarray], ks: Sequence[float], alpha: float
 ) -> list[float]:
     """Damped-transform values for unit spot at log-strikes ``ks`` of calls
     (alpha > 0) or puts (alpha < -1): Re(e^{-iuk} f) = cos(uk) Re f + sin(uk) Im f,
     f = cf(u - (alpha+1)i) / den(u) computed once per node for the whole batch,
-    on Gauss-Legendre panels over [0, upper], _CHUNK_PANELS panels at a time.
+    on Gauss-Legendre panels over [0, upper], _CHUNK_PANELS panels at a time,
+    and read by each strike through its per-panel phases (``_panel_sums``).
     A strike's ``upper`` is the first doubling where its integrand is below
     _TAIL_TOL; panels then double until its estimate moves by less than
     max(_ABS_TOL, _REL_TOL |est|), and it keeps the estimate of that level."""
 
-    def shared(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def damped_cf(u: np.ndarray) -> np.ndarray:
         den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
-        return u, cf(u - (alpha + 1.0) * 1j) / den
-
-    def integrand(u: np.ndarray, f: np.ndarray, k: float) -> np.ndarray:
-        return np.cos(u * k) * f.real + np.sin(u * k) * f.imag
+        return cf(u - (alpha + 1.0) * 1j) / den
 
     est: dict[int, float] = {}
     pending, upper = list(range(len(ks))), 100.0
@@ -164,19 +183,20 @@ def _damped_values(
         if upper > 2e6:
             raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u={upper} "
                                  f"at log-strikes {[ks[i] for i in pending]}")
-        at = shared(np.linspace(upper, 1.25 * upper, 7))
-        over = [i for i in pending if np.max(np.abs(integrand(*at, ks[i]))) > _TAIL_TOL]
+        u = np.linspace(upper, 1.25 * upper, 7)
+        f, uk = damped_cf(u), np.multiply.outer([ks[i] for i in pending], u)
+        tail = np.max(np.abs(np.cos(uk) * f.real + np.sin(uk) * f.imag), axis=1)
+        over = [i for i, t in zip(pending, tail) if t > _TAIL_TOL]
         todo, prev, n_panels = [i for i in pending if i not in over], {}, max(32, int(upper / 4.0))
         for _ in range(_MAX_REFINE + 1):
             if not todo:
                 break
-            half = 0.5 * upper / n_panels
-            mids, sums = half * np.arange(1, 2 * n_panels, 2), dict.fromkeys(todo, 0.0)
+            half, k_todo = 0.5 * upper / n_panels, np.array([ks[i] for i in todo])
+            mids, sums = half * np.arange(1, 2 * n_panels, 2), np.zeros(len(todo))
             for mid in np.array_split(mids, -(-n_panels // _CHUNK_PANELS)):
-                at = shared((mid[:, None] + half * _GL_X[None, :]).ravel())
-                for i in todo:
-                    sums[i] += float(np.sum(integrand(*at, ks[i]).reshape(-1, _GL_NODES) @ _GL_W))
-            cur = {i: v * half for i, v in sums.items()}
+                f = damped_cf(mid[:, None] + half * _GL_X[None, :])
+                sums += _panel_sums(f, mid, half, k_todo)
+            cur = {i: v * half for i, v in zip(todo, sums.tolist())}
             step = {i: abs(v - prev.get(i, math.inf)) for i, v in cur.items()}
             est.update((i, v) for i, v in cur.items() if step[i] < max(_ABS_TOL, _REL_TOL * abs(v)))
             todo, prev, n_panels = [i for i in todo if i not in est], cur, 2 * n_panels

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import blackscholes
-from .errors import DomainError, InputError
+from .errors import InputError
 
 __all__ = [
     "margrabe_price",
@@ -61,15 +61,16 @@ def exchange_implied_vol(price: float, x: float, y: float, T: float) -> float:
 def implied_correlation(gamma_hat: float, i_x: float, i_y: float) -> float:
     """rho_hat = (I_X^2 + I_Y^2 - gamma_hat^2) / (2 I_X I_Y).
 
-    The unique rho reproducing gamma_hat through convention_gamma.  Values
+    The unique rho reproducing gamma_hat through convention_gamma, whose leg
+    vols it likewise requires finite and positive (InputError).  Values
     outside [-1, 1] are possible for distorted inputs; they are returned
     unchanged with an ImpliedCorrelationBoundsWarning rather than clamped so
     implied-correlation curves stay visible.
     """
     if not (np.isfinite(gamma_hat) and gamma_hat >= 0):
         raise InputError(f"gamma_hat must be finite and >= 0, got {gamma_hat}")
-    if i_x * i_y == 0 or not (np.isfinite(i_x) and np.isfinite(i_y)):
-        raise DomainError(f"leg vols must be nonzero, got {i_x}, {i_y}")
+    if not (np.isfinite(i_x) and i_x > 0 and np.isfinite(i_y) and i_y > 0):
+        raise InputError(f"leg vols must be positive, got {i_x}, {i_y}")
     rho_hat = (i_x * i_x + i_y * i_y - gamma_hat * gamma_hat) / (2.0 * i_x * i_y)
     if abs(rho_hat) > 1.0:
         warnings.warn(

@@ -507,8 +507,8 @@ class TestConfigHandling:
     # seed 7, T 0.05 and 0.25, 4096 paths; a change that alters these bytes
     # records the new digests and says why
     SWEEP_DIGESTS = {
-        "results.csv": "77c8a3f577872b64b386097246efc0fa2f6dc4453ecd6ebd26d0d8943baee602",
-        "report.json": "efc60784f441de57432a82c9633c60024d0c9036c1122cf192408a606797e63f",
+        "results.csv": "be88a6393cf5ee05d205728ea925565f8a1ebff622e3539e934f814293d50207",
+        "report.json": "a9b9fbabd33faf3d4615abf1a0e61d7ccc6ca487df41aeeb995aa9ea0f0046eb",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -102,12 +102,12 @@ class TestEffectiveHeston:
 
 
 # heston_vanilla_price of reference case 1's legs at strikes 80, 100, 120,
-# recorded from the real-form kernel (cos/sin per strike, real-arithmetic log1p)
+# recorded from the kernel that reads each strike through per-panel phases
 CASE1_VANILLAS = {
-    ("X", 0.05): (20.00135282806561, 2.165652419567026, 0.00037798693678931037),
-    ("X", 1.0): (27.412064827561533, 16.28244748896961, 9.055239006033649),
-    ("Y", 0.05): (20.000021403833035, 1.4444826989329156, 6.04251182923818e-09),
-    ("Y", 1.0): (23.676086271334306, 10.880273282142072, 3.7218831566897523),
+    ("X", 0.05): (20.00135282806561, 2.1656524195670244, 0.0003779869367873195),
+    ("X", 1.0): (27.412064827561533, 16.282447488969613, 9.05523900603365),
+    ("Y", 0.05): (20.000021403833035, 1.4444826989329156, 6.042508186988985e-09),
+    ("Y", 1.0): (23.676086271334306, 10.880273282142078, 3.721883156689753),
 }
 FROZEN = {"kappa": 5.0, "theta": 0.0225, "sigma0": 0.15}  # nu -> 0: variance stays sigma0^2
 UNIT_LEG = AssetSpec(lam=1.0, rho_sv=-0.5, s0=100.0)
@@ -125,7 +125,7 @@ class TestVanillaPricer:
 
     def test_pinned_degenerate_price(self):
         params = HestonParams(nu=1e-4, **FROZEN)
-        assert heston_vanilla_price(params, UNIT_LEG, 110.0, 0.25) == 0.3807039068101593
+        assert heston_vanilla_price(params, UNIT_LEG, 110.0, 0.25) == 0.38070390681015615
 
     def test_degenerate_is_black_scholes(self):
         bs = bs_price(X100, math.log(110.0), 0.15, 0.25)
@@ -351,10 +351,40 @@ class TestFourierKernel:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @leg_models
     def test_batch_equals_one_strike_at_a_time(self, **leg):
+        # the smile knots in either order, and with the first-rung window
+        # strikes (lo, 0, hi) of the observables appended
         args = leg_kernel(**leg)
-        batch = heston._time_values(*args, GRID_Z)
-        single = [heston._time_values(*args, [z])[0] for z in GRID_Z]
-        assert np.array_equal(batch, single)
+        lo, hi = heston.CONVENTION_SKEW_WINDOW
+        knots_and_window = np.concatenate((GRID_Z, [lo, 0.0, hi]))
+        single = {z: heston._time_values(*args, [z])[0] for z in knots_and_window}
+        for zs in (GRID_Z, GRID_Z[::-1], knots_and_window):
+            assert np.array_equal(heston._time_values(*args, zs), [single[z] for z in zs])
+
+    @pytest.mark.parametrize("alpha", [heston._DAMPING_ALPHA, -1.0 - heston._DAMPING_ALPHA])
+    def test_panel_phases_match_the_node_form(self, alpha):
+        # the level at upper 409600 (1.5e5 rad at |k| 0.36) of a slowly decaying
+        # leg, whose integrand is still nonzero at its far panels
+        cf = lambda u: _cf_log_return(u, 1.0, 1e-4, 1.0, 1e-4, -0.5, 0.05)
+        ks = np.array([-0.36, -0.05, 0.0, 0.05, 0.36])
+        upper, n_panels = 409_600.0, 102_400
+        half = 0.5 * upper / n_panels
+        mids = half * np.arange(1, 2 * n_panels, 2)
+        panel, node, size = np.zeros((3, ks.size))
+        eps = np.finfo(float).eps
+        for mid in np.array_split(mids, n_panels // heston._CHUNK_PANELS):
+            u = mid[:, None] + half * heston._GL_X[None, :]
+            den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
+            f = cf(u - (alpha + 1.0) * 1j) / den
+            uk = np.multiply.outer(ks, u)
+            terms = heston._GL_W * (np.cos(uk) * f.real + np.sin(uk) * f.imag)
+            by_panel = np.array(heston._panel_sums(f, mid, half, ks))
+            by_node = terms.sum(axis=(1, 2))
+            # within a chunk, the phase uk itself carries eps |uk| of rounding
+            cond = (heston._GL_W * np.abs(f) * (1.0 + np.abs(uk))).sum(axis=(1, 2))
+            assert np.all(np.abs(by_panel - by_node) <= 4.0 * eps * cond)
+            panel, node, size = panel + by_panel, node + by_node, size + np.abs(terms).sum(axis=(1, 2))
+        assert mids[-1] * ks.max() > 1e5
+        assert np.all(np.abs(panel - node) <= 4.0 * eps * size)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @leg_models

@@ -103,8 +103,19 @@ class TestImpliedCorrelation:
         assert value < -1.0
 
     def test_zero_leg_vol_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             implied_correlation(0.2, 0.0, 0.3)
+
+    # a negative leg vol used to return -0.75 for (0.2, -0.2, 0.3), and a NaN
+    # or inf one raised DomainError("leg vols must be nonzero")
+    @pytest.mark.parametrize("bad", [-0.2, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("leg", ["x", "y"])
+    def test_leg_vols_refused_as_convention_gamma_refuses_them(self, leg, bad):
+        i_x, i_y = (bad, 0.3) if leg == "x" else (0.2, bad)
+        with pytest.raises(InputError, match="leg vols must be positive"):
+            convention_gamma(i_x, i_y, 0.5)
+        with pytest.raises(InputError, match="leg vols must be positive"):
+            implied_correlation(0.2, i_x, i_y)
 
 
 class TestShortTimeConvergence:
