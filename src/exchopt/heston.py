@@ -12,12 +12,15 @@ memory does not grow with the cut-off), and each strike reads it as
 cos(uk) Re f + sin(uk) Im f, summed panel by panel with its phase split at the
 panel midpoint (``_panel_sums``), so trig runs per panel, not per node: a
 41-strike smile costs little more than one strike, and vanilla and exchange
-prices are one-strike batches.  The complex log1p inside the characteristic
-function is taken in real arithmetic.
+prices are one-strike batches.  A leg's smile knots and the first rung of its
+convention-window strikes are one batch per (leg, T) (``_leg_quote``), kept
+for the last few legs.  The complex log1p inside the characteristic function
+is taken in real arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -61,6 +64,7 @@ MIN_TIME_VALUE = 1e-12
 # short-time-limit semantics instead.
 CONVENTION_SKEW_WINDOW = (math.log(0.8), math.log(1.2))
 WINDOW_SHRINK_LADDER = (1.0, 0.8, 0.6, 0.45, 0.3, 0.2, 0.12, 0.07, 0.04)
+_QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
 
 _DAMPING_ALPHA = 0.75  # e^{alpha k} damping; alpha and -1-alpha share alpha^2+alpha
 _TAIL_TOL = 1e-14
@@ -70,6 +74,7 @@ _GL_NODES = 24
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _MAX_REFINE = 9
 _CHUNK_PANELS = 128  # 3072 nodes: no level allocates more at once
+_QUOTE_MEMO = 16  # legs whose quote batch is kept: a sweep maturity has 10
 
 
 @dataclass(frozen=True)
@@ -243,6 +248,25 @@ def _leg_time_values(
     return _time_values(eff.kappa, kt, eff.nu, eff.v0, asset.rho_sv, T, zs)
 
 
+def _leg_quote(params: HestonParams, asset: AssetSpec, T: float) -> np.ndarray:
+    """Read-only time values for unit spot of one leg at the SMILE_GRID_POINTS
+    smile knots, then at the first-rung window strikes _QUOTE_WINDOW: the one
+    kernel batch that build_smile_grid and measure_smile_observables share,
+    kept for the last _QUOTE_MEMO legs (keyed on the kernel's floats, so the
+    spot does not split them).  Batching leaves each strike's bits unchanged."""
+    eff = effective_heston(params, asset)
+    kt = eff.kappa * eff.theta
+    return _quote_time_values(eff.kappa, kt, eff.nu, eff.v0, asset.rho_sv, T)
+
+
+@functools.lru_cache(maxsize=_QUOTE_MEMO)
+def _quote_time_values(*cf_args: float) -> np.ndarray:
+    zs = [*np.linspace(*SMILE_GRID_SPAN, SMILE_GRID_POINTS), *_QUOTE_WINDOW]
+    tv = _time_values(*cf_args, zs)
+    tv.flags.writeable = False
+    return tv
+
+
 def heston_vanilla_price(
     params: HestonParams, asset: AssetSpec, strike: float, T: float
 ) -> float:
@@ -349,7 +373,7 @@ def build_smile_grid(
     the contiguous wing (lookups past the kept knots use flat extrapolation).
     """
     zs = np.linspace(SMILE_GRID_SPAN[0], SMILE_GRID_SPAN[1], SMILE_GRID_POINTS)
-    tv = _leg_time_values(params, asset, zs, T)
+    tv = _leg_quote(params, asset, T)[:SMILE_GRID_POINTS]
     keep = tv >= MIN_TIME_VALUE
     if not np.any(keep):
         raise DomainError(
@@ -379,7 +403,8 @@ def _observables(
         zs = (factor * window[0], 0.0, factor * window[1])
         tvs = []
         for asset in (asset_x, asset_y):
-            tv = _leg_time_values(params, asset, zs, T)
+            tv = (_leg_quote(params, asset, T)[SMILE_GRID_POINTS:] if zs == _QUOTE_WINDOW
+                  else _leg_time_values(params, asset, zs, T))
             if min(tv[0], tv[2]) < MIN_TIME_VALUE:
                 break
             tvs.append(tv)

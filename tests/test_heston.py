@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from exchopt import heston
+from exchopt import experiments, heston
 from exchopt.blackscholes import bs_price, implied_vol
 from exchopt.errors import DomainError, InputError, NumericalError
 from exchopt.experiments import GridSpec, reference_case_model
 from exchopt.heston import (
     Smile,
+    SmileObservables,
     build_smile,
     build_smile_grid,
     effective_heston,
@@ -24,7 +25,7 @@ from exchopt.heston import (
     _cf_log_return,
 )
 from exchopt.models import AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel
-from exchopt.simulation import McConfig, simulate_exchange, simulate_vanilla
+from exchopt.simulation import McConfig, PriceEstimate, simulate_exchange, simulate_vanilla
 
 BASE_PARAMS = HestonParams(kappa=1.5, theta=0.15, nu=0.5, sigma0=0.15)
 X100 = math.log(100.0)
@@ -463,3 +464,123 @@ class TestFourierKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Strike list of every Fourier kernel call, with the leg-quote memo cold."""
+    calls, kernel = [], heston._time_values
+
+    def spy(*args):
+        calls.append(list(args[-1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(heston, "_time_values", spy)
+    heston._quote_time_values.cache_clear()
+    return calls
+
+
+def own_rung_observables(params, asset_x, asset_y, T, window):
+    """Observables over ``window`` with each leg's (lo, 0, hi) priced as its own
+    3-strike kernel call."""
+    lo, hi = window
+    levels, skews = [], []
+    for asset in (asset_x, asset_y):
+        zs = (lo, 0.0, hi)
+        tv = heston._leg_time_values(params, asset, zs, T)
+        dn, atm, up = (heston._vol_from_time_value(t, z, T) for t, z in zip(tv, zs))
+        levels.append(atm)
+        skews.append((up - dn) / (hi - lo))
+    return SmileObservables(levels[0], levels[1], skews[0], skews[1], T, window)
+
+
+def assert_cold_and_warm_observables_match_own_rung(params, asset_x, asset_y, T):
+    heston._quote_time_values.cache_clear()
+    cold = measure_smile_observables(params, asset_x, asset_y, T)
+    heston._quote_time_values.cache_clear()
+    for asset in (asset_x, asset_y):
+        build_smile_grid(params, asset, T)
+    warm = measure_smile_observables(params, asset_x, asset_y, T)
+    assert cold == warm == own_rung_observables(params, asset_x, asset_y, T, cold.window)
+
+
+class TestLegQuote:
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    def test_quote_path_prices_each_leg_in_one_kernel_call(self, kernel_calls, case1_model, T):
+        # the calls of `exchopt price exchange --convention a-star`
+        m = case1_model
+        measure_smile_observables(m.heston, m.asset_x, m.asset_y, T)
+        for asset in (m.asset_x, m.asset_y):
+            build_smile_grid(m.heston, asset, T)
+        assert len(kernel_calls) == 2
+
+    def test_sweep_prices_each_leg_and_maturity_in_one_kernel_call(self, kernel_calls, monkeypatch):
+        # the default grid's smiles and observables, with its Monte Carlo
+        # stubbed out so every benchmark price reads as sub-cent
+        monkeypatch.setattr(experiments, "simulate_terminal", lambda model, T, mc: None)
+        monkeypatch.setattr(experiments, "exchange_estimate_from_sample",
+                            lambda sample, s0x, s0y: PriceEstimate(0.0, 0.0, 0, 0))
+        spec = GridSpec()
+        experiments.run_grid(spec)
+        quote = [*GRID_Z, *heston._QUOTE_WINDOW]
+        lo, hi = heston.CONVENTION_SKEW_WINDOW
+        later_rungs = [[f * lo, 0.0, f * hi] for f in heston.WINDOW_SHRINK_LADDER[1:]]
+        legs = len(spec.T_list) * (len(spec.rho_x_list) + len(spec.rho_y_list))
+        assert sum(ks == quote for ks in kernel_calls) == legs
+        assert all(ks == quote or ks in later_rungs for ks in kernel_calls)
+
+    def test_memo_stays_bounded_over_many_legs(self):
+        # legs a hair apart: each is a new entry, with the same quadrature effort
+        legs = [AssetSpec(lam=1.0 + 1e-6 * i, rho_sv=-0.6, s0=100.0) for i in range(100)]
+        heston._quote_time_values.cache_clear()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for half in (legs[:50], legs[50:]):
+                tracemalloc.reset_peak()
+                for asset in half:
+                    heston._leg_quote(BASE_PARAMS, asset, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            info, held = heston._quote_time_values.cache_info(), tracemalloc.get_traced_memory()[0]
+            heston._quote_time_values.cache_clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert info.misses == 100 and info.maxsize == heston._QUOTE_MEMO
+        assert info.currsize <= heston._QUOTE_MEMO
+        # the memo frees what it holds: at most _QUOTE_MEMO entries of about
+        # 0.7 KiB; the second 50 legs peak no higher than the first (a memo
+        # holding all 100 legs holds 62 KiB and peaks 36-44 KiB higher)
+        assert held < heston._QUOTE_MEMO * 2**10
+        assert peaks[1] - peaks[0] < 16 * 2**10
+
+    def test_quote_is_read_only_and_shared_across_spots(self, case1_model):
+        from dataclasses import replace
+
+        asset = case1_model.asset_x
+        tv = heston._leg_quote(BASE_PARAMS, asset, 0.05)
+        with pytest.raises(ValueError):
+            tv[0] = 0.0
+        assert heston._leg_quote(BASE_PARAMS, replace(asset, s0=80.0), 0.05) is tv
+
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    def test_observables_cold_or_warm_match_their_own_rung(self, case, T):
+        m = reference_case_model(case)
+        assert_cold_and_warm_observables_match_own_rung(m.heston, m.asset_x, m.asset_y, T)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        kappa=st.floats(0.3, 3.0), theta=st.floats(0.02, 0.3),
+        nu=st.floats(0.1, 1.0), sigma0=st.floats(0.08, 0.4),
+        lam_x=st.floats(0.5, 1.6), lam_y=st.floats(0.5, 1.6),
+        rho_x=st.floats(-0.72, 0.48), rho_y=st.floats(-0.61, 0.59),
+        s0y=st.floats(80.0, 120.0), T=st.floats(0.02, 1.0),
+    )
+    def test_observables_cold_or_warm_match_their_own_rung_property(
+        self, kappa, theta, nu, sigma0, lam_x, lam_y, rho_x, rho_y, s0y, T
+    ):
+        params = HestonParams(kappa=kappa, theta=theta, nu=nu, sigma0=sigma0)
+        asset_x = AssetSpec(lam=lam_x, rho_sv=rho_x, s0=100.0)
+        asset_y = AssetSpec(lam=lam_y, rho_sv=rho_y, s0=s0y)
+        assert_cold_and_warm_observables_match_own_rung(params, asset_x, asset_y, T)

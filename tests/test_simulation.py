@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exchopt.errors import DomainError, InputError
@@ -54,17 +54,29 @@ def z_first(c):
 
 @st.composite
 def accepted_structures(draw):
-    """Structures the verdict accepts, many of them within a hair of the PSD
-    boundary rho_y = rho rho_x +- sqrt((1 - rho^2)(1 - rho_x^2)) in one of the
-    three cyclic factor orders."""
+    """Structures the verdict accepts, built without rejection: rho_y = rho rho_x
+    + t sqrt((1 - rho^2)(1 - rho_x^2)), t in [-1, 1], often on the PSD boundary
+    (t = +-1) give or take 1e-6, then clipped inside the verdict by bisection
+    towards rho rho_x (which it accepts), so many lie within a hair of its
+    boundary; then put in one of the three cyclic factor orders."""
     unit = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
     rho, rho_x = draw(unit), draw(unit)
-    edge = math.sqrt((1 - rho * rho) * (1 - rho_x * rho_x)) * draw(st.sampled_from([-1, 0, 1]))
-    near = st.floats(-1e-6, 1e-6).map(lambda d: float(np.clip(rho * rho_x + edge + d, -1.0, 1.0)))
-    c = CorrelationStructure(rho, rho_x, draw(st.one_of(unit, near)))
+    t = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 0.0, 1.0])))
+    offset = draw(st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)))
+    accepted = lambda rho_y: validate_correlation(CorrelationStructure(rho, rho_x, rho_y))[0]
+    inside = rho * rho_x
+    rho_y = float(np.clip(inside + t * math.sqrt((1 - rho * rho) * (1 - rho_x * rho_x)) + offset,
+                          -1.0, 1.0))
+    for _ in range(100):
+        if accepted(rho_y):
+            break
+        mid = 0.5 * (inside + rho_y)
+        inside, rho_y = (mid, rho_y) if accepted(mid) else (inside, mid)
+    else:
+        rho_y = inside
+    c = CorrelationStructure(rho, rho_x, rho_y)
     for _ in range(draw(st.integers(0, 2))):
         c = z_first(c)
-    assume(validate_correlation(c)[0])
     return c
 
 
