@@ -97,15 +97,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def _typed(name: str, key: str, like: object, value: object) -> object:
-    """``value`` read as the type of the schema value ``like``: a YAML bool
-    for a bool key and nowhere else, an integral number for an int key, and
-    each entry of a list key as a float key."""
+    """``value`` read as the type of the schema value ``like``: an integral
+    number for an int key, and each entry of a list key as a float key; no key
+    takes a YAML bool."""
     if isinstance(like, tuple):
         return tuple(_typed(name, key, 0.0, x) for x in value)
-    kind = ("true or false" if isinstance(like, bool)
-            else "an integer" if type(like) is int else "a number")
+    kind = "an integer" if type(like) is int else "a number"
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(like, bool) != isinstance(value, bool) or type(like) is int and not integral:
+    if isinstance(value, bool) or type(like) is int and not integral:
         raise InputError(f"{name} config key {key} must be {kind}, got {value!r}")
     return type(like)(value)
 
@@ -185,7 +184,7 @@ def _cmd_price_mc(cfg: RunConfig, args) -> int:
     x, y = math.log(model.s0x), math.log(model.s0y)
     print(f"mc price {est.value:.6f}")
     print(f"mc stderr {est.stderr:.6f}")
-    print(f"paths {est.n_paths} seed {est.seed} beta {est.beta if est.beta is not None else 'off'}")
+    print(f"paths {est.n_paths} seed {est.seed} beta {est.beta}")
     try:
         gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, cfg.maturity)
         rho_hat = margrabe.implied_correlation(gamma_hat, atm.level_x, atm.level_y)

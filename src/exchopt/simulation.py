@@ -5,9 +5,10 @@ inside both drift and diffusion), and each step draws only its driver Z.
 Given the variance path, each leg's log-return is Gaussian (Romano & Touzi
 1997; Willard 1997): its Z part sum sqrt(v+) dZ (left point, compensated with
 the left-point sum of v+) is read off the path, and its part orthogonal to Z
-(variance the trapezoid sum of v+) is drawn once per path after the last step,
-jointly with the plain sums that drive the constant-volatility
-Margrabe/Black-Scholes control variate.
+(variance the trapezoid sum of v+) comes from one standard normal per path and
+orthogonal factor, drawn after the last step.  The constant-volatility
+Margrabe/Black-Scholes control legs read the same Z sums and the same normals,
+so each control is exact geometric Brownian motion whatever the variance path.
 
 Paths are generated in fixed blocks of ``BLOCK_SIZE``; block b of a run with
 seed s draws from a dedicated Philox stream keyed (s, b), so results are
@@ -20,6 +21,7 @@ row, so a path's draws do not depend on n_paths.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,18 +66,17 @@ class McConfig:
     n_paths: int = 100_000
     n_steps: int = DEFAULT_STEPS_PER_YEAR
     seed: int = 0
-    use_control_variate: bool = True
     jobs: int = 1
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise InputError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.n_steps < 1:
-            raise InputError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not 0 <= self.seed < 2**64:
+        for name, low in (("n_paths", 1), ("n_steps", 1), ("seed", 0), ("jobs", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InputError(f"{name} must be >= {low}, got {value}")
+        if self.seed >= 2**64:
             raise InputError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.jobs < 1:
-            raise InputError(f"jobs must be >= 1, got {self.jobs}")
 
     def steps_for(self, T: float) -> int:
         return max(1, math.ceil(self.n_steps * T))
@@ -89,7 +90,7 @@ class PriceEstimate:
     stderr: float
     n_paths: int
     seed: int
-    beta: float | None = None  # control-variate coefficient actually applied
+    beta: float  # control-variate coefficient actually applied
 
     def __post_init__(self):
         if self.stderr < 0:
@@ -101,8 +102,9 @@ class TerminalSample:
     """Terminal unit-spot factors of one simulation run and its inputs.
 
     ``rx, ry``: gross returns S_T^i / S_0^i of the Heston legs.
-    ``gx, gy``: gross returns of the constant-vol (lam_i sigma0) control legs
-    driven by each leg's own W^i.  Prices for any spot pair follow by homogeneity.
+    ``gx, gy``: gross returns of the constant-vol (lam_i sigma0) control legs,
+    exact GBM with correlation rho, driven by the Z path and orthogonal normals
+    of their own leg.  Prices for any spot pair follow by homogeneity.
     """
 
     rx: np.ndarray
@@ -119,7 +121,8 @@ def _simulate_block(
     n_steps: int, seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(rx, gx, ry, gy) of one block of paths from its own Philox stream; rows 1
-    and 2 of the Z-first factor ``L`` load W^X and W^Y on Z and on two factors orthogonal to Z."""
+    and 2 of the Z-first factor ``L`` load W^X and W^Y on Z and on two factors
+    orthogonal to Z, which leg and control share."""
     dt = T / n_steps
     sdt = math.sqrt(dt)
     h = model.heston
@@ -130,38 +133,30 @@ def _simulate_block(
     z = z_row[:n_in_block]
     v = np.full(n_in_block, h.v0)
     v_pos, sq = np.empty(n_in_block), np.empty(n_in_block)
-    # per path: sum v+ (left point), sum sqrt(v+), sum sqrt(v+) z, sum z
-    i_left, s_left, j, z_sum = np.zeros((4, n_in_block))
+    # per path: sum v+ (left point), sum sqrt(v+) z, sum z
+    i_left, j, z_sum = np.zeros((3, n_in_block))
     for _ in range(n_steps):
         rng.standard_normal(out=z_row)
         np.sqrt(np.maximum(v, 0.0, out=v_pos), out=sq)
         i_left += v_pos
-        s_left += sq
         sq *= z
         j += sq
         z_sum += z
         v += h.kappa * dt * (h.theta - v_pos) + h.nu * sdt * sq
-    # trapezoid sums Q and S of v+ and sqrt(v+): half weight on v_0 and v_N
-    q, s = np.maximum(v, 0.0, out=v_pos), sq
-    np.sqrt(q, out=s)
-    for end, start, left_sum in ((q, h.v0, i_left), (s, math.sqrt(h.v0), s_left)):
-        end -= start
-        end *= 0.5
-        end += left_sum
-    # factor [[a, 0], [b, c]] of [[Q, S], [S, n_steps]], in place of v, s_left, s
-    a = np.sqrt(q, out=v)
-    b = np.divide(s, a, out=s_left)
-    c = np.sqrt(np.maximum(n_steps - b * b, 0.0, out=s), out=s)
-    # given the path, (sum sqrt(v+) dW, sum dW) over unit-variance steps dW of
-    # each factor orthogonal to Z is a pair with covariance [[Q, S], [S, n_steps]]
-    u1, w1, u2, w2 = rng.standard_normal((4, BLOCK_SIZE))[:, :n_in_block]
-    for u, w in ((u1, w1), (u2, w2)):
-        w *= c
-        w += b * u
-        u *= a
+    # trapezoid sum Q of v+: half weight on v_0 and v_N
+    q = 0.5 * (np.maximum(v, 0.0, out=v_pos) - h.v0) + i_left
+    # given the path, sum sqrt(v+) dW over unit-variance steps dW of a factor
+    # orthogonal to Z is N(0, Q), and sum dW is N(0, n_steps): one standard
+    # normal per path and factor, scaled by sqrt(Q) for the leg and by
+    # sqrt(n_steps) for its control
+    e1, e2 = rng.standard_normal((2, BLOCK_SIZE))[:, :n_in_block]
+    root_q = np.sqrt(q, out=v)
     out = []
     for lam, (rho_i, l_1, l_2) in ((model.lam_x, L[1]), (model.lam_y, L[2])):
-        log_r = l_1 * u1 + l_2 * u2
+        # the leg's orthogonal normal, in buffers the step loop is done with
+        e = np.multiply(e1, l_1, out=sq)
+        e += np.multiply(e2, l_2, out=z)
+        log_r = e * root_q
         log_r += rho_i * j
         log_r *= lam * sdt
         log_r -= (0.5 * lam * lam * dt * rho_i * rho_i) * i_left
@@ -170,7 +165,7 @@ def _simulate_block(
             raise NumericalError(
                 f"non-finite path values in block {block_index} (T={T}, steps={n_steps})"
             )
-        log_g = l_1 * w1 + l_2 * w2
+        log_g = e * math.sqrt(n_steps)
         log_g += rho_i * z_sum
         log_g *= lam * h.sigma0 * sdt
         log_g -= 0.5 * (lam * h.sigma0) ** 2 * T
@@ -204,25 +199,22 @@ def _estimate(
     leg_x: np.ndarray, leg_y: np.ndarray | float, cv_x: np.ndarray, cv_y: np.ndarray | float,
     s0x: float, s0y: float, sigma_cv: float, T: float, mc: McConfig,
 ) -> PriceEstimate:
-    """Estimate of E(leg_x - leg_y)^+ from terminal leg values.  With the
-    control variate on, (cv_x - cv_y)^+ is the control; its mean is the
-    Margrabe price of (s0x, s0y) at sigma_cv, or the intrinsic value when
-    sigma_cv or s0y is 0."""
+    """Estimate of E(leg_x - leg_y)^+ from terminal leg values, with the
+    control (cv_x - cv_y)^+; its mean is the Margrabe price of (s0x, s0y) at
+    sigma_cv, or the intrinsic value when sigma_cv or s0y is 0."""
     payoff = np.maximum(leg_x - leg_y, 0.0)
     n = payoff.shape[0]
-    beta = None
-    if mc.use_control_variate:
-        cv_payoff = np.maximum(cv_x - cv_y, 0.0)
-        if sigma_cv == 0.0 or s0y == 0.0:
-            cv_mean = max(s0x - s0y, 0.0)
-        else:
-            cv_mean = margrabe.margrabe_price(math.log(s0x), math.log(s0y), sigma_cv, T)
-        beta = 1.0  # kept when the control is too sparse or constant to fit
-        if np.count_nonzero(cv_payoff) >= _MIN_FIT_NONZERO_CONTROL:
-            var_cv = float(np.var(cv_payoff, ddof=1))
-            if var_cv > 0.0:
-                beta = float(np.cov(payoff, cv_payoff, ddof=1)[0, 1]) / var_cv
-        payoff = payoff - beta * (cv_payoff - cv_mean)
+    cv_payoff = np.maximum(cv_x - cv_y, 0.0)
+    if sigma_cv == 0.0 or s0y == 0.0:
+        cv_mean = max(s0x - s0y, 0.0)
+    else:
+        cv_mean = margrabe.margrabe_price(math.log(s0x), math.log(s0y), sigma_cv, T)
+    beta = 1.0  # kept when the control is too sparse or constant to fit
+    if np.count_nonzero(cv_payoff) >= _MIN_FIT_NONZERO_CONTROL:
+        var_cv = float(np.var(cv_payoff, ddof=1))
+        if var_cv > 0.0:
+            beta = float(np.cov(payoff, cv_payoff, ddof=1)[0, 1]) / var_cv
+    payoff = payoff - beta * (cv_payoff - cv_mean)
     value = float(np.mean(payoff))
     err = float(np.std(payoff, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return PriceEstimate(value, err, n, mc.seed, beta=beta)
@@ -235,8 +227,7 @@ def exchange_estimate_from_sample(
     normalized sample (payoff homogeneity in the initial spots)."""
     model = sample.model
     sx, sy = model.lam_x * model.heston.sigma0, model.lam_y * model.heston.sigma0
-    # not margrabe.convention_gamma: x**2 and x*x differ in the last bit for some x
-    sigma_cv = math.sqrt(max(sx**2 + sy**2 - 2.0 * model.rho * sx * sy, 0.0))
+    sigma_cv = margrabe.convention_gamma(sx, sy, model.rho)
     return _estimate(
         s0x * sample.rx, s0y * sample.ry, s0x * sample.gx, s0y * sample.gy,
         s0x, s0y, sigma_cv, sample.T, sample.mc,
@@ -245,8 +236,8 @@ def exchange_estimate_from_sample(
 
 def simulate_exchange(model: TwoAssetModel, T: float, mc: McConfig) -> PriceEstimate:
     """Monte Carlo value of E(S_T^X - S_T^Y)^+ with the constant-volatility
-    Margrabe control variate (beta fitted per run unless disabled or the
-    control is too sparse to fit)."""
+    Margrabe control variate (beta fitted per run unless the control is too
+    sparse to fit)."""
     sample = simulate_terminal(model, T, mc)
     return exchange_estimate_from_sample(sample, model.s0x, model.s0y)
 

@@ -445,7 +445,7 @@ class TestExperiment:
         with open(os.path.join(out_dir, "report.json")) as fh:
             metrics = json.load(fh)["metrics"]["T+rho:all"]
         assert len(metrics) == 4
-        assert all(m["atm_error"] == pytest.approx(0.022646, abs=1e-6) for m in metrics)
+        assert all(m["atm_error"] == pytest.approx(0.000715, abs=1e-6) for m in metrics)
         # rows carry their s0X, so the report needs no config to find it
         for config in (["--config", str(cfg)], []):
             code, out, _ = run_cli(
@@ -453,7 +453,7 @@ class TestExperiment:
                 "--results", os.path.join(out_dir, "results.csv"),
             )
             assert code == 0
-            assert re.findall(r"ATM=(\S+)", out) == ["0.022646"] * 4
+            assert re.findall(r"ATM=(\S+)", out) == ["0.000715"] * 4
 
 
 class TestConfigHandling:
@@ -478,7 +478,6 @@ class TestConfigHandling:
             "  n_paths: 100000\n"
             "  n_steps: 2000\n"
             "  seed: 0\n"
-            "  use_control_variate: true\n"
             "model:\n"
             "  kappa: 1.5\n"
             "  lam_x: 1.5\n"
@@ -507,8 +506,8 @@ class TestConfigHandling:
     # seed 7, T 0.05 and 0.25, 4096 paths; a change that alters these bytes
     # records the new digests and says why
     SWEEP_DIGESTS = {
-        "results.csv": "be88a6393cf5ee05d205728ea925565f8a1ebff622e3539e934f814293d50207",
-        "report.json": "a9b9fbabd33faf3d4615abf1a0e61d7ccc6ca487df41aeeb995aa9ea0f0046eb",
+        "results.csv": "afe902a88a8e082721b5129ef2e205edb7537084126cfd0920d38998a3174f14",
+        "report.json": "7bb8fd466f55a6d599846da8be37a8cca9209b946eefeeb17f2e516efbaab932",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -538,9 +537,10 @@ class TestConfigHandling:
             ({"modle": {"kappa": 2.0}}, "modle"),
             ({"model": {"kapa": 9.0}}, "kapa"),
             ({"mc": {"n_path": 10}}, "n_path"),
+            ({"mc": {"use_control_variate": False}}, "use_control_variate"),
             ({"grid": {"rho_lst": [0.5], "T_list": [0.05]}}, "rho_lst"),
         ],
-        ids=["top", "model", "mc", "grid"],
+        ids=["top", "model", "mc", "mc-removed-switch", "grid"],
     )
     def test_unknown_key_exit_2(self, capsys, out_dir, tmp_path, config, key):
         cfg = tmp_path / "typo.yaml"
@@ -590,13 +590,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "config, key",
         [
-            ({"mc": {"use_control_variate": "false"}}, "use_control_variate"),
             ({"mc": {"n_paths": 2000.9}}, "n_paths"),
             ({"mc": {"seed": True}}, "seed"),
             ({"model": {"kappa": True}}, "kappa"),
             ({"grid": {"rho_list": [0.5, False]}}, "rho_list"),
         ],
-        ids=["bool", "int", "bool-as-int", "bool-as-float", "bool-in-list"],
+        ids=["int", "bool-as-int", "bool-as-float", "bool-in-list"],
     )
     def test_mistyped_scalar_key_exit_2(self, capsys, out_dir, tmp_path, config, key):
         cfg = tmp_path / "bad.yaml"
@@ -609,11 +608,13 @@ class TestConfigHandling:
         assert err.startswith("ERROR code=2 type=InputError")
         assert key in err
 
-    def test_yaml_bool_and_integral_number_are_read(self, out_dir):
-        raw = load_config(None, {"mc": {"use_control_variate": False, "n_paths": 2000.0}})
+    def test_integral_number_is_read_and_removed_switch_refused(self, out_dir):
+        raw = load_config(None, {"mc": {"n_paths": 2000.0}})
         mc = _build_run_config(raw, out_dir).mc
-        assert mc.use_control_variate is False
         assert mc.n_paths == 2000 and isinstance(mc.n_paths, int)
+        raw = load_config(None, {"mc": {"use_control_variate": True}})
+        with pytest.raises(InputError, match="unknown mc config key.*use_control_variate"):
+            _build_run_config(raw, out_dir)
 
     def test_config_without_model_is_input_error(self, out_dir):
         raw = {k: v for k, v in load_config(None).items() if k != "model"}

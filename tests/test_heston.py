@@ -519,7 +519,7 @@ class TestLegQuote:
         # stubbed out so every benchmark price reads as sub-cent
         monkeypatch.setattr(experiments, "simulate_terminal", lambda model, T, mc: None)
         monkeypatch.setattr(experiments, "exchange_estimate_from_sample",
-                            lambda sample, s0x, s0y: PriceEstimate(0.0, 0.0, 0, 0))
+                            lambda sample, s0x, s0y: PriceEstimate(0.0, 0.0, 0, 0, beta=1.0))
         spec = GridSpec()
         experiments.run_grid(spec)
         quote = [*GRID_Z, *heston._QUOTE_WINDOW]

@@ -53,3 +53,11 @@ def test_sample_carries_its_inputs():
     names = {f.name for f in fields(simulation.TerminalSample)}
     assert {"model", "mc", "T"} <= names
     assert not {"sigma_cv_x", "sigma_cv_y"} & names
+
+
+def test_control_variate_is_not_optional():
+    from dataclasses import fields
+
+    from exchopt import simulation
+
+    assert "use_control_variate" not in {f.name for f in fields(simulation.McConfig)}

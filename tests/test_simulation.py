@@ -13,9 +13,11 @@ from exchopt.heston import exchange_option_price
 from exchopt.margrabe import convention_gamma, margrabe_price
 from exchopt.models import CorrelationStructure, HestonParams, TwoAssetModel, _pivots
 from exchopt.simulation import (
+    _MIN_FIT_NONZERO_CONTROL,
     BLOCK_SIZE,
     McConfig,
     cholesky3,
+    exchange_estimate_from_sample,
     simulate_exchange,
     simulate_terminal,
     simulate_vanilla,
@@ -81,35 +83,27 @@ def accepted_structures(draw):
 
 
 # simulate_vanilla of reference case 1 at T 0.05 (10 000 paths, 500 steps a
-# year, seed 3), recorded from the engine that draws the legs' own noise once
-# per path: (leg, strike, control variate) -> (value, stderr, beta)
+# year, seed 3), recorded from the engine whose control legs read their own
+# leg's orthogonal normals: (leg, strike) -> (value, stderr, beta)
 VANILLA_PINNED = {
-    ("X", 0.0, True): (99.99827656127718, 0.012409976277518211, 1.0607677454248337),
-    ("X", 80.0, True): (20.00006770825318, 0.012357571519832333, 1.0596498669978889),
-    ("X", 100.0, True): (2.1659651017869668, 0.008938850123309633, 0.9798684527581326),
-    ("X", 120.0, True): (0.0006808311553805378, 0.00028486362192294955, 1.0),
-    ("Y", 0.0, True): (99.99761189699956, 0.008180938918929554, 1.0590647689573969),
-    ("Y", 80.0, True): (19.99763372374521, 0.008179131957314728, 1.0590413456966052),
-    ("Y", 100.0, True): (1.439518841327336, 0.005471394907105063, 0.9373740363940312),
-    ("Y", 120.0, True): (1.7359090085459774e-08, 0.0, 1.0),
-    ("X", 0.0, False): (100.09771624672511, 0.055210255561398934, None),
-    ("X", 80.0, False): (20.099398065547092, 0.05514324644482277, None),
-    ("X", 100.0, False): (2.218548529903562, 0.031480098237189995, None),
-    ("X", 120.0, False): (0.00048531590942284595, 0.00028486362192294955, None),
-    ("Y", 0.0, False): (100.04003672187035, 0.036074573955536704, None),
-    ("Y", 80.0, False): (20.040057610302494, 0.03607340738407287, None),
-    ("Y", 100.0, False): (1.4425396769040892, 0.01948267934836114, None),
-    ("Y", 120.0, False): (0.0, 0.0, None),
+    ("X", 0.0): (99.99564913441331, 0.010380347248667094, 1.0696209730605755),
+    ("X", 80.0): (19.997443592111853, 0.010323764918195415, 1.068488482909194),
+    ("X", 100.0): (2.1631319676055236, 0.007527878752276561, 0.9930062563606394),
+    ("X", 120.0): (0.0003594490391522906, 0.00041367556424666644, 1.0),
+    ("Y", 0.0): (99.99533530537661, 0.007216417711234755, 1.0701326514654148),
+    ("Y", 80.0): (19.995335305383342, 0.007216417711234755, 1.0701326514654148),
+    ("Y", 100.0): (1.4443874698153898, 0.0048475049696483285, 0.9534877598724169),
+    ("Y", 120.0): (1.7359090085459774e-08, 0.0, 1.0),
 }
 
 
 # sha256 of the terminal factors of reference case 1 at T 0.15 (300 steps),
 # 4097 paths (one partial block), seed 11; the same for any worker count
 SAMPLE_DIGESTS = {
-    "rx": "992d8e57ea2a22c961d5d8bddafd4ef472e51cf91ef3ca4f5cb9ee109b8aabde",
-    "ry": "048009576de5c2f2d7c5c0368695fd5a2ceceee76a6fd18fde76f7f69ef584a8",
-    "gx": "32bec24776bde7cf40b83dbd1a68324c5ff4ef1f7e9535ef84ca367199a8f275",
-    "gy": "f2009de99763a4e0c8875db79455a964d82dc9b20e9882310e25bb8423720e26",
+    "rx": "85436907f63ff4621af0963d536910080d8fb90ceb21ec816f6778a52253a1fe",
+    "ry": "4b0181304580270fa0ee0cbb549aedbf35a0fc5fd0d2215e0efb92326f510bba",
+    "gx": "7bdffba4bacb4e035bb1eeb766b7e28f90ed68f6a1ab71cdeed57c23f4fccd52",
+    "gy": "933fb4784eb87db995f39f4e3a007009ec6ba05290cd34e396802916085673a0",
 }
 
 
@@ -266,20 +260,46 @@ class TestControlVariate:
 
     @pytest.mark.parametrize("rho,rho_x,rho_y", CORNER_RHOS)
     def test_cv_reduces_stderr_on_corners(self, rho, rho_x, rho_y):
+        # the plain estimator reads the same paths' payoffs without the control
         model = grid_model(rho, rho_x, rho_y)
-        mc_on = McConfig(n_paths=20_000, n_steps=500, seed=9)
-        mc_off = replace(mc_on, use_control_variate=False)
-        on = simulate_exchange(model, 0.25, mc_on)
-        off = simulate_exchange(model, 0.25, mc_off)
-        assert on.stderr < off.stderr
-        assert on.value == pytest.approx(off.value, abs=4.0 * off.stderr)
+        sample = simulate_terminal(model, 0.25, McConfig(n_paths=20_000, n_steps=500, seed=9))
+        on = exchange_estimate_from_sample(sample, model.s0x, model.s0y)
+        plain = np.maximum(model.s0x * sample.rx - model.s0y * sample.ry, 0.0)
+        off_stderr = np.std(plain, ddof=1) / math.sqrt(plain.size)
+        assert on.stderr < off_stderr
+        assert on.value == pytest.approx(np.mean(plain), abs=4.0 * off_stderr)
+
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    @pytest.mark.parametrize("rho,rho_x,rho_y", CORNER_RHOS)
+    def test_control_legs_follow_their_own_law(self, rho, rho_x, rho_y, T):
+        # whatever the variance path, the controls are GBM with vols lam_i
+        # sigma0 and correlation rho, so the Margrabe price is their mean
+        model = grid_model(rho, rho_x, rho_y)
+        sample = simulate_terminal(model, T, McConfig(n_paths=50_000, n_steps=250, seed=13))
+        n = sample.gx.size
+        logs = []
+        for g, lam in ((sample.gx, model.lam_x), (sample.gy, model.lam_y)):
+            assert abs(np.mean(g) - 1.0) <= 4.0 * np.std(g, ddof=1) / math.sqrt(n)
+            var = np.var(np.log(g), ddof=1)
+            expected = (lam * BASE_PARAMS.sigma0) ** 2 * T
+            assert abs(var - expected) <= 4.0 * expected * math.sqrt(2.0 / (n - 1))
+            logs.append(np.log(g))
+        corr = np.corrcoef(*logs)[0, 1]
+        assert abs(corr - rho) <= 4.0 * (1.0 - rho * rho) / math.sqrt(n - 3)
+        payoff = np.maximum(model.s0x * sample.gx - model.s0y * sample.gy, 0.0)
+        sx, sy = model.lam_x * BASE_PARAMS.sigma0, model.lam_y * BASE_PARAMS.sigma0
+        x, y = math.log(model.s0x), math.log(model.s0y)
+        exact = margrabe_price(x, y, convention_gamma(sx, sy, rho), T)
+        assert abs(np.mean(payoff) - exact) <= 4.0 * np.std(payoff, ddof=1) / math.sqrt(n)
 
     def test_sparse_control_keeps_estimate_near_exact(self):
-        # only 2 of 8192 control payoffs are non-zero, and a beta fitted on so
-        # few can move the estimate many standard errors, so beta stays 1
+        # a beta fitted on a handful of non-zero control payoffs can move the
+        # estimate many standard errors, so beta stays 1 below the threshold
         model = grid_model(-0.1, 0.18, -0.61, s0y=120.0)
-        mc = McConfig(n_paths=8192, n_steps=2000, seed=267)
-        est = simulate_exchange(model, 0.05, mc)
+        sample = simulate_terminal(model, 0.05, McConfig(n_paths=8192, n_steps=2000, seed=267))
+        control = np.maximum(model.s0x * sample.gx - model.s0y * sample.gy, 0.0)
+        assert 0 < np.count_nonzero(control) < _MIN_FIT_NONZERO_CONTROL
+        est = exchange_estimate_from_sample(sample, model.s0x, model.s0y)
         exact = exchange_option_price(model, 0.05)
         assert est.beta == 1.0
         assert abs(est.value - exact) <= 3.0 * est.stderr
@@ -349,12 +369,25 @@ class TestMartingale:
 
 
 class TestVanilla:
-    @pytest.mark.parametrize("leg, strike, cv", sorted(VANILLA_PINNED))
-    def test_pinned_estimates(self, case1_model, leg, strike, cv):
+    @pytest.mark.parametrize("leg, strike", sorted(VANILLA_PINNED))
+    def test_pinned_estimates(self, case1_model, leg, strike):
         # a call struck at K is priced as an exchange against a riskless K
-        mc = McConfig(n_paths=10_000, n_steps=500, seed=3, use_control_variate=cv)
+        mc = McConfig(n_paths=10_000, n_steps=500, seed=3)
         est = simulate_vanilla(case1_model, leg, strike, 0.05, mc)
-        assert (est.value, est.stderr, est.beta) == VANILLA_PINNED[leg, strike, cv]
+        assert (est.value, est.stderr, est.beta) == VANILLA_PINNED[leg, strike]
+
+class TestMcConfig:
+    @pytest.mark.parametrize("field", ["n_paths", "n_steps", "seed", "jobs"])
+    @pytest.mark.parametrize("value", [True, 5000.0, 100.5, "7"])
+    def test_non_integral_count_refused(self, field, value):
+        with pytest.raises(InputError, match=field):
+            McConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        mc = McConfig(n_paths=np.int64(64), n_steps=np.int32(50), seed=np.uint64(3),
+                      jobs=np.int8(2))
+        assert (mc.n_paths, mc.n_steps, mc.seed, mc.jobs) == (64, 50, 3, 2)
+
 
 class TestDeterminism:
     def test_bit_identical_repeat(self, case1_model, fast_mc):
