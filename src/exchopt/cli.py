@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -98,13 +99,16 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 def _typed(name: str, key: str, like: object, value: object) -> object:
     """``value`` read as the type of the schema value ``like``: an integral
-    number for an int key, and each entry of a list key as a float key; no key
-    takes a YAML bool."""
+    number for an int key, a number for a float key, and a list of numbers for
+    a list key; no key takes a YAML bool or string."""
     if isinstance(like, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise InputError(f"{name} config key {key} must be a list of numbers, got {value!r}")
         return tuple(_typed(name, key, 0.0, x) for x in value)
     kind = "an integer" if type(like) is int else "a number"
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or type(like) is int and not integral:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or type(like) is int and not integral):
         raise InputError(f"{name} config key {key} must be {kind}, got {value!r}")
     return type(like)(value)
 
@@ -131,7 +135,7 @@ def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
         )
         model = TwoAssetModel(heston=heston, corr=corr, **m)
         mc = McConfig(**{"jobs": os.cpu_count() or 1, **_section("mc", raw["mc"])})
-        maturity = float(raw["maturity"])
+        maturity = _typed("top-level", "maturity", 0.0, raw["maturity"])
         if not (maturity > 0 and math.isfinite(maturity)):
             raise InputError(f"maturity must be positive, got {maturity}")
         grid = experiments.GridSpec(

@@ -594,8 +594,14 @@ class TestConfigHandling:
             ({"mc": {"seed": True}}, "seed"),
             ({"model": {"kappa": True}}, "kappa"),
             ({"grid": {"rho_list": [0.5, False]}}, "rho_list"),
+            ({"model": {"kappa": "2.5"}}, "kappa"),
+            ({"grid": {"T_list": "15"}}, "T_list"),
+            ({"grid": {"T_list": 0.05}}, "T_list"),
+            ({"grid": {"rho_list": [0.5, "0.1"]}}, "rho_list"),
+            ({"maturity": "0.05"}, "maturity"),
         ],
-        ids=["int", "bool-as-int", "bool-as-float", "bool-in-list"],
+        ids=["int", "bool-as-int", "bool-as-float", "bool-in-list", "string-as-float",
+             "string-as-list", "number-as-list", "string-in-list", "string-maturity"],
     )
     def test_mistyped_scalar_key_exit_2(self, capsys, out_dir, tmp_path, config, key):
         cfg = tmp_path / "bad.yaml"
