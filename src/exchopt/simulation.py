@@ -132,7 +132,7 @@ def _simulate_block(
     z_row = np.empty(BLOCK_SIZE)
     z = z_row[:n_in_block]
     v = np.full(n_in_block, h.v0)
-    v_pos, sq = np.empty(n_in_block), np.empty(n_in_block)
+    v_pos, sq, drift = np.empty((3, n_in_block))
     # per path: sum v+ (left point), sum sqrt(v+) z, sum z
     i_left, j, z_sum = np.zeros((3, n_in_block))
     for _ in range(n_steps):
@@ -142,7 +142,9 @@ def _simulate_block(
         sq *= z
         j += sq
         z_sum += z
-        v += h.kappa * dt * (h.theta - v_pos) + h.nu * sdt * sq
+        np.multiply(np.subtract(h.theta, v_pos, out=drift), h.kappa * dt, out=drift)
+        drift += np.multiply(sq, h.nu * sdt, out=sq)
+        v += drift
     # trapezoid sum Q of v+: half weight on v_0 and v_N
     q = 0.5 * (np.maximum(v, 0.0, out=v_pos) - h.v0) + i_left
     # given the path, sum sqrt(v+) dW over unit-variance steps dW of a factor
