@@ -103,7 +103,9 @@ def _typed(name: str, key: str, like: object, value: object) -> object:
     a list key; no key takes a YAML bool or string."""
     if isinstance(like, tuple):
         if not isinstance(value, (list, tuple)):
-            raise InputError(f"{name} config key {key} must be a list of numbers, got {value!r}")
+            raise InputError(
+                f"{name} config key {key} must be a list of numbers, got {value!r}"
+            )
         return tuple(_typed(name, key, 0.0, x) for x in value)
     kind = "an integer" if type(like) is int else "a number"
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()

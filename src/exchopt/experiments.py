@@ -591,10 +591,12 @@ def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:
 
     config = {**asdict(spec), "conventions": CONVENTIONS}
     del config["mc"]["jobs"]  # results do not depend on the worker count
-    # per-combination streams: SeedSequence((seed, iT, irho, irx, iry)),
-    # then Philox blocks of BLOCK_SIZE paths keyed (stream, block index)
+    # per-combination streams: SeedSequence((seed, iT, irho, irx, iry)) gives
+    # the stream seed, then block b of BLOCK_SIZE paths draws SFC64 from child b
+    # of SeedSequence(stream seed)
     config["mc"]["stream_derivation"] = (
-        f"seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of {BLOCK_SIZE}"
+        f"seedseq(seed, iT, irho, irhoX, irhoY); sfc64 blocks of {BLOCK_SIZE}, "
+        "block b from child b of seedseq(stream)"
     )
     payload: dict = {
         "config": config,

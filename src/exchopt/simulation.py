@@ -11,11 +11,11 @@ Margrabe/Black-Scholes control legs read the same Z sums and the same normals,
 so each control is exact geometric Brownian motion whatever the variance path.
 
 Paths are generated in fixed blocks of ``BLOCK_SIZE``; block b of a run with
-seed s draws from a dedicated Philox stream keyed (s, b), so results are
-bit-identical for a given (seed, n_paths, n_steps) no matter how blocks are
-scheduled across workers.  A block draws one step's normals at a time, so
-memory does not grow with the step count; each step draws a full ``BLOCK_SIZE``
-row, so a path's draws do not depend on n_paths.
+seed s draws from its own SFC64 stream, child b of ``SeedSequence(s)``, so
+results are bit-identical for a given (seed, n_paths, n_steps) no matter how
+blocks are scheduled across workers.  A block draws one step's normals at a
+time, so memory does not grow with the step count; each step draws a full
+``BLOCK_SIZE`` row, so a path's draws do not depend on n_paths.
 """
 
 from __future__ import annotations
@@ -120,14 +120,14 @@ def _simulate_block(
     block_index: int, n_in_block: int, model: TwoAssetModel, L: np.ndarray, T: float,
     n_steps: int, seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(rx, gx, ry, gy) of one block of paths from its own Philox stream; rows 1
-    and 2 of the Z-first factor ``L`` load W^X and W^Y on Z and on two factors
-    orthogonal to Z, which leg and control share."""
+    """(rx, gx, ry, gy) of one block of paths drawn under SFC64 from child
+    ``block_index`` of ``SeedSequence(seed)``; rows 1 and 2 of the Z-first ``L``
+    load W^X and W^Y on Z and on two factors orthogonal to Z, shared by leg and control."""
     dt = T / n_steps
     sdt = math.sqrt(dt)
     h = model.heston
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block_index,)))
     )
     z_row = np.empty(BLOCK_SIZE)
     z = z_row[:n_in_block]

@@ -445,7 +445,7 @@ class TestExperiment:
         with open(os.path.join(out_dir, "report.json")) as fh:
             metrics = json.load(fh)["metrics"]["T+rho:all"]
         assert len(metrics) == 4
-        assert all(m["atm_error"] == pytest.approx(0.000715, abs=1e-6) for m in metrics)
+        assert all(m["atm_error"] == pytest.approx(0.010775, abs=1e-6) for m in metrics)
         # rows carry their s0X, so the report needs no config to find it
         for config in (["--config", str(cfg)], []):
             code, out, _ = run_cli(
@@ -453,7 +453,7 @@ class TestExperiment:
                 "--results", os.path.join(out_dir, "results.csv"),
             )
             assert code == 0
-            assert re.findall(r"ATM=(\S+)", out) == ["0.000715"] * 4
+            assert re.findall(r"ATM=(\S+)", out) == ["0.010775"] * 4
 
 
 class TestConfigHandling:
@@ -506,8 +506,8 @@ class TestConfigHandling:
     # seed 7, T 0.05 and 0.25, 4096 paths; a change that alters these bytes
     # records the new digests and says why
     SWEEP_DIGESTS = {
-        "results.csv": "afe902a88a8e082721b5129ef2e205edb7537084126cfd0920d38998a3174f14",
-        "report.json": "7bb8fd466f55a6d599846da8be37a8cca9209b946eefeeb17f2e516efbaab932",
+        "results.csv": "648be373d595501ea92082b4e993119bbfd7a0be4b0cbed5394a90fd24c24f19",
+        "report.json": "55d49f7b6bc035496c1e8dfa6163e237d75ef68efce87f0f9b29c59c7cfa4f59",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -315,7 +315,8 @@ class TestReportPayload:
         config = payload["config"]
         assert "jobs" not in config["mc"]
         assert config["mc"]["stream_derivation"] == (
-            "seedseq(seed, iT, irho, irhoX, irhoY); philox blocks of 4096"
+            "seedseq(seed, iT, irho, irhoX, irhoY); sfc64 blocks of 4096, "
+            "block b from child b of seedseq(stream)"
         )
         del config["mc"]["stream_derivation"]
         expected = {**asdict(spec), "conventions": CONVENTIONS}

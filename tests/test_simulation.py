@@ -83,16 +83,17 @@ def accepted_structures(draw):
 
 
 # simulate_vanilla of reference case 1 at T 0.05 (10 000 paths, 500 steps a
-# year, seed 3), recorded from the engine whose control legs read their own
-# leg's orthogonal normals: (leg, strike) -> (value, stderr, beta)
+# year, seed 3), recorded from the engine drawing per-block SFC64 streams whose
+# control legs read their own leg's orthogonal normals: (leg, strike) -> (value,
+# stderr, beta)
 VANILLA_PINNED = {
-    ("X", 0.0): (99.99564913441331, 0.010380347248667094, 1.0696209730605755),
-    ("X", 80.0): (19.997443592111853, 0.010323764918195415, 1.068488482909194),
-    ("X", 100.0): (2.1631319676055236, 0.007527878752276561, 0.9930062563606394),
-    ("X", 120.0): (0.0003594490391522906, 0.00041367556424666644, 1.0),
-    ("Y", 0.0): (99.99533530537661, 0.007216417711234755, 1.0701326514654148),
-    ("Y", 80.0): (19.995335305383342, 0.007216417711234755, 1.0701326514654148),
-    ("Y", 100.0): (1.4443874698153898, 0.0048475049696483285, 0.9534877598724169),
+    ("X", 0.0): (100.00740205840846, 0.010316846490340594, 1.066500869279112),
+    ("X", 80.0): (20.00889308427264, 0.010252852905845227, 1.0655141639332837),
+    ("X", 100.0): (2.1637408372762814, 0.007393545474413356, 0.9871745716589236),
+    ("X", 120.0): (0.00018519266452382904, 0.00023715367289827254, 1.0),
+    ("Y", 0.0): (100.01054689644597, 0.007196090114004807, 1.0702306558623749),
+    ("Y", 80.0): (20.010546896452695, 0.007196090114004806, 1.0702306558623749),
+    ("Y", 100.0): (1.4517140868888094, 0.004865050106673232, 0.9507948861363844),
     ("Y", 120.0): (1.7359090085459774e-08, 0.0, 1.0),
 }
 
@@ -100,10 +101,10 @@ VANILLA_PINNED = {
 # sha256 of the terminal factors of reference case 1 at T 0.15 (300 steps),
 # 4097 paths (one partial block), seed 11; the same for any worker count
 SAMPLE_DIGESTS = {
-    "rx": "85436907f63ff4621af0963d536910080d8fb90ceb21ec816f6778a52253a1fe",
-    "ry": "4b0181304580270fa0ee0cbb549aedbf35a0fc5fd0d2215e0efb92326f510bba",
-    "gx": "7bdffba4bacb4e035bb1eeb766b7e28f90ed68f6a1ab71cdeed57c23f4fccd52",
-    "gy": "933fb4784eb87db995f39f4e3a007009ec6ba05290cd34e396802916085673a0",
+    "rx": "8bb8c61046aa09cbea6e48559f772d2d7bdcd14dd603c9e319d73ec7e41227e0",
+    "ry": "a7c8e37f2c2fc98786ec5cf172e7220169ed01bb5e62ca9c1038c514649bb7c6",
+    "gx": "f7269fd6c74094a4d0a5c018a1c690cca230d51a3a2acae86df9a0ce9400896c",
+    "gy": "194c5bcda320977946f2bb89b1f0b89ffdfe8baff3a02c59e8701ad9a34b6bd9",
 }
 
 
@@ -426,6 +427,18 @@ class TestDeterminism:
         sample = simulate_terminal(case1_model, 0.05, McConfig(100, 250, seed=2**64 - 1))
         for name in ("rx", "ry", "gx", "gy"):
             assert np.all(np.isfinite(getattr(sample, name))), name
+
+    def test_block_stream_is_seed_sequence_child(self, case1_model):
+        # with rho_X = 1 and one step, a control leg is exp(sig sqrt(T) z - sig^2 T / 2)
+        # of the step's normal z, so its log reads off each block's first row
+        model = replace(case1_model, corr=CorrelationStructure(rho=0.3, rho_x=1.0, rho_y=0.3))
+        seed, T, sig = 9, 0.5, case1_model.lam_x * case1_model.heston.sigma0
+        sample = simulate_terminal(model, T, McConfig(3 * BLOCK_SIZE, n_steps=1, seed=seed))
+        z = (np.log(sample.gx) + 0.5 * sig * sig * T) / (sig * math.sqrt(T))
+        for b in range(3):
+            stream = np.random.SeedSequence(seed).spawn(b + 1)[b]
+            row = np.random.Generator(np.random.SFC64(stream)).standard_normal(BLOCK_SIZE)
+            assert np.abs(z[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE] - row).max() < 1e-12, b
 
     def test_seed_changes_result(self, case1_model, fast_mc):
         a = simulate_exchange(case1_model, 0.05, fast_mc)
