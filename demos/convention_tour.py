@@ -19,8 +19,21 @@ from exchopt.convention import (
     strikes,
 )
 from exchopt.experiments import reference_case_model
-from exchopt.heston import measure_atm_observables, measure_smile_observables
+from exchopt.heston import SmileObservables, build_smile, measure_smile_observables
 from exchopt.models import CorrelationStructure
+
+
+def central_difference_observables(m, T, dz):
+    """ATM levels and skews (I(+dz) - I(-dz)) / (2 dz) of both legs, read off
+    the smile at log-moneyness -dz, 0 and dz."""
+    legs = []
+    for asset in (m.asset_x, m.asset_y):
+        x0 = asset.x0
+        (_, dn), (_, atm), (_, up) = build_smile(m.heston, asset, T, [x0 - dz, x0, x0 + dz])
+        legs.append((atm, (up - dn) / (2.0 * dz)))
+    (level_x, skew_x), (level_y, skew_y) = legs
+    return SmileObservables(level_x, level_y, skew_x, skew_y, T, (-dz, dz))
+
 
 print("log-linear strike rules on (x, y) = (ln 100, ln 90):")
 x, y = math.log(100.0), math.log(90.0)
@@ -64,7 +77,7 @@ for dz in (0.005, 0.01, 0.02, 0.05, 0.1, 0.15):
     row = []
     for case in (1, 2):
         m = reference_case_model(case)
-        obs = measure_atm_observables(m.heston, m.asset_x, m.asset_y, 0.05, dz=dz)
+        obs = central_difference_observables(m, 0.05, dz)
         row.append(a_star_observables(obs, m.rho))
     print(f"{dz:10.3f} {row[0]:10.4f} {row[1]:10.4f}")
 row = []

@@ -26,7 +26,6 @@ from .heston import (
     effective_heston,
     exchange_option_price,
     heston_vanilla_price,
-    measure_atm_observables,
     measure_smile_observables,
 )
 from .margrabe import (
@@ -55,7 +54,7 @@ __all__ = [
     "HestonParams", "AssetSpec", "CorrelationStructure", "TwoAssetModel",
     "Smile", "SmileObservables", "effective_heston", "heston_vanilla_price",
     "exchange_option_price", "build_smile", "build_smile_grid",
-    "measure_atm_observables", "measure_smile_observables",
+    "measure_smile_observables",
     "strikes", "a_star_parametric", "a_star_observables", "bound_a",
     "linear_convention_residual", "general_residual",
     "McConfig", "PriceEstimate", "validate_correlation", "cholesky3",

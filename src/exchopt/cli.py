@@ -186,14 +186,16 @@ def _cmd_price_exchange(cfg: RunConfig, args) -> int:
 def _cmd_price_mc(cfg: RunConfig, args) -> int:
     model = cfg.model
     est = simulate_exchange(model, cfg.maturity, cfg.mc)
-    atm = heston.measure_atm_observables(model.heston, model.asset_x, model.asset_y, cfg.maturity)
+    # each leg's ATM vol: its smile at the one strike k = x0
+    i_x, i_y = (heston.build_smile(model.heston, asset, cfg.maturity, [asset.x0])[0][1]
+                for asset in (model.asset_x, model.asset_y))
     x, y = math.log(model.s0x), math.log(model.s0y)
     print(f"mc price {est.value:.6f}")
     print(f"mc stderr {est.stderr:.6f}")
     print(f"paths {est.n_paths} seed {est.seed} beta {est.beta}")
     try:
         gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, cfg.maturity)
-        rho_hat = margrabe.implied_correlation(gamma_hat, atm.level_x, atm.level_y)
+        rho_hat = margrabe.implied_correlation(gamma_hat, i_x, i_y)
         print(f"gamma_hat {gamma_hat:.6f}")
         print(f"implied_corr {rho_hat:.6f} (atm leg vols)")
     except DomainError:

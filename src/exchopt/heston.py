@@ -1,4 +1,4 @@
-"""Semi-analytic Heston pricing, smile construction and ATM observables.
+"""Semi-analytic Heston pricing, smile construction and smile observables.
 
 Each leg of the two-asset model is itself a Heston asset after rescaling
 (``effective_heston``), and the exact exchange price is a vanilla on the ratio
@@ -40,7 +40,6 @@ __all__ = [
     "exchange_option_price",
     "build_smile",
     "build_smile_grid",
-    "measure_atm_observables",
     "measure_smile_observables",
     "smile_csv_rows",
     "SMILE_GRID_SPAN",
@@ -59,9 +58,7 @@ MIN_TIME_VALUE = 1e-12
 
 # Convention skews are measured as the endpoint slope of the smile across the
 # quoted moneyness window [0.8, 1.2] (the span the reference study tabulates),
-# shrunk proportionally when a parameter corner cannot resolve the wings.  The
-# local default dz=0.01 in measure_atm_observables matches the
-# short-time-limit semantics instead.
+# shrunk proportionally when a parameter corner cannot resolve the wings.
 CONVENTION_SKEW_WINDOW = (math.log(0.8), math.log(1.2))
 WINDOW_SHRINK_LADDER = (1.0, 0.8, 0.6, 0.45, 0.3, 0.2, 0.12, 0.07, 0.04)
 _QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
@@ -82,8 +79,7 @@ class SmileObservables:
     """ATM implied-vol levels and skews of the two legs at maturity T.
 
     Skews are d(implied vol)/d(log strike): the endpoint slope over the
-    log-moneyness ``window`` (lo, hi), with ``dz`` its half-width; a window
-    (-dz, dz) is a central difference.
+    log-moneyness ``window`` (lo, hi), with ``dz`` its half-width.
     """
 
     level_x: float
@@ -239,13 +235,17 @@ def _unit_call(k: float, *cf_args: float) -> float:
     return tv if k >= 0.0 else tv + 1.0 - math.exp(k)
 
 
+def _leg_args(params: HestonParams, asset: AssetSpec) -> tuple[float, ...]:
+    """Kernel arguments (kappa, kappa theta, nu, v0, rho_sv) of one scaled leg."""
+    eff = effective_heston(params, asset)
+    return eff.kappa, eff.kappa * eff.theta, eff.nu, eff.v0, asset.rho_sv
+
+
 def _leg_time_values(
     params: HestonParams, asset: AssetSpec, zs: Sequence[float], T: float
 ) -> np.ndarray:
     """Time values for unit spot of one leg at log-moneyness ``zs``."""
-    eff = effective_heston(params, asset)
-    kt = eff.kappa * eff.theta
-    return _time_values(eff.kappa, kt, eff.nu, eff.v0, asset.rho_sv, T, zs)
+    return _time_values(*_leg_args(params, asset), T, zs)
 
 
 def _leg_quote(params: HestonParams, asset: AssetSpec, T: float) -> np.ndarray:
@@ -254,9 +254,7 @@ def _leg_quote(params: HestonParams, asset: AssetSpec, T: float) -> np.ndarray:
     kernel batch that build_smile_grid and measure_smile_observables share,
     kept for the last _QUOTE_MEMO legs (keyed on the kernel's floats, so the
     spot does not split them).  Batching leaves each strike's bits unchanged."""
-    eff = effective_heston(params, asset)
-    kt = eff.kappa * eff.theta
-    return _quote_time_values(eff.kappa, kt, eff.nu, eff.v0, asset.rho_sv, T)
+    return _quote_time_values(*_leg_args(params, asset), T)
 
 
 @functools.lru_cache(maxsize=_QUOTE_MEMO)
@@ -274,9 +272,8 @@ def heston_vanilla_price(
     parameters, scaled to the leg by ``effective_heston``."""
     if not (np.isfinite(strike) and strike > 0):
         raise InputError(f"strike must be positive, got {strike}")
-    eff = effective_heston(params, asset)
-    k, kt = math.log(strike / asset.s0), eff.kappa * eff.theta
-    return asset.s0 * _unit_call(k, eff.kappa, kt, eff.nu, eff.v0, asset.rho_sv, T)
+    k = math.log(strike / asset.s0)
+    return asset.s0 * _unit_call(k, *_leg_args(params, asset), T)
 
 
 def _vol_from_time_value(tv: float, z: float, T: float) -> float:
@@ -374,36 +371,37 @@ def build_smile_grid(
     """
     zs = np.linspace(SMILE_GRID_SPAN[0], SMILE_GRID_SPAN[1], SMILE_GRID_POINTS)
     tv = _leg_quote(params, asset, T)[:SMILE_GRID_POINTS]
-    keep = tv >= MIN_TIME_VALUE
-    if not np.any(keep):
+    keep = np.flatnonzero(tv >= MIN_TIME_VALUE)
+    if keep.size < 2:
         raise DomainError(
-            f"no strike in [{math.exp(SMILE_GRID_SPAN[0]):.3f}, "
-            f"{math.exp(SMILE_GRID_SPAN[1]):.3f}] moneyness has resolvable "
-            f"time value at T={T}"
+            f"{keep.size} of {SMILE_GRID_POINTS} strikes in "
+            f"[{math.exp(SMILE_GRID_SPAN[0]):.3f}, {math.exp(SMILE_GRID_SPAN[1]):.3f}] "
+            f"moneyness have resolvable time value at T={T}; a smile needs two"
         )
-    first, last = np.argmax(keep), len(keep) - 1 - np.argmax(keep[::-1])
-    zs, tv = zs[first : last + 1], tv[first : last + 1]
+    zs, tv = zs[keep[0] : keep[-1] + 1], tv[keep[0] : keep[-1] + 1]
     vols = [_vol_from_time_value(t, z, T) for t, z in zip(tv, zs)]
     return Smile(asset_id, asset.s0, T, zs, vols)
 
 
-def _observables(
-    params: HestonParams,
-    asset_x: AssetSpec,
-    asset_y: AssetSpec,
-    T: float,
-    window: tuple[float, float],
-    shrink_ladder: Sequence[float],
+def measure_smile_observables(
+    params: HestonParams, asset_x: AssetSpec, asset_y: AssetSpec, T: float
 ) -> SmileObservables:
-    """ATM levels and endpoint skews over ``window``, shrunk through
-    ``shrink_ladder`` until every wing read has time value at least
-    MIN_TIME_VALUE of spot and inverts."""
+    """Observables for the strike-convention optimum: exact ATM levels plus
+    endpoint skews across CONVENTION_SKEW_WINDOW.
+
+    The window shrinks through WINDOW_SHRINK_LADDER (both ends proportionally)
+    until every wing read of both legs has time value at least
+    MIN_TIME_VALUE of spot and inverts; corners where even the tightest
+    window fails raise DomainError.  The first rung reads the legs' quote
+    batches (``_leg_quote``).
+    """
     last_err: Exception | None = None
-    for factor in shrink_ladder:
-        zs = (factor * window[0], 0.0, factor * window[1])
+    for factor in WINDOW_SHRINK_LADDER:
+        zs = (factor * CONVENTION_SKEW_WINDOW[0], 0.0, factor * CONVENTION_SKEW_WINDOW[1])
         tvs = []
         for asset in (asset_x, asset_y):
-            tv = (_leg_quote(params, asset, T)[SMILE_GRID_POINTS:] if zs == _QUOTE_WINDOW
+            tv = (_leg_quote(params, asset, T)[SMILE_GRID_POINTS:]
+                  if factor == WINDOW_SHRINK_LADDER[0]
                   else _leg_time_values(params, asset, zs, T))
             if min(tv[0], tv[2]) < MIN_TIME_VALUE:
                 break
@@ -425,43 +423,8 @@ def _observables(
             T=T, window=(lo, hi),
         )
     raise DomainError(
-        f"no shrink of window {window} has resolvable wings at T={T}"
+        f"no shrink of window {CONVENTION_SKEW_WINDOW} has resolvable wings at T={T}"
     ) from last_err
-
-
-def measure_atm_observables(
-    params: HestonParams,
-    asset_x: AssetSpec,
-    asset_y: AssetSpec,
-    T: float,
-    dz: float = 0.01,
-) -> SmileObservables:
-    """ATM levels and central-difference skews of both legs.
-
-    level_i = I_i(ln s0_i), skew_i = (I_i(+dz) - I_i(-dz)) / (2 dz) in
-    log-strike.  The default dz = 0.01 measures the local derivative; a wider
-    dz gives a slope across the quoted moneyness range.  The window is not
-    shrunk: wings below MIN_TIME_VALUE of spot raise DomainError.
-    """
-    if not (np.isfinite(dz) and dz > 0):
-        raise InputError(f"dz must be positive, got {dz}")
-    return _observables(params, asset_x, asset_y, T, (-dz, dz), (1.0,))
-
-
-def measure_smile_observables(
-    params: HestonParams, asset_x: AssetSpec, asset_y: AssetSpec, T: float
-) -> SmileObservables:
-    """Observables for the strike-convention optimum: exact ATM levels plus
-    endpoint skews across CONVENTION_SKEW_WINDOW.
-
-    The window shrinks through WINDOW_SHRINK_LADDER (both ends proportionally)
-    until every wing read of both legs has time value at least
-    MIN_TIME_VALUE of spot; corners where even the tightest window fails
-    raise DomainError.
-    """
-    return _observables(
-        params, asset_x, asset_y, T, CONVENTION_SKEW_WINDOW, WINDOW_SHRINK_LADDER
-    )
 
 
 def smile_csv_rows(smile: Smile) -> list[dict[str, object]]:

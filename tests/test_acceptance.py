@@ -28,11 +28,7 @@ from exchopt.experiments import (
     run_test_case,
     reference_case_model,
 )
-from exchopt.heston import (
-    heston_vanilla_price,
-    measure_atm_observables,
-    measure_smile_observables,
-)
+from exchopt.heston import heston_vanilla_price, measure_smile_observables
 from exchopt.margrabe import convention_gamma, exchange_implied_vol, implied_correlation
 from exchopt.models import AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel
 from exchopt.simulation import (
@@ -269,7 +265,7 @@ def test_criterion_6_table1_ordering_reduced_scale():
     assert elapsed < 1800.0
 
 
-def test_criterion_7_property_suite():
+def test_criterion_7_property_suite(atm_observables):
     start = time.perf_counter()
     rng = np.random.default_rng(99)
     checks = []
@@ -357,7 +353,7 @@ def test_criterion_7_property_suite():
     )
 
     # short-time ATM skew -> rho_i nu / (4 sigma0) within 15% at T = 0.005
-    obs = measure_atm_observables(
+    obs = atm_observables(
         BASE_PARAMS,
         AssetSpec(lam=1.5, rho_sv=-0.4, s0=100.0),
         AssetSpec(lam=1.0, rho_sv=0.4, s0=100.0),

@@ -11,6 +11,7 @@ from exchopt import heston
 from exchopt.cli import _build_run_config, load_config, main
 from exchopt.errors import InputError, NumericalError
 from exchopt.experiments import results_csv
+from exchopt.simulation import PriceEstimate
 
 
 # `price exchange` stdout of the default model at (s0y 95, T 0.05) and
@@ -219,6 +220,13 @@ class TestPriceExchange:
         assert err.startswith("ERROR code=3 type=NumericalError")
         assert out == ""
 
+    def test_one_resolvable_knot_exit_2(self, capsys, out_dir):
+        # at T 3e-4 the Y leg keeps one of its 41 smile knots
+        code, out, err = run_cli(capsys, "--out", out_dir, "price", "exchange", "--T", "0.0003")
+        assert code == 2 and out == ""
+        assert err.startswith('ERROR code=2 type=DomainError msg="1 of 41 strikes')
+        assert "at T=0.0003; a smile needs two" in err
+
 
 class TestPriceMc:
     def test_deterministic_output(self, capsys, out_dir):
@@ -252,6 +260,27 @@ class TestPriceMc:
         assert code == 0
         assert "implied_corr" in out
 
+    def test_reads_atm_vols_where_no_skew_window_resolves(self, capsys, out_dir):
+        # at T 2e-5 no wing of either leg is resolvable; the ATM vols are
+        code, out, _ = run_cli(
+            capsys, "--out", out_dir, "--jobs", "1", "price", "mc",
+            "--paths", "4096", "--T", "0.00002",
+        )
+        assert code == 0
+        assert "implied_corr 0.499956 (atm leg vols)" in out
+
+    def test_price_at_intrinsic_has_no_gamma_hat(self, capsys, out_dir, monkeypatch):
+        def at_intrinsic(model, T, mc):
+            return PriceEstimate(value=0.0, stderr=0.0, n_paths=mc.n_paths, seed=mc.seed, beta=1.0)
+
+        monkeypatch.setattr("exchopt.cli.simulate_exchange", at_intrinsic)
+        code, out, _ = run_cli(
+            capsys, "--out", out_dir, "--seed", "7", "price", "mc", "--paths", "2000",
+        )
+        assert code == 0
+        assert out.endswith("gamma_hat n/a (price at or below intrinsic)\n")
+        assert "implied_corr" not in out
+
 
 class TestConventionSolve:
     def test_uncorrelated_assets_give_lookup(self, capsys, out_dir, tmp_path):
@@ -268,6 +297,23 @@ class TestConventionSolve:
         assert float(extract(r"a_star_observables ([0-9.-]+)", out)) == pytest.approx(
             1.0, abs=0.15
         )
+
+    def test_no_spot_vol_correlation_has_no_parametric_optimum(self, capsys, out_dir, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"model": {"rho_x": 0, "rho_y": 0}}))
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "convention", "solve",
+        )
+        assert code == 0
+        assert "a_star_observables 0.701251\n" in out
+        assert "a_star_parametric n/a (convention denominator" in out
+
+    def test_short_maturity_shrinks_the_window(self, capsys, out_dir):
+        # the smile grid of the Y leg is unresolvable at T 3e-4; the skew
+        # window shrinks instead
+        code, out, _ = run_cli(capsys, "--out", out_dir, "convention", "solve", "--T", "0.0003")
+        assert code == 0
+        assert "a_star_observables -0.069967\n" in out
 
 
 class TestExperiment:
@@ -293,6 +339,19 @@ class TestExperiment:
         )
         assert code == 0
         assert "empty results" in out
+
+    def test_report_marks_an_empty_group(self, capsys, out_dir, tmp_path):
+        # a_star has rows at T 0.05 only, so the T 0.25 group lacks it
+        rows = [REPORT_ROW, {**REPORT_ROW, "convention": "a_star", "a_value": 0.4},
+                {**REPORT_ROW, "T": 0.25}]
+        results = tmp_path / "results.csv"
+        results.write_text(results_csv(rows))
+        code, out, _ = run_cli(
+            capsys, "--out", out_dir, "experiment", "report", "--results", str(results),
+        )
+        assert code == 0
+        assert "{'T': 0.25, 'rho': 0.5} a_star: empty group" in out.splitlines()
+        assert "{'T': 0.05, 'rho': 0.5} a_star: n=1" in out
 
     def test_report_on_results_without_a_column_exit_2(self, capsys, out_dir, tmp_path):
         # the header of a results file written before rows carried s0X

@@ -244,6 +244,15 @@ class TestComputeMetrics:
         assert reports == []
         rep = compute_metrics([self._mk_row(0.1, convention="a=1")])
         assert all(not r.empty for r in rep)
+        # a convention with rows in one group only is reported empty in the other
+        rows = [self._mk_row(0.1), self._mk_row(0.2, convention="a_star"),
+                self._mk_row(0.3, T=0.25)]
+        reports = {(r.group["T"], r.convention): r for r in compute_metrics(rows)}
+        assert set(reports) == {(0.05, "a=0"), (0.05, "a_star"), (0.25, "a=0"), (0.25, "a_star")}
+        empty = reports[0.25, "a_star"]
+        assert empty.empty and empty.group == {"T": 0.25, "rho": 0.5}
+        assert all(math.isnan(v) for v in (empty.mae, empty.rmse, empty.max_ae, empty.atm_error))
+        assert not any(r.empty for key, r in reports.items() if key != (0.25, "a_star"))
 
     def test_max_ae_dominates_mae(self, tiny_rows):
         for rep in compute_metrics(tiny_rows):

@@ -19,7 +19,6 @@ from exchopt.heston import (
     effective_heston,
     exchange_option_price,
     heston_vanilla_price,
-    measure_atm_observables,
     measure_smile_observables,
     smile_csv_rows,
     _cf_log_return,
@@ -232,6 +231,13 @@ class TestSmile:
         assert smile.z_bounds[1] < math.log(1.3)
         assert smile.z_bounds[0] == pytest.approx(math.log(0.7))
 
+    @pytest.mark.parametrize("leg, T", [("Y", 3e-4), ("X", 1e-4), ("Y", 1e-4)])
+    def test_one_resolvable_knot_is_a_domain_error(self, case1_model, leg, T):
+        # a smile needs two knots: one resolvable strike is a maturity too
+        # short for the grid, not a malformed input
+        with pytest.raises(DomainError, match=rf"^1 of 41 strikes .* at T={T}; a smile needs two"):
+            build_smile_grid(BASE_PARAMS, case1_model.asset(leg), T, asset_id=leg)
+
     def test_build_smile_propagates_failures(self, case1_model):
         # far beyond the resolvable wing the inversion must raise, not skip
         with pytest.raises(DomainError):
@@ -256,54 +262,38 @@ class TestSmile:
 
 
 class TestObservables:
-    def test_degenerate_skews_vanish(self):
+    def test_degenerate_skews_vanish(self, atm_observables):
         frozen = HestonParams(kappa=5.0, theta=0.0225, nu=1e-4, sigma0=0.15)
         ax = AssetSpec(lam=1.0, rho_sv=-0.5, s0=100.0)
         ay = AssetSpec(lam=1.3, rho_sv=0.5, s0=100.0)
-        obs = measure_atm_observables(frozen, ax, ay, 0.25)
+        obs = atm_observables(frozen, ax, ay, 0.25)
         assert abs(obs.skew_x) < 1e-3
         assert abs(obs.skew_y) < 1e-3
 
-    def test_short_time_levels(self):
+    def test_short_time_levels(self, atm_observables):
         # ATM implied vol -> lam sigma0 as T -> 0
         ax = AssetSpec(lam=1.5, rho_sv=-0.4, s0=100.0)
         ay = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
-        obs = measure_atm_observables(BASE_PARAMS, ax, ay, 0.005)
+        obs = atm_observables(BASE_PARAMS, ax, ay, 0.005)
         assert obs.level_x == pytest.approx(1.5 * 0.15, abs=0.01)
         assert obs.level_y == pytest.approx(0.15, abs=0.01)
 
-    def test_short_time_skews(self):
+    def test_short_time_skews(self, atm_observables):
         # ATM skew -> rho_i nu / (4 sigma0), independent of lam
         ax = AssetSpec(lam=1.5, rho_sv=-0.4, s0=100.0)
         ay = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
-        obs = measure_atm_observables(BASE_PARAMS, ax, ay, 0.005)
+        obs = atm_observables(BASE_PARAMS, ax, ay, 0.005)
         lim_x = -0.4 * 0.5 / (4.0 * 0.15)
         lim_y = -0.6 * 0.5 / (4.0 * 0.15)
         assert abs(obs.skew_x - lim_x) <= 0.15 * abs(lim_x)
         assert abs(obs.skew_y - lim_y) <= 0.15 * abs(lim_y)
 
-    def test_short_time_skew_ratio(self):
+    def test_short_time_skew_ratio(self, atm_observables):
         ax = AssetSpec(lam=1.5, rho_sv=-0.4, s0=100.0)
         ay = AssetSpec(lam=1.0, rho_sv=0.4, s0=100.0)
-        obs = measure_atm_observables(BASE_PARAMS, ax, ay, 0.005)
+        obs = atm_observables(BASE_PARAMS, ax, ay, 0.005)
         ratio = obs.skew_y / obs.skew_x
         assert abs(ratio - (0.4 / -0.4)) <= 0.10 * abs(0.4 / -0.4)
-
-    @pytest.mark.parametrize("case", [1, 2])
-    @pytest.mark.parametrize("T", [0.05, 1.0])
-    def test_atm_matches_scalar_central_difference(self, case, T):
-        model = reference_case_model(case)
-        obs = measure_atm_observables(BASE_PARAMS, model.asset_x, model.asset_y, T)
-        for asset, level, skew in (
-            (model.asset_x, obs.level_x, obs.skew_x),
-            (model.asset_y, obs.level_y, obs.skew_y),
-        ):
-            x0 = asset.x0
-            (_, dn), (_, atm), (_, up) = build_smile(
-                BASE_PARAMS, asset, T, [x0 - obs.dz, x0, x0 + obs.dz]
-            )
-            assert level == pytest.approx(atm, abs=1e-11)
-            assert skew == pytest.approx((up - dn) / (2.0 * obs.dz), abs=1e-9)
 
     def test_window_measurement_records_span(self, case1_model):
         obs = measure_smile_observables(
@@ -317,6 +307,13 @@ class TestObservables:
         )
         lo, hi = obs.window
         assert hi < math.log(1.2)  # full window is unresolvable this short
+
+    def test_no_resolvable_window_raises(self, case1_model):
+        # even the tightest rung's wings fall below MIN_TIME_VALUE this short
+        with pytest.raises(DomainError, match=r"no shrink of window .* at T=2e-05"):
+            measure_smile_observables(
+                BASE_PARAMS, case1_model.asset_x, case1_model.asset_y, 2e-5
+            )
 
 
 class TestExchangeOraclePrice:

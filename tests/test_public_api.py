@@ -12,6 +12,7 @@ MODULES = [exchopt] + [
 
 REMOVED = (
     "ExchangeQuote", "VanillaSpec", "price", "vega", "LinearConvention", "ModelLimits",
+    "measure_atm_observables",
 )
 
 
