@@ -137,3 +137,45 @@ def implied_vol(price: float, x: float, k: float, T: float) -> float:
         f"implied vol did not converge after {_IV_MAX_ITER} iterations "
         f"(price={price}, x={x}, k={k}, T={T}, bracket=[{lo}, {hi}])"
     )
+
+
+def _implied_vols(prices, x: float, ks, T: float) -> np.ndarray:
+    """implied_vol over log-strikes ``ks`` at one x and T: each element takes the
+    scalar loop's steps and exits on arrays (e^k by math.exp), so its vol has the
+    scalar bits.  If any element fails, the scalar loop runs and raises its error."""
+    prices, ks = np.array(prices, dtype=float), np.array(ks, dtype=float)
+    lo, hi, sigma = (np.full_like(prices, v) for v in
+                     (_IV_BRACKET_LO, _IV_BRACKET_HI, _IV_NEWTON_SEED))
+    ok = math.isfinite(x) and math.isfinite(T) and T > 0
+    spot, ek, sq = math.exp(x), np.array([math.exp(k) for k in ks]), math.sqrt(T) if ok else 0.0
+    fail = ~(ok & np.isfinite(ks) & (np.maximum(spot - ek, 0.0) < prices) & (prices < spot))
+
+    def diff_d1(sig):  # _call(x, k, sig, T) - price on arrays, and its d1
+        s = sig * sq
+        d1 = (x - ks) / s + 0.5 * s
+        return spot * ndtr(d1) - ek * ndtr(d1 - s) - prices, d1
+
+    # failed elements compute junk, and an overflow gives inf as a Python float does
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up = ~fail
+        while up.any() and hi.max() <= 1e3:  # the upper end doubles while the quote exceeds it
+            up &= diff_d1(hi)[0] < 0.0
+            hi = np.where(up, hi * 2.0, hi)
+        fail |= (hi > 1e3) | (diff_d1(lo)[0] > 0.0)
+        live = ~fail
+        for _ in range(_IV_MAX_ITER):
+            if not live.any():
+                break
+            diff, d1 = diff_d1(sigma)
+            live &= np.abs(diff) > _IV_PRICE_TOL * spot  # converged elements keep their sigma
+            above = diff > 0.0  # maintain the bracket around the root
+            hi, lo = np.where(above, sigma, hi), np.where(above, lo, sigma)
+            # a zero vega steps to -+inf, outside the bracket, as the scalar's inf
+            newton, mid = sigma - diff / (spot * norm_pdf(d1) * sq), 0.5 * (lo + hi)
+            step = np.where((lo < newton) & (newton < hi), newton, mid)
+            shut = live & (hi - lo < 1e-14)  # collapsed: the scalar loop returns the midpoint
+            sigma = np.where(shut, mid, np.where(live, step, sigma))
+            live ^= shut
+    if (fail | live).any():
+        return np.array([implied_vol(p, x, k, T) for p, k in zip(prices.tolist(), ks.tolist())])
+    return sigma

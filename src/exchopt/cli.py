@@ -220,7 +220,8 @@ def _cmd_surface(cfg: RunConfig, args) -> int:
 def _cmd_convention_solve(cfg: RunConfig, args) -> int:
     model = cfg.model
     obs, a_star = _solve_a_star(cfg)
-    print(f"inputs: rho={model.rho} T={cfg.maturity} skew_span=+-{obs.dz:.6f}")
+    lo, hi = obs.window
+    print(f"inputs: rho={model.rho} T={cfg.maturity} window=({lo:.6f}, {hi:.6f})")
     print(f"levels IX={obs.level_x:.6f} IY={obs.level_y:.6f}")
     print(f"skews  SX={obs.skew_x:.6f} SY={obs.skew_y:.6f}")
     print(f"a_star_observables {a_star:.6f}")
@@ -258,7 +259,8 @@ def _cmd_experiment_run(cfg: RunConfig, args) -> int:
     summary = experiments.summarize_exclusions(rows)
     print(
         f"included {summary.included}, invalid-corr {summary.invalid_correlation}, "
-        f"sub-cent {summary.sub_cent}, degenerate-a* {summary.degenerate_convention}"
+        f"sub-cent {summary.sub_cent}, unresolvable-smile {summary.unresolvable_smile}, "
+        f"degenerate-a* {summary.degenerate_convention}"
     )
     print(f"wrote {results_path} and {report_path}")
     return 0

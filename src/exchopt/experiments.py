@@ -107,6 +107,7 @@ class ExclusionSummary:
     included: int
     invalid_correlation: int
     sub_cent: int
+    unresolvable_smile: int
     degenerate_convention: int
     total_triples: int
     invalid_triples: int
@@ -302,6 +303,7 @@ def grid_exclusion_summary(spec: GridSpec) -> ExclusionSummary:
         included=(total_triples - invalid_triples) * points_per_triple,
         invalid_correlation=invalid_triples * points_per_triple,
         sub_cent=0,
+        unresolvable_smile=0,
         degenerate_convention=0,
         total_triples=total_triples,
         invalid_triples=invalid_triples,
@@ -332,15 +334,16 @@ def run_grid(spec: GridSpec) -> list[dict]:
             corr=CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y),
         )
         points = [_point(T, model.corr, spec.s0x, s0y) for s0y in spec.s0y_list]
-        if not validate_correlation(model.corr)[0]:
-            rows += [
-                _excluded_row(point, name, "invalid_correlation")
-                for point in points for name in CONVENTIONS
-            ]
+        excluded = None if validate_correlation(model.corr)[0] else "invalid_correlation"
+        if not excluded:
+            try:
+                smile_x = smile(spec.heston, model.asset_x, T, asset_id="X")
+                smile_y = smile(spec.heston, model.asset_y, T, asset_id="Y")
+            except DomainError:  # fewer than two resolvable smile strikes at this T
+                excluded = "unresolvable_smile"
+        if excluded:
+            rows += [_excluded_row(p, name, excluded) for p in points for name in CONVENTIONS]
             continue
-
-        smile_x = smile(spec.heston, model.asset_x, T, asset_id="X")
-        smile_y = smile(spec.heston, model.asset_y, T, asset_id="Y")
         try:
             a_star = conv.a_star_observables(
                 observables(spec.heston, model.asset_x, model.asset_y, T), rho
@@ -368,9 +371,9 @@ def _row_key(row: dict):
 def summarize_exclusions(rows: Iterable[dict]) -> ExclusionSummary:
     """Close the accounting from actual sweep rows.
 
-    A grid point counts as excluded when every convention row at it is
-    (invalid correlation, sub-cent benchmark); a degenerate a* only loses the
-    a_star rows, so those points stay included and are tallied separately.
+    A grid point counts as excluded when every convention row at it is (invalid
+    correlation, sub-cent benchmark, unresolvable smile); a degenerate a* only
+    loses the a_star rows, so those points stay included and are tallied apart.
     """
     reasons: dict[tuple, set[str]] = {}
     for row in rows:
@@ -378,7 +381,7 @@ def summarize_exclusions(rows: Iterable[dict]) -> ExclusionSummary:
         reasons.setdefault(key, set()).add(
             row["exclusion_reason"] if row["excluded"] else ""
         )
-    counts = {"": 0, "invalid_correlation": 0, "sub_cent": 0}
+    counts = {"": 0, "invalid_correlation": 0, "sub_cent": 0, "unresolvable_smile": 0}
     degenerate = 0
     # triple counts come from the rows themselves so reports recomputed from a
     # CSV stay correct even when the spec in hand differs from the producing run
@@ -387,18 +390,17 @@ def summarize_exclusions(rows: Iterable[dict]) -> ExclusionSummary:
         if "degenerate_convention" in tags:
             degenerate += 1
         point_tags = tags - {"degenerate_convention"}
-        if point_tags == {"invalid_correlation"}:
-            counts["invalid_correlation"] += 1
+        reason = next(iter(point_tags)) if len(point_tags) == 1 else ""
+        reason = reason if reason in counts else ""  # an unknown tag counts as included
+        counts[reason] += 1
+        if reason == "invalid_correlation":
             invalid_triples.add(key[1:4])
-        elif point_tags == {"sub_cent"}:
-            counts["sub_cent"] += 1
-        else:
-            counts[""] += 1
     return ExclusionSummary(
         total_points=len(reasons),
         included=counts[""],
         invalid_correlation=counts["invalid_correlation"],
         sub_cent=counts["sub_cent"],
+        unresolvable_smile=counts["unresolvable_smile"],
         degenerate_convention=degenerate,
         total_triples=len({key[1:4] for key in reasons}),
         invalid_triples=len(invalid_triples),

@@ -10,12 +10,13 @@ characteristic function over the damping denominator, f, is evaluated once per
 node for the whole batch, in chunks of whole panels (at most 3072 nodes, so
 memory does not grow with the cut-off), and each strike reads it as
 cos(uk) Re f + sin(uk) Im f, summed panel by panel with its phase split at the
-panel midpoint (``_panel_sums``), so trig runs per panel, not per node: a
-41-strike smile costs little more than one strike, and vanilla and exchange
-prices are one-strike batches.  A leg's smile knots and the first rung of its
-convention-window strikes are one batch per (leg, T) (``_leg_quote``), kept
-for the last few legs.  The complex log1p inside the characteristic function
-is taken in real arithmetic.
+panel midpoint (``_panel_sums``, one stacked product per chunk), so trig runs
+per panel, not per node: a 41-strike smile costs little more than one strike,
+and vanilla and exchange prices are one-strike batches.  A leg's smile knots
+and the first rung of its convention-window strikes are one batch per (leg, T)
+(``_leg_quote``), kept for the last few legs; a leg's kept knots, and both
+legs' window strikes of a rung, are inverted as one batch.  The complex log1p
+inside the characteristic function is taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class SmileObservables:
     """ATM implied-vol levels and skews of the two legs at maturity T.
 
     Skews are d(implied vol)/d(log strike): the endpoint slope over the
-    log-moneyness ``window`` (lo, hi), with ``dz`` its half-width.
+    log-moneyness ``window`` (lo, hi).
     """
 
     level_x: float
@@ -88,10 +89,6 @@ class SmileObservables:
     skew_y: float
     T: float
     window: tuple[float, float]
-
-    @property
-    def dz(self) -> float:
-        return 0.5 * (self.window[1] - self.window[0])
 
     def __post_init__(self):
         if not (self.level_x > 0 and self.level_y > 0):
@@ -145,7 +142,7 @@ def _cf_log_return(
 
 def _panel_sums(
     f: np.ndarray, mids: np.ndarray, half: float, ks: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """Sum of w_g [cos(uk) Re f + sin(uk) Im f] over the Gauss-Legendre nodes
     u = m + half x_g of panels with midpoints ``mids`` (f has one row of
     _GL_NODES values per panel), for each log-strike in ``ks``.
@@ -153,13 +150,13 @@ def _panel_sums(
     Splitting uk = mk + (half x_g) k, a panel sums to cos(mk) A + sin(mk) B,
     where A + iB = f @ (w e^{-i half x k}): A = Re f (w cos(half x k)) +
     Im f (w sin(half x k)) and B = Im f (w cos(half x k)) - Re f (w sin(half x k)).
-    Trig runs once per panel and once per abscissa, not once per node.  Each
-    strike's product is its own, so its bits do not depend on the rest of ``ks``."""
+    Trig runs once per panel and once per abscissa, not once per node.  Each strike's
+    stacked f @ w is its own gemv, so its bits do not depend on the rest of ``ks``."""
     hk = np.multiply.outer(ks, half * _GL_X)
     weights = _GL_W * (np.cos(hk) - 1j * np.sin(hk))
     mk = np.multiply.outer(ks, mids)
     phases = np.cos(mk) + 1j * np.sin(mk)
-    return [np.vdot(p, f @ w).real for p, w in zip(phases, weights)]
+    return np.matmul(phases.conj()[:, None, :], np.matmul(f, weights[:, :, None]))[:, 0, 0].real
 
 
 def _damped_values(
@@ -276,9 +273,10 @@ def heston_vanilla_price(
     return asset.s0 * _unit_call(k, *_leg_args(params, asset), T)
 
 
-def _vol_from_time_value(tv: float, z: float, T: float) -> float:
-    """Implied vol at log-moneyness z from the unit-spot time value tv."""
-    return blackscholes.implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
+def _vols_from_time_values(tvs: Sequence[float], zs: Sequence[float], T: float) -> np.ndarray:
+    """Implied vols at log-moneyness ``zs`` from unit-spot time values, one batch."""
+    prices = np.add(tvs, [max(1.0 - math.exp(z), 0.0) for z in zs])
+    return blackscholes._implied_vols(prices, 0.0, zs, T)
 
 
 def exchange_option_price(model: TwoAssetModel, T: float) -> float:
@@ -357,7 +355,7 @@ def build_smile(
     ks = sorted(log_strikes)
     zs = [k - asset.x0 for k in ks]
     tv = _leg_time_values(params, asset, zs, T)
-    return [(k, _vol_from_time_value(t, z, T)) for k, z, t in zip(ks, zs, tv)]
+    return list(zip(ks, _vols_from_time_values(tv, zs, T)))
 
 
 def build_smile_grid(
@@ -379,8 +377,7 @@ def build_smile_grid(
             f"moneyness have resolvable time value at T={T}; a smile needs two"
         )
     zs, tv = zs[keep[0] : keep[-1] + 1], tv[keep[0] : keep[-1] + 1]
-    vols = [_vol_from_time_value(t, z, T) for t, z in zip(tv, zs)]
-    return Smile(asset_id, asset.s0, T, zs, vols)
+    return Smile(asset_id, asset.s0, T, zs, _vols_from_time_values(tv, zs, T))
 
 
 def measure_smile_observables(
@@ -409,18 +406,15 @@ def measure_smile_observables(
         if len(tvs) < 2:
             continue
         lo, hi = zs[0], zs[2]
-        try:
-            levels, skews = [], []
-            for tv in tvs:
-                dn, atm, up = (_vol_from_time_value(t, z, T) for t, z in zip(tv, zs))
-                levels.append(atm)
-                skews.append((up - dn) / (hi - lo))
+        try:  # both legs' (lo, 0, hi) in one batch
+            vols = _vols_from_time_values(np.concatenate(tvs), zs * 2, T)
+            (dn_x, atm_x, up_x), (dn_y, atm_y, up_y) = vols.reshape(2, 3)
         except (DomainError, NumericalError) as err:
             last_err = err
             continue
         return SmileObservables(
-            level_x=levels[0], level_y=levels[1], skew_x=skews[0], skew_y=skews[1],
-            T=T, window=(lo, hi),
+            level_x=atm_x, level_y=atm_y, skew_x=(up_x - dn_x) / (hi - lo),
+            skew_y=(up_y - dn_y) / (hi - lo), T=T, window=(lo, hi),
         )
     raise DomainError(
         f"no shrink of window {CONVENTION_SKEW_WINDOW} has resolvable wings at T={T}"

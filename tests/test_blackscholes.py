@@ -1,13 +1,17 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from exchopt import heston
-from exchopt.blackscholes import bs_price, bs_vega, implied_vol
-from exchopt.errors import DomainError, InputError
+from exchopt import blackscholes, heston
+from exchopt.blackscholes import _implied_vols, bs_price, bs_vega, implied_vol
+from exchopt.errors import DomainError, InputError, NumericalError
 from exchopt.experiments import reference_case_model
+from exchopt.models import AssetSpec, HestonParams
+from test_heston import leg_models
 
 X100 = math.log(100.0)
 
@@ -194,3 +198,70 @@ class TestImpliedVol:
                 got = implied_vol(price, 0.0, z, T)
                 assert got == checked_implied_vol(price, 0.0, z, T)
                 assert got == vol
+
+
+def scalar_loop(prices, x, ks, T):
+    """implied_vol one element at a time: the reference for _implied_vols."""
+    return [implied_vol(p, x, k, T) for p, k in zip(prices, ks)]
+
+
+class TestBatchImpliedVols:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @leg_models
+    def test_smile_vols_equal_the_checked_loop(self, kappa, theta, nu, sigma0, lam, rho_sv, T):
+        # each drawn leg at three fixed maturities (the drawn T is not used)
+        params = HestonParams(kappa=kappa, theta=theta, nu=nu, sigma0=sigma0)
+        asset = AssetSpec(lam=lam, rho_sv=rho_sv, s0=100.0)
+        for T in (0.005, 0.05, 1.0):
+            smile = heston.build_smile_grid(params, asset, T)
+            tvs = heston._leg_time_values(params, asset, smile.log_moneyness, T)
+            for z, tv, vol in zip(smile.log_moneyness, tvs, smile.vols):
+                assert vol == checked_implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
+
+    def test_bracket_doubling_and_collapse_exits(self, monkeypatch):
+        # deep out of the money and short-dated at vols above the starting
+        # bracket [1e-6, 5]: the vega at the seed is 0, so the first step
+        # bisects up to the doubled upper end
+        T, ks = 0.01, np.repeat([0.3, 0.4, 0.5], 5)
+        prices = [bs_price(0.0, k, s, T) for k, s in zip(ks, [6.0, 7.0, 9.0, 12.0, 20.0] * 3)]
+        assert _implied_vols(prices, 0.0, ks, T).tolist() == scalar_loop(prices, 0.0, ks, T)
+        # with the price tolerance at 1e-16 of spot these knots leave through
+        # the collapsed bracket just after a Newton step inside it, at a
+        # midpoint whose price misses by more than the tolerance
+        monkeypatch.setattr(blackscholes, "_IV_PRICE_TOL", 1e-16)
+        T, ks = 1.0, [0.3, 0.24, 0.38, 0.48]
+        prices = [bs_price(0.0, k, s, T) for k, s in zip(ks, [0.23, 0.44, 0.53, 1.14])]
+        got = _implied_vols(prices, 0.0, ks, T)
+        assert got.tolist() == scalar_loop(prices, 0.0, ks, T)
+        assert all(abs(bs_price(0.0, k, v, T) - p) > 1e-16 for k, v, p in zip(ks, got, prices))
+
+    @pytest.mark.parametrize("i", [0, 2, 5])
+    @pytest.mark.parametrize("bad", ["nan", "intrinsic", "spot", "below_lo"])
+    def test_first_failure_raises_the_scalar_error(self, i, bad):
+        # at the money, where 1e-10 lies below the sigma = 1e-6 price 9e-8
+        T, ks = 0.05, np.zeros(7)
+        prices = [bs_price(0.0, 0.0, s, T) for s in np.linspace(0.1, 0.7, 7)]
+        prices[i] = {"nan": math.nan, "intrinsic": 0.0, "spot": 1.0, "below_lo": 1e-10}[bad]
+        with pytest.raises((InputError, DomainError)) as scalar:
+            scalar_loop(prices, 0.0, ks, T)
+        with pytest.raises(scalar.type, match=f"^{re.escape(str(scalar.value))}$"):
+            _implied_vols(prices, 0.0, ks, T)
+
+    def test_lowest_index_wins_over_an_earlier_stage(self, monkeypatch):
+        # at zero price tolerance the deep out-of-the-money element 1 runs
+        # into the iteration cap, after element 3 has already failed the
+        # arbitrage check: the scalar loop raises for element 1
+        monkeypatch.setattr(blackscholes, "_IV_PRICE_TOL", 0.0)
+        T, ks = 0.05, [0.0, 0.2, 0.1, 0.3]
+        prices = [bs_price(0.0, k, 0.05, T) for k in ks]
+        prices[3] = 1.0
+        with pytest.raises(NumericalError) as scalar:
+            scalar_loop(prices, 0.0, ks, T)
+        assert "k=0.2" in str(scalar.value)
+        with pytest.raises(NumericalError, match=f"^{re.escape(str(scalar.value))}$"):
+            _implied_vols(prices, 0.0, ks, T)
+
+    def test_expiry_and_empty_batch(self):
+        with pytest.raises(DomainError, match="at expiry"):
+            _implied_vols([0.1, 0.2], 0.0, [0.0, 0.1], 0.0)
+        assert _implied_vols([], 0.0, [], 1.0).size == 0

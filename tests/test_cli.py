@@ -315,6 +315,17 @@ class TestConventionSolve:
         assert code == 0
         assert "a_star_observables -0.069967\n" in out
 
+    # the window the skews were measured over: (log 0.8, log 1.2) at T 0.05,
+    # and the 0.07 rung of the shrink ladder at T 3e-4; neither is symmetric
+    @pytest.mark.parametrize("T, window", [
+        ("0.05", "(-0.223144, 0.182322)"),
+        ("0.0003", "(-0.015620, 0.012763)"),
+    ])
+    def test_prints_the_measured_window(self, capsys, out_dir, T, window):
+        code, out, _ = run_cli(capsys, "--out", out_dir, "convention", "solve", "--T", T)
+        assert code == 0
+        assert out.splitlines()[0] == f"inputs: rho=0.5 T={T} window={window}"
+
 
 class TestExperiment:
     def test_dry_run_reports_exclusions(self, capsys, out_dir):
@@ -325,6 +336,22 @@ class TestExperiment:
         assert "49/250" in out
         assert "19.6%" in out
         assert not os.path.exists(os.path.join(out_dir, "results.csv"))
+
+    def test_unresolvable_smile_excludes_its_points(self, capsys, out_dir):
+        # at T 3e-4 some legs' smile grids keep fewer than two strikes: their
+        # points are excluded with a reason, and the rest of the sweep runs
+        code, out, _ = run_cli(
+            capsys, "--jobs", "1", "--out", out_dir,
+            "experiment", "run", "--T", "0.0003", "--rho", "0.5", "--paths", "2000",
+        )
+        assert code == 0
+        tags = "included|invalid-corr|sub-cent|unresolvable-smile"
+        counts = dict(re.findall(rf"({tags}) (\d+)", out))
+        assert int(counts["unresolvable-smile"]) > 0 and int(counts["included"]) > 0
+        assert sum(map(int, counts.values())) == int(extract(r"grid: (\d+) points", out))
+        with open(os.path.join(out_dir, "report.json")) as fh:
+            exclusions = json.load(fh)["exclusions"]
+        assert exclusions["unresolvable_smile"] == int(counts["unresolvable-smile"])
 
     def test_report_on_empty_results(self, capsys, out_dir, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -566,7 +593,8 @@ class TestConfigHandling:
     # records the new digests and says why
     SWEEP_DIGESTS = {
         "results.csv": "648be373d595501ea92082b4e993119bbfd7a0be4b0cbed5394a90fd24c24f19",
-        "report.json": "55d49f7b6bc035496c1e8dfa6163e237d75ef68efce87f0f9b29c59c7cfa4f59",
+        # re-pinned when the exclusions gained "unresolvable_smile": 0
+        "report.json": "6d25bfdfd04fe80a94c72d9688e76e2a0209741b8de3fd2e907013a101a03f5f",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

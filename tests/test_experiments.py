@@ -112,6 +112,7 @@ class TestExclusionCounts:
         summary = summarize_exclusions(tiny_rows)
         assert (
             summary.included + summary.invalid_correlation + summary.sub_cent
+            + summary.unresolvable_smile
             == summary.total_points
             == spec.n_points()
         )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from exchopt import experiments, heston
+from exchopt import blackscholes, experiments, heston
 from exchopt.blackscholes import bs_price, implied_vol
 from exchopt.errors import DomainError, InputError, NumericalError
 from exchopt.experiments import GridSpec, reference_case_model
@@ -477,15 +477,36 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def inversions(monkeypatch):
+    """Batch size of every batch inversion, and the arguments of every scalar
+    implied_vol call."""
+    calls = {"batch": [], "scalar": []}
+    batch, scalar = blackscholes._implied_vols, blackscholes.implied_vol
+
+    def batch_spy(prices, x, ks, T):
+        calls["batch"].append(len(ks))
+        return batch(prices, x, ks, T)
+
+    def scalar_spy(*args):
+        calls["scalar"].append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(blackscholes, "_implied_vols", batch_spy)
+    monkeypatch.setattr(blackscholes, "implied_vol", scalar_spy)
+    return calls
+
+
 def own_rung_observables(params, asset_x, asset_y, T, window):
     """Observables over ``window`` with each leg's (lo, 0, hi) priced as its own
-    3-strike kernel call."""
+    3-strike kernel call and inverted one strike at a time by implied_vol."""
     lo, hi = window
     levels, skews = [], []
     for asset in (asset_x, asset_y):
         zs = (lo, 0.0, hi)
         tv = heston._leg_time_values(params, asset, zs, T)
-        dn, atm, up = (heston._vol_from_time_value(t, z, T) for t, z in zip(tv, zs))
+        dn, atm, up = (implied_vol(t + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
+                       for t, z in zip(tv, zs))
         levels.append(atm)
         skews.append((up - dn) / (hi - lo))
     return SmileObservables(levels[0], levels[1], skews[0], skews[1], T, window)
@@ -510,6 +531,16 @@ class TestLegQuote:
         for asset in (m.asset_x, m.asset_y):
             build_smile_grid(m.heston, asset, T)
         assert len(kernel_calls) == 2
+
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    def test_quote_path_inverts_one_batch_per_smile_and_rung(self, inversions, case1_model, T):
+        # the calls of `exchopt price exchange --convention a-star`: both legs'
+        # (lo, 0, hi) of the first rung, then each leg's kept smile knots
+        m = case1_model
+        measure_smile_observables(m.heston, m.asset_x, m.asset_y, T)
+        smiles = [build_smile_grid(m.heston, asset, T) for asset in (m.asset_x, m.asset_y)]
+        assert inversions["scalar"] == []
+        assert inversions["batch"] == [6, *(len(smile.vols) for smile in smiles)]
 
     def test_sweep_prices_each_leg_and_maturity_in_one_kernel_call(self, kernel_calls, monkeypatch):
         # the default grid's smiles and observables, with its Monte Carlo
