@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -23,7 +24,9 @@ from exchopt.heston import (
     smile_csv_rows,
     _cf_log_return,
 )
-from exchopt.models import AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel
+from exchopt.models import (
+    AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
+)
 from exchopt.simulation import McConfig, PriceEstimate, simulate_exchange, simulate_vanilla
 
 BASE_PARAMS = HestonParams(kappa=1.5, theta=0.15, nu=0.5, sigma0=0.15)
@@ -345,7 +348,42 @@ class TestExchangeOraclePrice:
             assert exchange_option_price(replace(same, s0y=s0y), 0.05) == intrinsic
 
 
+# sha256 of the kernel's bits: the quote batch (41 smile knots, then the
+# first-rung window strikes) of both legs of both reference cases at T 0.05,
+# 0.25 and 1.0, then exchange_option_price at 20 paper-grid points spread over
+# every maturity, triple and S0Y; a change that alters these bits records the
+# new digest and says why
+KERNEL_DIGEST = "5b26610e27fa70815b81b9e97156fd8e5d93cc99508f1c61eb21e88644467ec7"
+
+
+def kernel_digest_values():
+    quote_z = [*GRID_Z, *heston._QUOTE_WINDOW]
+    values = []
+    for case in (1, 2):
+        m = reference_case_model(case)
+        for T in (0.05, 0.25, 1.0):
+            for asset in (m.asset_x, m.asset_y):
+                values.extend(heston._time_values(*heston._leg_args(m.heston, asset), T, quote_z))
+    spec = GridSpec()
+    triples = [
+        (rho, rx, ry) for rho in spec.rho_list for rx in spec.rho_x_list for ry in spec.rho_y_list
+        if validate_correlation(CorrelationStructure(rho, rx, ry))[0]
+    ]
+    for i in range(20):
+        model = TwoAssetModel(
+            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y, s0x=spec.s0x,
+            s0y=spec.s0y_list[3 * i % len(spec.s0y_list)],
+            corr=CorrelationStructure(*triples[37 * i % len(triples)]),
+        )
+        values.append(exchange_option_price(model, spec.T_list[i % len(spec.T_list)]))
+    return np.array(values)
+
+
 class TestFourierKernel:
+    def test_kernel_bits_pinned(self):
+        digest = hashlib.sha256(kernel_digest_values().tobytes()).hexdigest()
+        assert digest == KERNEL_DIGEST
+
     @settings(max_examples=15, deadline=None, derandomize=True)
     @leg_models
     def test_batch_equals_one_strike_at_a_time(self, **leg):
