@@ -66,12 +66,15 @@ _QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
 
 _DAMPING_ALPHA = 0.75  # e^{alpha k} damping; alpha and -1-alpha share alpha^2+alpha
 _TAIL_TOL = 1e-14
+_FIRST_UPPER = 100.0  # first cut-off tried; each further one doubles it
+_TAIL_NODES = np.linspace(_FIRST_UPPER, 1.25 * _FIRST_UPPER, 7)  # probes at 2^j times these
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
 _GL_NODES = 24
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _MAX_REFINE = 9
 _CHUNK_PANELS = 128  # 3072 nodes: no level allocates more at once
+_ROW_MEMO = 1024  # (strike, chunk) rows of _panel_row: at most about 3 MB
 _QUOTE_MEMO = 16  # legs whose quote batch is kept: a sweep maturity has 10
 
 
@@ -113,7 +116,14 @@ def _clog1p(w: np.ndarray) -> np.ndarray:
     """log(1 + w) for complex w = x + iy in real arithmetic, relative error below
     4e-16 at |w| <= 0.5: log|1 + w| = log1p(x(2 + x) + y^2)/2, arg = atan2(y, 1 + x)."""
     x, y = w.real, w.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    r = np.add(2.0, x)
+    np.multiply(x, r, out=r)
+    s = np.multiply(y, y)
+    np.add(r, s, out=r)
+    np.multiply(0.5, np.log1p(r, out=r), out=r)
+    np.arctan2(y, np.add(1.0, x, out=s), out=s)
+    out = np.multiply(1j, s)
+    return np.add(r, out, out=out)
 
 
 def _cf_log_return(
@@ -125,38 +135,72 @@ def _cf_log_return(
     Stabilised variant of the usual formulation: the (b - d) difference is
     rewritten as -nu^2 (iu + u^2) / (b + d), which removes the catastrophic
     cancellation at small nu and stays on the continuous branch for all T.
+    Evaluated in place on six buffers: the statements below are
+    q = iu + u^2, b = kappa - i rho nu u, d = sqrt(b^2 + nu^2 q),
+    g = -nu^2 (q/(b + d))/(b + d), A = kappa theta (q/(b + d) (-T)
+    - 2 log(1 + g (1 - e^{-dT})/(1 - g))/nu^2), minus_D = q/(b + d)
+    (1 - e^{-dT})/(1 - g e^{-dT}) and e^{A - minus_D v0}, each product with its
+    operands in that order (numpy rounds complex products through fused
+    multiply-adds, so a swapped product can differ in the last bit).
     """
     u = np.asarray(u, dtype=complex)
-    q = 1j * u + u * u
-    b = kappa - 1j * rho_sv * nu * u
-    d = np.sqrt(b * b + nu * nu * q)  # principal branch, Re(d) >= 0
-    bpd = b + d
-    q_bpd = q / bpd
-    g = -nu * nu * q_bpd / bpd  # (b - d)/(b + d)
-    edt = np.exp(d * -T)  # signs sit on scalars: no array negation
-    one_m_edt = 1.0 - edt
-    A = kappa_theta * (q_bpd * -T - 2.0 * _clog1p(g * one_m_edt / (1.0 - g)) / (nu * nu))
-    minus_D = q_bpd * one_m_edt / (1.0 - g * edt)
-    return np.exp(A - minus_D * v0)
+    q = np.multiply(1j, u)
+    t = np.multiply(u, u)
+    q += t
+    b = np.multiply(1j * rho_sv * nu, u)
+    np.subtract(kappa, b, out=b)
+    d = np.multiply(b, b)
+    d += np.multiply(nu * nu, q, out=t)
+    np.sqrt(d, out=d)  # principal branch, Re(d) >= 0
+    bpd = np.add(b, d, out=b)
+    q_bpd = np.divide(q, bpd, out=q)
+    g = np.multiply(-nu * nu, q_bpd)
+    np.divide(g, bpd, out=g)  # (b - d)/(b + d)
+    edt = np.exp(np.multiply(d, -T, out=d), out=d)  # signs sit on scalars
+    one_m_edt = np.subtract(1.0, edt, out=b)
+    w = np.subtract(1.0, g)
+    np.divide(np.multiply(g, one_m_edt, out=t), w, out=t)
+    log_term = _clog1p(t)
+    np.divide(np.multiply(2.0, log_term, out=log_term), nu * nu, out=log_term)
+    A = np.multiply(q_bpd, -T, out=w)
+    np.multiply(kappa_theta, np.subtract(A, log_term, out=A), out=A)
+    minus_D = np.multiply(q_bpd, one_m_edt, out=q)
+    np.divide(minus_D, np.subtract(1.0, np.multiply(g, edt, out=g), out=g), out=minus_D)
+    return np.exp(np.subtract(A, np.multiply(minus_D, v0, out=minus_D), out=A), out=A)
 
 
 def _panel_sums(
     f: np.ndarray, mids: np.ndarray, half: float, ks: np.ndarray
 ) -> np.ndarray:
     """Sum of w_g [cos(uk) Re f + sin(uk) Im f] over the Gauss-Legendre nodes
-    u = m + half x_g of panels with midpoints ``mids`` (f has one row of
-    _GL_NODES values per panel), for each log-strike in ``ks``.
+    u = m + half x_g of consecutive panels of half-width ``half`` tiling [0, upper],
+    with midpoints ``mids`` = half (2j + 1) (f has one row of _GL_NODES values
+    per panel), for each log-strike in ``ks``.
 
     Splitting uk = mk + (half x_g) k, a panel sums to cos(mk) A + sin(mk) B,
     where A + iB = f @ (w e^{-i half x k}): A = Re f (w cos(half x k)) +
     Im f (w sin(half x k)) and B = Im f (w cos(half x k)) - Re f (w sin(half x k)).
-    Trig runs once per panel and once per abscissa, not once per node.  Each strike's
-    stacked f @ w is its own gemv, so its bits do not depend on the rest of ``ks``."""
-    hk = np.multiply.outer(ks, half * _GL_X)
+    Trig runs once per panel and once per abscissa, not once per node, and
+    only for a (strike, chunk) row that ``_panel_row`` does not hold.  Each
+    strike's stacked f @ w is its own gemv, so its bits do not depend on the
+    rest of ``ks``."""
+    first = round(float(mids[0]) / half)
+    rows = [_panel_row(k, half, first, len(mids)) for k in map(float, ks)]
+    weights, phases = np.array([w for w, _ in rows]), np.array([p for _, p in rows])
+    return np.matmul(phases[:, None, :], np.matmul(f, weights[:, :, None]))[:, 0, 0].real
+
+
+@functools.lru_cache(maxsize=_ROW_MEMO)
+def _panel_row(k: float, half: float, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only model-free factors of log-strike k over the n panels with
+    midpoints m = half (first + 2i): the abscissa weights w e^{-i half x k}
+    and the conjugate midpoint phases e^{-imk}."""
+    hk = k * (half * _GL_X)
     weights = _GL_W * (np.cos(hk) - 1j * np.sin(hk))
-    mk = np.multiply.outer(ks, mids)
-    phases = np.cos(mk) + 1j * np.sin(mk)
-    return np.matmul(phases.conj()[:, None, :], np.matmul(f, weights[:, :, None]))[:, 0, 0].real
+    mk = k * (half * np.arange(first, first + 2 * n, 2))
+    phases = (np.cos(mk) + 1j * np.sin(mk)).conj()
+    weights.flags.writeable = phases.flags.writeable = False
+    return weights, phases
 
 
 def _damped_values(
@@ -170,40 +214,47 @@ def _damped_values(
     A strike's ``upper`` is the first doubling where its integrand is below
     _TAIL_TOL; panels then double until its estimate moves by less than
     max(_ABS_TOL, _REL_TOL |est|), and it keeps the estimate of that level."""
+    den0, den1, shift = alpha * alpha + alpha, 1j * (2.0 * alpha + 1.0), (alpha + 1.0) * 1j
 
     def damped_cf(u: np.ndarray) -> np.ndarray:
-        den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
-        return cf(u - (alpha + 1.0) * 1j) / den
+        den, uu = np.multiply(den1, u), np.multiply(u, u)
+        np.add(np.subtract(den0, uu, out=uu), den, out=den)
+        f = cf(np.subtract(u, shift))
+        return np.divide(f, den, out=f)
 
-    est: dict[int, float] = {}
-    pending, upper = list(range(len(ks))), 100.0
-    while pending:
+    k_all, est = np.array(ks, dtype=float), np.empty(len(ks))
+    pending, upper = np.arange(len(ks)), _FIRST_UPPER
+    while pending.size:
         if upper > 2e6:
             raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u={upper} "
-                                 f"at log-strikes {[ks[i] for i in pending]}")
-        u = np.linspace(upper, 1.25 * upper, 7)
-        f, uk = damped_cf(u), np.multiply.outer([ks[i] for i in pending], u)
-        tail = np.max(np.abs(np.cos(uk) * f.real + np.sin(uk) * f.imag), axis=1)
-        over = [i for i, t in zip(pending, tail) if t > _TAIL_TOL]
-        todo, prev, n_panels = [i for i in pending if i not in over], {}, max(32, int(upper / 4.0))
+                                 f"at log-strikes {k_all[pending].tolist()}")
+        u = _TAIL_NODES * (upper / _FIRST_UPPER)
+        f, uk = damped_cf(u), np.multiply.outer(k_all[pending], u)
+        over = np.max(np.abs(np.cos(uk) * f.real + np.sin(uk) * f.imag), axis=1) > _TAIL_TOL
+        todo, n_panels = pending[~over], max(32, int(upper / 4.0))
+        prev = np.full(todo.size, math.inf)
         for _ in range(_MAX_REFINE + 1):
-            if not todo:
+            if not todo.size:
                 break
-            half, k_todo = 0.5 * upper / n_panels, np.array([ks[i] for i in todo])
-            mids, sums = half * np.arange(1, 2 * n_panels, 2), np.zeros(len(todo))
-            for mid in np.array_split(mids, -(-n_panels // _CHUNK_PANELS)):
-                f = damped_cf(mid[:, None] + half * _GL_X[None, :])
+            half, k_todo = 0.5 * upper / n_panels, k_all[todo]
+            n_chunks, sums, xs = -(-n_panels // _CHUNK_PANELS), np.zeros(todo.size), half * _GL_X
+            size, extra = divmod(n_panels, n_chunks)
+            for c in range(n_chunks):  # np.array_split's chunks: the first `extra` one panel longer
+                lo = c * size + min(c, extra)
+                mid = half * np.arange(2 * lo + 1, 2 * (lo + size + (c < extra)), 2)
+                f = damped_cf(mid[:, None] + xs[None, :])
                 sums += _panel_sums(f, mid, half, k_todo)
-            cur = {i: v * half for i, v in zip(todo, sums.tolist())}
-            step = {i: abs(v - prev.get(i, math.inf)) for i, v in cur.items()}
-            est.update((i, v) for i, v in cur.items() if step[i] < max(_ABS_TOL, _REL_TOL * abs(v)))
-            todo, prev, n_panels = [i for i in todo if i not in est], cur, 2 * n_panels
-        if todo:
-            raise NumericalError(f"quadrature not converged at log-strikes {[ks[i] for i in todo]}"
+            cur = sums * half
+            step = np.abs(cur - prev)
+            done = step < np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur))
+            est[todo[done]] = cur[done]
+            todo, prev, step, n_panels = todo[~done], cur[~done], step[~done], 2 * n_panels
+        if todo.size:
+            raise NumericalError(f"quadrature not converged at log-strikes {k_all[todo].tolist()}"
                                  f": upper={upper}, panels={n_panels // 2}, "
-                                 f"last delta={max(step[i] for i in todo):.3e}")
-        pending, upper = over, 2.0 * upper
-    return [math.exp(-alpha * k) / math.pi * est[i] for i, k in enumerate(ks)]
+                                 f"last delta={step.max():.3e}")
+        pending, upper = pending[over], 2.0 * upper
+    return [math.exp(-alpha * k) / math.pi * e for k, e in zip(ks, est.tolist())]
 
 
 def _time_values(

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -395,6 +396,49 @@ class TestFourierKernel:
         single = {z: heston._time_values(*args, [z])[0] for z in knots_and_window}
         for zs in (GRID_Z, GRID_Z[::-1], knots_and_window):
             assert np.array_equal(heston._time_values(*args, zs), [single[z] for z in zs])
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @leg_models
+    def test_panel_table_cold_warm_or_evicting_give_the_same_bits(self, **leg):
+        args, zs = leg_kernel(**leg), [*GRID_Z, *heston._QUOTE_WINDOW]
+        heston._panel_row.cache_clear()
+        cold = heston._time_values(*args, zs)
+        rows = heston._panel_row.cache_info().misses
+        warm = heston._time_values(*args, zs)
+        if rows <= heston._ROW_MEMO:  # the whole batch fits: every row is read back
+            assert heston._panel_row.cache_info().misses == rows
+        # a table held at its maxsize: every miss evicts a row of the same batch
+        with pytest.MonkeyPatch.context() as mp:
+            small = functools.lru_cache(maxsize=8)(heston._panel_row.__wrapped__)
+            mp.setattr(heston, "_panel_row", small)
+            evicting = heston._time_values(*args, zs)
+            assert small.cache_info().currsize == 8
+        assert cold.tobytes() == warm.tobytes() == evicting.tobytes()
+
+    def test_panel_table_stays_bounded_over_many_strikes(self):
+        # 4000 distinct log-strikes, each a new row in every chunk it is read in
+        args = leg_kernel(1.5, 0.15, 0.5, 0.15, 1.0, -0.6, 1.0)
+        batches = np.linspace(-0.5, 0.5, 4000).reshape(40, 100)
+        heston._panel_row.cache_clear()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for half in (batches[:20], batches[20:]):
+                tracemalloc.reset_peak()
+                for ks in half:
+                    heston._time_values(*args, ks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            info, held = heston._panel_row.cache_info(), tracemalloc.get_traced_memory()[0]
+            heston._panel_row.cache_clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert info.misses > 2 * heston._ROW_MEMO and info.currsize == heston._ROW_MEMO
+        # a row of a full 128-panel chunk holds 2.4 KiB of values; the second
+        # 2000 strikes peak no higher than the first (a table holding every
+        # row holds several MiB more)
+        assert held < heston._ROW_MEMO * 3 * 2**10
+        assert peaks[1] - peaks[0] < 64 * 2**10
 
     @pytest.mark.parametrize("alpha", [heston._DAMPING_ALPHA, -1.0 - heston._DAMPING_ALPHA])
     def test_panel_phases_match_the_node_form(self, alpha):
