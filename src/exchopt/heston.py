@@ -66,8 +66,9 @@ _QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
 
 _DAMPING_ALPHA = 0.75  # e^{alpha k} damping; alpha and -1-alpha share alpha^2+alpha
 _TAIL_TOL = 1e-14
-_FIRST_UPPER = 100.0  # first cut-off tried; each further one doubles it
-_TAIL_NODES = np.linspace(_FIRST_UPPER, 1.25 * _FIRST_UPPER, 7)  # probes at 2^j times these
+_FIRST_UPPER = 100.0  # first cut-off tried; each further one doubles it, up to 2e6
+# 7 tail probes on [upper, 1.25 upper] for each of the 15 cut-offs, in one batch
+_TAIL_NODES = np.ldexp(np.linspace(_FIRST_UPPER, 1.25 * _FIRST_UPPER, 7), np.arange(15)[:, None])
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
 _GL_NODES = 24
@@ -211,8 +212,9 @@ def _damped_values(
     f = cf(u - (alpha+1)i) / den(u) computed once per node for the whole batch,
     on Gauss-Legendre panels over [0, upper], _CHUNK_PANELS panels at a time,
     and read by each strike through its per-panel phases (``_panel_sums``).
-    A strike's ``upper`` is the first doubling where its integrand is below
-    _TAIL_TOL; panels then double until its estimate moves by less than
+    The strikes share one cut-off ``upper``: the first doubling where |f|, which
+    bounds every strike's integrand, is below _TAIL_TOL at all its probe nodes.
+    Panels then double until a strike's estimate moves by less than
     max(_ABS_TOL, _REL_TOL |est|), and it keeps the estimate of that level."""
     den0, den1, shift = alpha * alpha + alpha, 1j * (2.0 * alpha + 1.0), (alpha + 1.0) * 1j
 
@@ -223,38 +225,31 @@ def _damped_values(
         return np.divide(f, den, out=f)
 
     k_all, est = np.array(ks, dtype=float), np.empty(len(ks))
-    pending, upper = np.arange(len(ks)), _FIRST_UPPER
-    while pending.size:
-        if upper > 2e6:
-            raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u={upper} "
-                                 f"at log-strikes {k_all[pending].tolist()}")
-        u = _TAIL_NODES * (upper / _FIRST_UPPER)
-        f, uk = damped_cf(u), np.multiply.outer(k_all[pending], u)
-        over = np.max(np.abs(np.cos(uk) * f.real + np.sin(uk) * f.imag), axis=1) > _TAIL_TOL
-        todo, n_panels = pending[~over], max(32, int(upper / 4.0))
-        prev = np.full(todo.size, math.inf)
-        for _ in range(_MAX_REFINE + 1):
-            if not todo.size:
-                break
-            half, k_todo = 0.5 * upper / n_panels, k_all[todo]
-            n_chunks, sums, xs = -(-n_panels // _CHUNK_PANELS), np.zeros(todo.size), half * _GL_X
-            size, extra = divmod(n_panels, n_chunks)
-            for c in range(n_chunks):  # np.array_split's chunks: the first `extra` one panel longer
-                lo = c * size + min(c, extra)
-                mid = half * np.arange(2 * lo + 1, 2 * (lo + size + (c < extra)), 2)
-                f = damped_cf(mid[:, None] + xs[None, :])
-                sums += _panel_sums(f, mid, half, k_todo)
-            cur = sums * half
-            step = np.abs(cur - prev)
-            done = step < np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur))
-            est[todo[done]] = cur[done]
-            todo, prev, step, n_panels = todo[~done], cur[~done], step[~done], 2 * n_panels
-        if todo.size:
-            raise NumericalError(f"quadrature not converged at log-strikes {k_all[todo].tolist()}"
-                                 f": upper={upper}, panels={n_panels // 2}, "
-                                 f"last delta={step.max():.3e}")
-        pending, upper = pending[over], 2.0 * upper
-    return [math.exp(-alpha * k) / math.pi * e for k, e in zip(ks, est.tolist())]
+    below = np.abs(damped_cf(_TAIL_NODES)).max(axis=1) <= _TAIL_TOL
+    if not below.any():
+        raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u="
+                             f"{_FIRST_UPPER * 2.0 ** len(below)} at log-strikes {k_all.tolist()}")
+    upper = _FIRST_UPPER * 2.0 ** int(np.argmax(below))
+    todo, prev = np.arange(len(ks)), np.full(len(ks), math.inf)
+    for level in range(_MAX_REFINE + 1):
+        n_panels = max(32, int(upper / 4.0)) << level
+        half, k_todo = 0.5 * upper / n_panels, k_all[todo]
+        n_chunks, sums, xs = -(-n_panels // _CHUNK_PANELS), np.zeros(todo.size), half * _GL_X
+        size, extra = divmod(n_panels, n_chunks)
+        for c in range(n_chunks):  # as even as possible, the first `extra` one panel longer
+            lo = c * size + min(c, extra)
+            mid = half * np.arange(2 * lo + 1, 2 * (lo + size + (c < extra)), 2)
+            f = damped_cf(mid[:, None] + xs[None, :])
+            sums += _panel_sums(f, mid, half, k_todo)
+        cur = sums * half
+        step = np.abs(cur - prev)
+        done = step < np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur))
+        est[todo[done]] = cur[done]
+        todo, prev, step = todo[~done], cur[~done], step[~done]
+        if not todo.size:
+            return [math.exp(-alpha * k) / math.pi * e for k, e in zip(ks, est.tolist())]
+    raise NumericalError(f"quadrature not converged at log-strikes {k_all[todo].tolist()}"
+                         f": upper={upper}, panels={n_panels}, last delta={step.max():.3e}")
 
 
 def _time_values(

@@ -327,6 +327,16 @@ class TestExchangeOraclePrice:
         exact = exchange_option_price(case2_model, 0.05)
         assert abs(est.value - exact) <= 3.0 * est.stderr
 
+    def test_slowly_decaying_price_within_bounds(self):
+        # the ratio asset at (0.9, 0.18, 0.59), T 0.1: a cut-off probed on the
+        # oscillating integrand stopped one doubling early and priced -7.4e-11
+        spec = GridSpec()
+        model = TwoAssetModel(
+            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y, s0x=spec.s0x,
+            s0y=107.67528509780341, corr=CorrelationStructure(rho=0.9, rho_x=0.18, rho_y=0.59),
+        )
+        assert exchange_option_price(model, 0.1) >= -1e-13 * model.s0x
+
     def test_rejects_invalid_correlations(self, case1_model):
         from dataclasses import replace
         from exchopt.models import CorrelationStructure
