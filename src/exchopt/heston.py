@@ -397,10 +397,14 @@ def build_smile(
 ) -> list[tuple[float, float]]:
     """Price and invert each absolute log strike; returns sorted
     (log_strike, implied_vol) pairs.  Pricing or inversion failures propagate
-    (nothing is skipped silently)."""
+    (nothing is skipped silently): a strike whose time value is below
+    ``MIN_TIME_VALUE * s0``, which float64 cannot invert, raises DomainError."""
     ks = sorted(log_strikes)
     zs = [k - asset.x0 for k in ks]
     tv = _leg_time_values(params, asset, zs, T)
+    low = [k for k, t in zip(ks, tv) if t < MIN_TIME_VALUE]
+    if low:
+        raise DomainError(f"time value below {MIN_TIME_VALUE} of spot at log strikes {low}, T={T}")
     return list(zip(ks, _vols_from_time_values(tv, zs, T)))
 
 

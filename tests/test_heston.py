@@ -247,6 +247,13 @@ class TestSmile:
         with pytest.raises(DomainError):
             build_smile(BASE_PARAMS, case1_model.asset_y, 0.05, [X100 + 0.5])
 
+    def test_build_smile_refuses_unresolvable_time_value(self):
+        # time value 1.45e-14 of spot: the inversion used to stop at its seed 0.5
+        params = HestonParams(kappa=1.792, theta=0.0605, nu=0.864, sigma0=0.207)
+        asset = AssetSpec(lam=0.844, rho_sv=0.0016, s0=100.0)
+        with pytest.raises(DomainError, match=r"log strikes \[.*\], T=1\.0"):
+            build_smile(params, asset, 1.0, [X100 - 4.51])
+
     def test_smile_csv_schema(self, case1_model):
         smile = build_smile_grid(BASE_PARAMS, case1_model.asset_x, 0.05, asset_id="X")
         rows = smile_csv_rows(smile)
