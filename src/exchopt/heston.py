@@ -6,17 +6,16 @@ asset, so one Fourier kernel (``_time_values``) prices everything: a batch of
 log-strikes for unit spot, each as the damped integral of the characteristic
 function on its out-of-the-money side (in-the-money values follow by parity),
 accurate near 1e-13 of spot even for far strikes worth almost nothing.  The
-characteristic function over the damping denominator, f, is evaluated once per
-node for the whole batch, in chunks of whole panels (at most 3072 nodes, so
-memory does not grow with the cut-off), and each strike reads it as
-cos(uk) Re f + sin(uk) Im f, summed panel by panel with its phase split at the
-panel midpoint (``_panel_sums``, one stacked product per chunk), so trig runs
-per panel, not per node: a 41-strike smile costs little more than one strike,
-and vanilla and exchange prices are one-strike batches.  A leg's smile knots
-and the first rung of its convention-window strikes are one batch per (leg, T)
-(``_leg_quote``), kept for the last few legs; a leg's kept knots, and both
-legs' window strikes of a rung, are inverted as one batch.  The complex log1p
-inside the characteristic function is taken in real arithmetic.
+characteristic function over the damping denominator, f, is evaluated in place
+once per node for the whole batch, in chunks of whole panels (at most 3072
+nodes), out to one cut-off per side: where |f|, a bound on every strike's
+integrand, falls below tolerance.  Each strike reads f panel by panel through
+its weights and midpoint phases (``_panel_sums``), which depend on no model and
+are kept in a bounded table of (strike, chunk) rows, so trig runs per panel and
+only on a miss.  A leg's smile knots and the first rung of its convention-window
+strikes are one batch per (leg, T) (``_leg_quote``), kept for the last few
+legs; a leg's kept knots, and both legs' window strikes of a rung, are inverted
+as one batch.  The complex log1p is taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -66,9 +65,8 @@ _QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
 
 _DAMPING_ALPHA = 0.75  # e^{alpha k} damping; alpha and -1-alpha share alpha^2+alpha
 _TAIL_TOL = 1e-14
-_FIRST_UPPER = 100.0  # first cut-off tried; each further one doubles it, up to 2e6
-# 7 tail probes on [upper, 1.25 upper] for each of the 15 cut-offs, in one batch
-_TAIL_NODES = np.ldexp(np.linspace(_FIRST_UPPER, 1.25 * _FIRST_UPPER, 7), np.arange(15)[:, None])
+# 7 tail probes on [u, 1.25 u] for each cut-off u = 100 * 2^j up to 2e6, in one batch
+_TAIL_NODES = np.ldexp(np.linspace(100.0, 125.0, 7), np.arange(15)[:, None])
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
 _GL_NODES = 24
@@ -117,14 +115,7 @@ def _clog1p(w: np.ndarray) -> np.ndarray:
     """log(1 + w) for complex w = x + iy in real arithmetic, relative error below
     4e-16 at |w| <= 0.5: log|1 + w| = log1p(x(2 + x) + y^2)/2, arg = atan2(y, 1 + x)."""
     x, y = w.real, w.imag
-    r = np.add(2.0, x)
-    np.multiply(x, r, out=r)
-    s = np.multiply(y, y)
-    np.add(r, s, out=r)
-    np.multiply(0.5, np.log1p(r, out=r), out=r)
-    np.arctan2(y, np.add(1.0, x, out=s), out=s)
-    out = np.multiply(1j, s)
-    return np.add(r, out, out=out)
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
 def _cf_log_return(
@@ -136,55 +127,40 @@ def _cf_log_return(
     Stabilised variant of the usual formulation: the (b - d) difference is
     rewritten as -nu^2 (iu + u^2) / (b + d), which removes the catastrophic
     cancellation at small nu and stays on the continuous branch for all T.
-    Evaluated in place on six buffers: the statements below are
-    q = iu + u^2, b = kappa - i rho nu u, d = sqrt(b^2 + nu^2 q),
-    g = -nu^2 (q/(b + d))/(b + d), A = kappa theta (q/(b + d) (-T)
-    - 2 log(1 + g (1 - e^{-dT})/(1 - g))/nu^2), minus_D = q/(b + d)
-    (1 - e^{-dT})/(1 - g e^{-dT}) and e^{A - minus_D v0}, each product with its
-    operands in that order (numpy rounds complex products through fused
-    multiply-adds, so a swapped product can differ in the last bit).
+    Evaluated on reused buffers, each complex product's operands in their
+    textbook order: numpy rounds complex products through fused multiply-adds.
     """
     u = np.asarray(u, dtype=complex)
-    q = np.multiply(1j, u)
-    t = np.multiply(u, u)
-    q += t
-    b = np.multiply(1j * rho_sv * nu, u)
-    np.subtract(kappa, b, out=b)
-    d = np.multiply(b, b)
-    d += np.multiply(nu * nu, q, out=t)
+    q = 1j * u + u * u
+    b = np.subtract(kappa, 1j * rho_sv * nu * u)
+    d = b * b
+    d += nu * nu * q
     np.sqrt(d, out=d)  # principal branch, Re(d) >= 0
     bpd = np.add(b, d, out=b)
     q_bpd = np.divide(q, bpd, out=q)
-    g = np.multiply(-nu * nu, q_bpd)
-    np.divide(g, bpd, out=g)  # (b - d)/(b + d)
-    edt = np.exp(np.multiply(d, -T, out=d), out=d)  # signs sit on scalars
-    one_m_edt = np.subtract(1.0, edt, out=b)
-    w = np.subtract(1.0, g)
-    np.divide(np.multiply(g, one_m_edt, out=t), w, out=t)
-    log_term = _clog1p(t)
-    np.divide(np.multiply(2.0, log_term, out=log_term), nu * nu, out=log_term)
-    A = np.multiply(q_bpd, -T, out=w)
-    np.multiply(kappa_theta, np.subtract(A, log_term, out=A), out=A)
+    g = -nu * nu * q_bpd
+    g /= bpd  # (b - d)/(b + d)
+    edt = np.exp(np.multiply(d, -T, out=d), out=d)  # signs sit on scalars: no array negation
+    one_m_edt = np.subtract(1.0, edt, out=bpd)
+    A = kappa_theta * (q_bpd * -T - 2.0 * _clog1p(g * one_m_edt / (1.0 - g)) / (nu * nu))
     minus_D = np.multiply(q_bpd, one_m_edt, out=q)
-    np.divide(minus_D, np.subtract(1.0, np.multiply(g, edt, out=g), out=g), out=minus_D)
-    return np.exp(np.subtract(A, np.multiply(minus_D, v0, out=minus_D), out=A), out=A)
+    minus_D /= np.subtract(1.0, np.multiply(g, edt, out=g), out=g)
+    A -= np.multiply(minus_D, v0, out=minus_D)
+    return np.exp(A, out=A)
 
 
 def _panel_sums(
     f: np.ndarray, mids: np.ndarray, half: float, ks: np.ndarray
 ) -> np.ndarray:
     """Sum of w_g [cos(uk) Re f + sin(uk) Im f] over the Gauss-Legendre nodes
-    u = m + half x_g of consecutive panels of half-width ``half`` tiling [0, upper],
-    with midpoints ``mids`` = half (2j + 1) (f has one row of _GL_NODES values
-    per panel), for each log-strike in ``ks``.
+    u = m + half x_g of consecutive panels with midpoints ``mids`` = half (2j + 1)
+    (f has one row of _GL_NODES values per panel), for each log-strike in ``ks``.
 
     Splitting uk = mk + (half x_g) k, a panel sums to cos(mk) A + sin(mk) B,
     where A + iB = f @ (w e^{-i half x k}): A = Re f (w cos(half x k)) +
     Im f (w sin(half x k)) and B = Im f (w cos(half x k)) - Re f (w sin(half x k)).
-    Trig runs once per panel and once per abscissa, not once per node, and
-    only for a (strike, chunk) row that ``_panel_row`` does not hold.  Each
-    strike's stacked f @ w is its own gemv, so its bits do not depend on the
-    rest of ``ks``."""
+    Trig runs per panel and abscissa, only for rows ``_panel_row`` does not hold; each
+    strike's stacked f @ w is its own gemv, so its bits do not depend on the rest of ``ks``."""
     first = round(float(mids[0]) / half)
     rows = [_panel_row(k, half, first, len(mids)) for k in map(float, ks)]
     weights, phases = np.array([w for w, _ in rows]), np.array([p for _, p in rows])
@@ -193,9 +169,8 @@ def _panel_sums(
 
 @functools.lru_cache(maxsize=_ROW_MEMO)
 def _panel_row(k: float, half: float, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only model-free factors of log-strike k over the n panels with
-    midpoints m = half (first + 2i): the abscissa weights w e^{-i half x k}
-    and the conjugate midpoint phases e^{-imk}."""
+    """Read-only weights w e^{-i half x k} and conjugate phases e^{-imk} of log-strike
+    k over the n panels with midpoints m = half (first + 2i): no model enters."""
     hk = k * (half * _GL_X)
     weights = _GL_W * (np.cos(hk) - 1j * np.sin(hk))
     mk = k * (half * np.arange(first, first + 2 * n, 2))
@@ -212,24 +187,20 @@ def _damped_values(
     f = cf(u - (alpha+1)i) / den(u) computed once per node for the whole batch,
     on Gauss-Legendre panels over [0, upper], _CHUNK_PANELS panels at a time,
     and read by each strike through its per-panel phases (``_panel_sums``).
-    The strikes share one cut-off ``upper``: the first doubling where |f|, which
-    bounds every strike's integrand, is below _TAIL_TOL at all its probe nodes.
-    Panels then double until a strike's estimate moves by less than
-    max(_ABS_TOL, _REL_TOL |est|), and it keeps the estimate of that level."""
-    den0, den1, shift = alpha * alpha + alpha, 1j * (2.0 * alpha + 1.0), (alpha + 1.0) * 1j
+    The strikes share the first doubling ``upper`` where |f|, a bound on each
+    integrand, is below _TAIL_TOL at every probe; panels then double until a strike's
+    estimate moves by less than max(_ABS_TOL, _REL_TOL |est|), the estimate it keeps."""
 
     def damped_cf(u: np.ndarray) -> np.ndarray:
-        den, uu = np.multiply(den1, u), np.multiply(u, u)
-        np.add(np.subtract(den0, uu, out=uu), den, out=den)
-        f = cf(np.subtract(u, shift))
-        return np.divide(f, den, out=f)
+        den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
+        return cf(u - (alpha + 1.0) * 1j) / den
 
     k_all, est = np.array(ks, dtype=float), np.empty(len(ks))
     below = np.abs(damped_cf(_TAIL_NODES)).max(axis=1) <= _TAIL_TOL
     if not below.any():
-        raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u="
-                             f"{_FIRST_UPPER * 2.0 ** len(below)} at log-strikes {k_all.tolist()}")
-    upper = _FIRST_UPPER * 2.0 ** int(np.argmax(below))
+        raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u={2.0 * _TAIL_NODES[-1, 0]}"
+                             f" at log-strikes {k_all.tolist()}")
+    upper = float(_TAIL_NODES[np.argmax(below), 0])
     todo, prev = np.arange(len(ks)), np.full(len(ks), math.inf)
     for level in range(_MAX_REFINE + 1):
         n_panels = max(32, int(upper / 4.0)) << level
@@ -395,10 +366,9 @@ class Smile:
 def build_smile(
     params: HestonParams, asset: AssetSpec, T: float, log_strikes: Iterable[float]
 ) -> list[tuple[float, float]]:
-    """Price and invert each absolute log strike; returns sorted
-    (log_strike, implied_vol) pairs.  Pricing or inversion failures propagate
-    (nothing is skipped silently): a strike whose time value is below
-    ``MIN_TIME_VALUE * s0``, which float64 cannot invert, raises DomainError."""
+    """Price and invert each absolute log strike; returns sorted (log_strike,
+    implied_vol) pairs.  Pricing or inversion failures propagate, and a time value
+    below MIN_TIME_VALUE of spot raises DomainError (nothing is skipped silently)."""
     ks = sorted(log_strikes)
     zs = [k - asset.x0 for k in ks]
     tv = _leg_time_values(params, asset, zs, T)
