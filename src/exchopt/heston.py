@@ -73,7 +73,7 @@ _GL_NODES = 24
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _MAX_REFINE = 9
 _CHUNK_PANELS = 128  # 3072 nodes: no level allocates more at once
-_ROW_MEMO = 1024  # (strike, chunk) rows of _panel_row: at most about 3 MB
+_ROW_MEMO = 512  # (strike, chunk) rows of _panel_row: at most about 1.5 MB
 _QUOTE_MEMO = 16  # legs whose quote batch is kept: a sweep maturity has 10
 
 
