@@ -17,7 +17,6 @@ __all__ = [
     "bs_price",
     "bs_vega",
     "implied_vol",
-    "norm_cdf",
     "norm_pdf",
 ]
 
@@ -29,11 +28,6 @@ _IV_BRACKET_HI = 5.0
 _IV_NEWTON_SEED = 0.5
 _IV_MAX_ITER = 100
 _IV_PRICE_TOL = 1e-12  # relative to e^x
-
-
-def norm_cdf(z):
-    """Standard normal CDF via the complementary error function."""
-    return ndtr(z)
 
 
 def norm_pdf(z):

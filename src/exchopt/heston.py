@@ -54,7 +54,9 @@ __all__ = [
 # them; lookups beyond the kept knots fall back to flat extrapolation).
 SMILE_GRID_SPAN = (math.log(0.7), math.log(1.3))
 SMILE_GRID_POINTS = 41
-MIN_TIME_VALUE = 1e-12
+MIN_TIME_VALUE = blackscholes._IV_PRICE_TOL  # the inversion's price tolerance
+_SMILE_KNOTS = np.linspace(*SMILE_GRID_SPAN, SMILE_GRID_POINTS)
+_SMILE_KNOTS.flags.writeable = False
 
 # Convention skews are measured as the endpoint slope of the smile across the
 # quoted moneyness window [0.8, 1.2] (the span the reference study tabulates),
@@ -62,6 +64,7 @@ MIN_TIME_VALUE = 1e-12
 CONVENTION_SKEW_WINDOW = (math.log(0.8), math.log(1.2))
 WINDOW_SHRINK_LADDER = (1.0, 0.8, 0.6, 0.45, 0.3, 0.2, 0.12, 0.07, 0.04)
 _QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
+_QUOTE_STRIKES = (*_SMILE_KNOTS.tolist(), *_QUOTE_WINDOW)  # a leg's knots, then its first rung
 
 _DAMPING_ALPHA = 0.75  # e^{alpha k} damping; alpha and -1-alpha share alpha^2+alpha
 _TAIL_TOL = 1e-14
@@ -149,11 +152,9 @@ def _cf_log_return(
     return np.exp(A, out=A)
 
 
-def _panel_sums(
-    f: np.ndarray, mids: np.ndarray, half: float, ks: np.ndarray
-) -> np.ndarray:
+def _panel_sums(f: np.ndarray, first: int, half: float, ks: np.ndarray) -> np.ndarray:
     """Sum of w_g [cos(uk) Re f + sin(uk) Im f] over the Gauss-Legendre nodes
-    u = m + half x_g of consecutive panels with midpoints ``mids`` = half (2j + 1)
+    u = m + half x_g of consecutive panels with midpoints m = half (first + 2i)
     (f has one row of _GL_NODES values per panel), for each log-strike in ``ks``.
 
     Splitting uk = mk + (half x_g) k, a panel sums to cos(mk) A + sin(mk) B,
@@ -161,8 +162,7 @@ def _panel_sums(
     Im f (w sin(half x k)) and B = Im f (w cos(half x k)) - Re f (w sin(half x k)).
     Trig runs per panel and abscissa, only for rows ``_panel_row`` does not hold; each
     strike's stacked f @ w is its own gemv, so its bits do not depend on the rest of ``ks``."""
-    first = round(float(mids[0]) / half)
-    rows = [_panel_row(k, half, first, len(mids)) for k in map(float, ks)]
+    rows = [_panel_row(k, half, first, len(f)) for k in map(float, ks)]
     weights, phases = np.array([w for w, _ in rows]), np.array([p for _, p in rows])
     return np.matmul(phases[:, None, :], np.matmul(f, weights[:, :, None]))[:, 0, 0].real
 
@@ -208,10 +208,10 @@ def _damped_values(
         n_chunks, sums, xs = -(-n_panels // _CHUNK_PANELS), np.zeros(todo.size), half * _GL_X
         size, extra = divmod(n_panels, n_chunks)
         for c in range(n_chunks):  # as even as possible, the first `extra` one panel longer
-            lo = c * size + min(c, extra)
-            mid = half * np.arange(2 * lo + 1, 2 * (lo + size + (c < extra)), 2)
+            first = 2 * (c * size + min(c, extra)) + 1  # the chunk's first midpoint is first * half
+            mid = half * np.arange(first, first + 2 * (size + (c < extra)), 2)
             f = damped_cf(mid[:, None] + xs[None, :])
-            sums += _panel_sums(f, mid, half, k_todo)
+            sums += _panel_sums(f, first, half, k_todo)
         cur = sums * half
         step = np.abs(cur - prev)
         done = step < np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur))
@@ -255,16 +255,9 @@ def _leg_args(params: HestonParams, asset: AssetSpec) -> tuple[float, ...]:
     return eff.kappa, eff.kappa * eff.theta, eff.nu, eff.v0, asset.rho_sv
 
 
-def _leg_time_values(
-    params: HestonParams, asset: AssetSpec, zs: Sequence[float], T: float
-) -> np.ndarray:
-    """Time values for unit spot of one leg at log-moneyness ``zs``."""
-    return _time_values(*_leg_args(params, asset), T, zs)
-
-
 def _leg_quote(params: HestonParams, asset: AssetSpec, T: float) -> np.ndarray:
     """Read-only time values for unit spot of one leg at the SMILE_GRID_POINTS
-    smile knots, then at the first-rung window strikes _QUOTE_WINDOW: the one
+    smile knots, then at the first-rung window strikes (_QUOTE_STRIKES): the one
     kernel batch that build_smile_grid and measure_smile_observables share,
     kept for the last _QUOTE_MEMO legs (keyed on the kernel's floats, so the
     spot does not split them).  Batching leaves each strike's bits unchanged."""
@@ -273,8 +266,7 @@ def _leg_quote(params: HestonParams, asset: AssetSpec, T: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_QUOTE_MEMO)
 def _quote_time_values(*cf_args: float) -> np.ndarray:
-    zs = [*np.linspace(*SMILE_GRID_SPAN, SMILE_GRID_POINTS), *_QUOTE_WINDOW]
-    tv = _time_values(*cf_args, zs)
+    tv = _time_values(*cf_args, _QUOTE_STRIKES)
     tv.flags.writeable = False
     return tv
 
@@ -337,7 +329,7 @@ class Smile:
         self, asset_id: str, s0: float, T: float,
         log_moneyness: Sequence[float], vols: Sequence[float],
     ):
-        z = np.asarray(log_moneyness, dtype=float)
+        z = np.array(log_moneyness, dtype=float)  # a copy: no smile shares _SMILE_KNOTS
         v = np.asarray(vols, dtype=float)
         if z.ndim != 1 or z.size < 2 or z.size != v.size:
             raise InputError("need at least two (log_moneyness, vol) knots")
@@ -371,7 +363,7 @@ def build_smile(
     below MIN_TIME_VALUE of spot raises DomainError (nothing is skipped silently)."""
     ks = sorted(log_strikes)
     zs = [k - asset.x0 for k in ks]
-    tv = _leg_time_values(params, asset, zs, T)
+    tv = _time_values(*_leg_args(params, asset), T, zs)
     low = [k for k, t in zip(ks, tv) if t < MIN_TIME_VALUE]
     if low:
         raise DomainError(f"time value below {MIN_TIME_VALUE} of spot at log strikes {low}, T={T}")
@@ -387,8 +379,7 @@ def build_smile_grid(
     ``MIN_TIME_VALUE * s0`` cannot be inverted in float64 and are dropped from
     the contiguous wing (lookups past the kept knots use flat extrapolation).
     """
-    zs = np.linspace(SMILE_GRID_SPAN[0], SMILE_GRID_SPAN[1], SMILE_GRID_POINTS)
-    tv = _leg_quote(params, asset, T)[:SMILE_GRID_POINTS]
+    zs, tv = _SMILE_KNOTS, _leg_quote(params, asset, T)[:SMILE_GRID_POINTS]
     keep = np.flatnonzero(tv >= MIN_TIME_VALUE)
     if keep.size < 2:
         raise DomainError(
@@ -419,7 +410,7 @@ def measure_smile_observables(
         for asset in (asset_x, asset_y):
             tv = (_leg_quote(params, asset, T)[SMILE_GRID_POINTS:]
                   if factor == WINDOW_SHRINK_LADDER[0]
-                  else _leg_time_values(params, asset, zs, T))
+                  else _time_values(*_leg_args(params, asset), T, zs))
             if min(tv[0], tv[2]) < MIN_TIME_VALUE:
                 break
             tvs.append(tv)

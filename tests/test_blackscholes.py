@@ -192,7 +192,8 @@ class TestImpliedVol:
         model = reference_case_model(case)
         for asset in (model.asset_x, model.asset_y):
             smile = heston.build_smile_grid(model.heston, asset, T)
-            tvs = heston._leg_time_values(model.heston, asset, smile.log_moneyness, T)
+            args = heston._leg_args(model.heston, asset)
+            tvs = heston._time_values(*args, T, smile.log_moneyness)
             for z, tv, vol in zip(smile.log_moneyness, tvs, smile.vols):
                 price = tv + max(1.0 - math.exp(z), 0.0)
                 got = implied_vol(price, 0.0, z, T)
@@ -214,7 +215,7 @@ class TestBatchImpliedVols:
         asset = AssetSpec(lam=lam, rho_sv=rho_sv, s0=100.0)
         for T in (0.005, 0.05, 1.0):
             smile = heston.build_smile_grid(params, asset, T)
-            tvs = heston._leg_time_values(params, asset, smile.log_moneyness, T)
+            tvs = heston._time_values(*heston._leg_args(params, asset), T, smile.log_moneyness)
             for z, tv, vol in zip(smile.log_moneyness, tvs, smile.vols):
                 assert vol == checked_implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
 

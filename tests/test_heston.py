@@ -465,22 +465,23 @@ class TestFourierKernel:
         ks = np.array([-0.36, -0.05, 0.0, 0.05, 0.36])
         upper, n_panels = 409_600.0, 102_400
         half = 0.5 * upper / n_panels
-        mids = half * np.arange(1, 2 * n_panels, 2)
+        firsts = np.arange(1, 2 * n_panels, 2)  # each panel's midpoint over half
         panel, node, size = np.zeros((3, ks.size))
         eps = np.finfo(float).eps
-        for mid in np.array_split(mids, n_panels // heston._CHUNK_PANELS):
+        for first in np.array_split(firsts, n_panels // heston._CHUNK_PANELS):
+            mid = half * first
             u = mid[:, None] + half * heston._GL_X[None, :]
             den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
             f = cf(u - (alpha + 1.0) * 1j) / den
             uk = np.multiply.outer(ks, u)
             terms = heston._GL_W * (np.cos(uk) * f.real + np.sin(uk) * f.imag)
-            by_panel = np.array(heston._panel_sums(f, mid, half, ks))
+            by_panel = np.array(heston._panel_sums(f, int(first[0]), half, ks))
             by_node = terms.sum(axis=(1, 2))
             # within a chunk, the phase uk itself carries eps |uk| of rounding
             cond = (heston._GL_W * np.abs(f) * (1.0 + np.abs(uk))).sum(axis=(1, 2))
             assert np.all(np.abs(by_panel - by_node) <= 4.0 * eps * cond)
             panel, node, size = panel + by_panel, node + by_node, size + np.abs(terms).sum(axis=(1, 2))
-        assert mids[-1] * ks.max() > 1e5
+        assert half * firsts[-1] * ks.max() > 1e5
         assert np.all(np.abs(panel - node) <= 4.0 * eps * size)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -509,7 +510,7 @@ class TestFourierKernel:
         monkeypatch.setattr(heston, "_MAX_REFINE", 0)
         asset = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
         with pytest.raises(NumericalError) as err:
-            heston._leg_time_values(BASE_PARAMS, asset, [0.0, 0.1], 0.05)
+            heston._time_values(*heston._leg_args(BASE_PARAMS, asset), 0.05, [0.0, 0.1])
         msg = str(err.value)
         assert "log-strikes [0.0, 0.1]" in msg
         for field in ("upper=", "panels=", "last delta="):
@@ -603,7 +604,7 @@ def own_rung_observables(params, asset_x, asset_y, T, window):
     levels, skews = [], []
     for asset in (asset_x, asset_y):
         zs = (lo, 0.0, hi)
-        tv = heston._leg_time_values(params, asset, zs, T)
+        tv = heston._time_values(*heston._leg_args(params, asset), T, zs)
         dn, atm, up = (implied_vol(t + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
                        for t, z in zip(tv, zs))
         levels.append(atm)
@@ -689,6 +690,17 @@ class TestLegQuote:
         with pytest.raises(ValueError):
             tv[0] = 0.0
         assert heston._leg_quote(BASE_PARAMS, replace(asset, s0=80.0), 0.05) is tv
+
+    @pytest.mark.parametrize("T", [0.005, 1.0])
+    def test_one_read_only_knot_grid_that_smiles_copy(self, case1_model, T):
+        knots = heston._SMILE_KNOTS
+        assert not knots.flags.writeable and np.array_equal(knots, GRID_Z)
+        assert heston._QUOTE_STRIKES[: heston.SMILE_GRID_POINTS] == tuple(knots.tolist())
+        smile = build_smile_grid(BASE_PARAMS, case1_model.asset_x, T)
+        z = smile.log_moneyness
+        first = int(np.searchsorted(knots, z[0]))
+        assert np.array_equal(z, knots[first : first + z.size])  # the kept run of knots
+        assert z.flags.writeable and not np.shares_memory(z, knots)
 
     @pytest.mark.parametrize("case", [1, 2])
     @pytest.mark.parametrize("T", [0.05, 1.0])

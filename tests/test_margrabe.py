@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from exchopt.blackscholes import norm_cdf
 from exchopt.errors import DomainError, InputError
 from exchopt.heston import exchange_option_price
 from exchopt.margrabe import (
@@ -27,7 +27,7 @@ class TestMargrabePrice:
     def test_symmetric_atm_closed_form(self):
         gamma, T = 0.3, 0.25
         s = gamma * math.sqrt(T)
-        expected = 100.0 * (2.0 * norm_cdf(s / 2.0) - 1.0)
+        expected = 100.0 * (2.0 * ndtr(s / 2.0) - 1.0)
         assert margrabe_price(X100, X100, gamma, T) == pytest.approx(expected, abs=1e-12)
 
     def test_worthless_second_leg(self):
