@@ -4,18 +4,20 @@ Each leg of the two-asset model is itself a Heston asset after rescaling
 (``effective_heston``), and the exact exchange price is a vanilla on the ratio
 asset, so one Fourier kernel (``_time_values``) prices everything: a batch of
 log-strikes for unit spot, each as the damped integral of the characteristic
-function on its out-of-the-money side (in-the-money values follow by parity),
-accurate near 1e-13 of spot even for far strikes worth almost nothing.  The
-characteristic function over the damping denominator, f, is evaluated in place
-once per node for the whole batch, in chunks of whole panels (at most 3072
-nodes), out to one cut-off per side: where |f|, a bound on every strike's
-integrand, falls below tolerance.  Each strike reads f panel by panel through
-its weights and midpoint phases (``_panel_sums``), which depend on no model and
-are kept in a bounded table of (strike, chunk) rows, so trig runs per panel and
-only on a miss.  A leg's smile knots and the first rung of its convention-window
-strikes are one batch per (leg, T) (``_leg_quote``), kept for the last few
-legs; a leg's kept knots, and both legs' window strikes of a rung, are inverted
-as one batch.  The complex log1p is taken in real arithmetic.
+function on its out-of-the-money side (on the other side, less the intrinsic
+value, where the damping moment of the first explodes), accurate near 1e-13 of
+spot even for far strikes worth almost nothing.  The characteristic function
+over the damping denominator, f, is evaluated in place once per node for the
+whole batch, in chunks of whole panels (at most 3072 nodes), out to one cut-off
+per side: where |f|, a bound on every strike's integrand, falls below
+tolerance.  Each strike reads f panel by panel through its weights and midpoint
+phases (``_panel_sums``), which depend on no model and are kept in a bounded
+table of (strike, chunk) rows keyed by the chunk's integer panel index, so trig
+runs per panel and only on a miss.  A leg's smile knots (one read-only grid)
+and first-rung convention-window strikes are one batch per (leg, T)
+(``_leg_quote``), kept for the last few legs; a leg's kept knots, and both legs'
+window strikes of a rung, are inverted as one batch.  The complex log1p is
+taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _panel_row(k: float, half: float, first: int, n: int) -> tuple[np.ndarray, n
 
 def _damped_values(
     cf: Callable[[np.ndarray], np.ndarray], ks: Sequence[float], alpha: float
-) -> list[float]:
+) -> list[float] | None:
     """Damped-transform values for unit spot at log-strikes ``ks`` of calls
     (alpha > 0) or puts (alpha < -1): Re(e^{-iuk} f) = cos(uk) Re f + sin(uk) Im f,
     f = cf(u - (alpha+1)i) / den(u) computed once per node for the whole batch,
@@ -189,14 +191,21 @@ def _damped_values(
     and read by each strike through its per-panel phases (``_panel_sums``).
     The strikes share the first doubling ``upper`` where |f|, a bound on each
     integrand, is below _TAIL_TOL at every probe; panels then double until a strike's
-    estimate moves by less than max(_ABS_TOL, _REL_TOL |est|), the estimate it keeps."""
+    estimate moves by less than max(_ABS_TOL, _REL_TOL |est|), the estimate it keeps.
+    None where the damping moment E[S_T^(1+alpha)] = f(0) (alpha^2 + alpha) is not real and
+    at least 1 (Jensen's bound), as past its explosion time (Andersen & Piterbarg, 2007)."""
 
     def damped_cf(u: np.ndarray) -> np.ndarray:
         den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
         return cf(u - (alpha + 1.0) * 1j) / den
 
     k_all, est = np.array(ks, dtype=float), np.empty(len(ks))
-    below = np.abs(damped_cf(_TAIL_NODES)).max(axis=1) <= _TAIL_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # an exploding moment may overflow
+        probe = damped_cf(np.append(0.0, _TAIL_NODES))
+    moment = complex(probe[0]) * (alpha * alpha + alpha)  # rounding leaves |Im| < 1e-10 Re
+    if not (1.0 <= moment.real < math.inf and abs(moment.imag) <= 1e-8 * moment.real):
+        return None
+    below = np.abs(probe[1:]).reshape(_TAIL_NODES.shape).max(axis=1) <= _TAIL_TOL
     if not below.any():
         raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u={2.0 * _TAIL_NODES[-1, 0]}"
                              f" at log-strikes {k_all.tolist()}")
@@ -228,7 +237,9 @@ def _time_values(
     T: float, ks: Sequence[float],
 ) -> np.ndarray:
     """Out-of-the-money time values for unit spot at log-strikes ``ks`` (the
-    call for k >= 0, the put for k < 0): the one Fourier pricing kernel."""
+    call for k >= 0, the put for k < 0): the one Fourier pricing kernel.  A side
+    whose damping moment explodes prices its strikes on the other side, as the
+    in-the-money option less its intrinsic value |1 - e^k| (put-call parity)."""
     ks = [float(k) for k in ks]
     if not (math.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
@@ -238,8 +249,16 @@ def _time_values(
     out = np.empty(len(ks))
     for alpha in (_DAMPING_ALPHA, -1.0 - _DAMPING_ALPHA):
         side = [i for i, k in enumerate(ks) if (k >= 0.0) == (alpha > 0.0)]
-        if side:
-            out[side] = _damped_values(cf, [ks[i] for i in side], alpha)
+        side_ks = [ks[i] for i in side]
+        tv = _damped_values(cf, side_ks, alpha) if side else []
+        if tv is None:
+            tv = _damped_values(cf, side_ks, -1.0 - alpha)
+            if tv is None:
+                raise NumericalError(
+                    f"damping moments of both sides explode at kappa={kappa}, kappa_theta="
+                    f"{kappa_theta}, nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}")
+            tv = [v - abs(1.0 - math.exp(k)) for k, v in zip(side_ks, tv)]
+        out[side] = tv
     return out
 
 

@@ -262,6 +262,15 @@ class TestBatchImpliedVols:
         with pytest.raises(NumericalError, match=f"^{re.escape(str(scalar.value))}$"):
             _implied_vols(prices, 0.0, ks, T)
 
+    def test_unattainable_price_raises_the_scalar_error(self):
+        # half the spot at the money and T 1e-12 needs sigma above the 1e3 cap:
+        # the batch's upper end doubles past it and the scalar loop raises
+        msg = r"^price 0\.5 not attainable below sigma=1280\.0$"
+        with pytest.raises(DomainError, match=msg):
+            implied_vol(0.5, 0.0, 0.0, 1e-12)
+        with pytest.raises(DomainError, match=msg):
+            _implied_vols([0.5], 0.0, [0.0], 1e-12)
+
     def test_expiry_and_empty_batch(self):
         with pytest.raises(DomainError, match="at expiry"):
             _implied_vols([0.1, 0.2], 0.0, [0.0, 0.1], 0.0)

@@ -173,6 +173,23 @@ class TestVanillaPricer:
         other = gil_pelaez_call(100.0, strike, effective_heston(BASE_PARAMS, asset), -0.6, 0.05)
         assert mine == pytest.approx(other, abs=1e-9)
 
+    # E[S_T^1.75] is infinite in the first model and E[S_T^-0.75] in the
+    # second (Andersen & Piterbarg, 2007), so the out-of-the-money side's
+    # damping cannot price these strikes; the other side and parity can
+    @pytest.mark.parametrize("model, rho_sv, T, strike", [
+        *[((0.3, 1.0, 1.0, 0.4), 0.9, 3.0, K) for K in (100.0, 110.0, 130.0)],
+        *[((1.5, 0.1, 2.0, 0.3), -0.5, 2.0, K) for K in (70.0, 80.0, 90.0)],
+    ])
+    def test_exploding_damping_moment_prices_on_the_other_side(self, model, rho_sv, T, strike):
+        params = HestonParams(*model)
+        mine = heston_vanilla_price(params, AssetSpec(lam=1.0, rho_sv=rho_sv, s0=100.0), strike, T)
+        assert mine == pytest.approx(gil_pelaez_call(100.0, strike, params, rho_sv, T), rel=1e-9)
+
+    def test_both_damping_moments_exploding_raises(self):
+        params = HestonParams(kappa=0.5, theta=0.5, nu=2.0, sigma0=0.4)
+        with pytest.raises(NumericalError, match=r"both sides explode at kappa=0\.5, .*, T=2\.0$"):
+            heston_vanilla_price(params, AssetSpec(lam=1.0, rho_sv=0.0, s0=100.0), 100.0, 2.0)
+
     def test_input_validation(self):
         for strike in (-5.0, 0.0, math.nan, math.inf):
             with pytest.raises(InputError, match="strike must be positive"):
@@ -325,6 +342,35 @@ class TestObservables:
             measure_smile_observables(
                 BASE_PARAMS, case1_model.asset_x, case1_model.asset_y, 2e-5
             )
+
+    def test_rung_whose_inversion_raises_gives_way_to_the_next(self, case1_model, monkeypatch):
+        m, invert, calls = case1_model, blackscholes._implied_vols, []
+
+        def first_raises(prices, x, ks, T):
+            calls.append(list(ks))
+            if len(calls) == 1:
+                raise NumericalError("first rung")
+            return invert(prices, x, ks, T)
+
+        monkeypatch.setattr(blackscholes, "_implied_vols", first_raises)
+        obs = measure_smile_observables(m.heston, m.asset_x, m.asset_y, 0.05)
+        lo, hi = heston.CONVENTION_SKEW_WINDOW
+        factor = heston.WINDOW_SHRINK_LADDER[1]
+        assert len(calls) == 2 and obs.window == (factor * lo, factor * hi)
+        assert obs == own_rung_observables(m.heston, m.asset_x, m.asset_y, 0.05, obs.window)
+
+    def test_every_rung_raising_chains_the_last_inversion_error(self, case1_model, monkeypatch):
+        m, errors = case1_model, []
+
+        def always_raises(prices, x, ks, T):
+            errors.append(DomainError(f"rung {len(errors)}"))
+            raise errors[-1]
+
+        monkeypatch.setattr(blackscholes, "_implied_vols", always_raises)
+        with pytest.raises(DomainError, match=r"no shrink of window .* at T=0\.05") as err:
+            measure_smile_observables(m.heston, m.asset_x, m.asset_y, 0.05)
+        assert len(errors) == len(heston.WINDOW_SHRINK_LADDER)
+        assert err.value.__cause__ is errors[-1]
 
 
 class TestExchangeOraclePrice:
