@@ -52,11 +52,11 @@ __all__ = [
 ]
 
 # Experiment smile grid: 41 strikes evenly spaced in log-moneyness.  Wings with
-# time value below MIN_TIME_VALUE * s0 are trimmed (float64 cannot resolve
-# them; lookups beyond the kept knots fall back to flat extrapolation).
+# time value below MIN_TIME_VALUE * s0, the inversion's price tolerance, are
+# trimmed (lookups beyond the kept knots fall back to flat extrapolation).
 SMILE_GRID_SPAN = (math.log(0.7), math.log(1.3))
 SMILE_GRID_POINTS = 41
-MIN_TIME_VALUE = blackscholes._IV_PRICE_TOL  # the inversion's price tolerance
+MIN_TIME_VALUE = blackscholes._IV_PRICE_TOL
 _SMILE_KNOTS = np.linspace(*SMILE_GRID_SPAN, SMILE_GRID_POINTS)
 _SMILE_KNOTS.flags.writeable = False
 
@@ -395,7 +395,7 @@ def build_smile_grid(
     """Experiment-grade smile on an even log-moneyness grid with trimmed wings.
 
     Strikes whose out-of-the-money time value falls below
-    ``MIN_TIME_VALUE * s0`` cannot be inverted in float64 and are dropped from
+    ``MIN_TIME_VALUE * s0``, the inversion's tolerance, are dropped from
     the contiguous wing (lookups past the kept knots use flat extrapolation).
     """
     zs, tv = _SMILE_KNOTS, _leg_quote(params, asset, T)[:SMILE_GRID_POINTS]

@@ -14,7 +14,6 @@ import pathlib
 import pytest
 
 import exchopt
-import exchopt.cli  # noqa: F401  (perfbench reaches the CLI through the package)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
