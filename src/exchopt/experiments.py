@@ -1,16 +1,21 @@
 """Reproduction harness: test cases, the parameter-grid sweep, error metrics
 and plot-ready CSV extracts.
 
-The Monte Carlo benchmark simulates one normalized path set per parameter
-combination and reprices every moneyness from it (payoff homogeneity in the
-initial spots), which both speeds the sweep up an order of magnitude and
-smooths error curves across moneyness via common random numbers.
+The sweep (``run_grid``) follows one plan, walked one maturity at a time.  The
+grid's correlation triples and their one PSD verdict are listed once
+(``_triples``, which ``grid_exclusion_summary`` reads too).  At each maturity
+every leg a valid triple uses gets one smile and every (rho_X, rho_Y) pair one
+observables measurement; each valid triple then gets one a*, one Monte Carlo
+sample and the rows of all its S0Y together, each convention's a resolved once
+and its vols read in one lookup per leg (``_triple_rows``, which
+``run_test_case`` shares).  The sample is one normalized path set, repriced at
+every moneyness by payoff homogeneity in the initial spots, which also smooths
+error curves across moneyness via common random numbers.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import warnings
@@ -22,32 +27,18 @@ import numpy as np
 from . import convention as conv
 from . import heston, margrabe
 from .errors import DegenerateConventionError, DomainError, InputError, NumericalError
-from .models import CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation
+from .models import (
+    AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
+)
 from .simulation import (
-    BLOCK_SIZE,
-    McConfig,
-    PriceEstimate,
-    exchange_estimate_from_sample,
-    simulate_terminal,
+    BLOCK_SIZE, McConfig, PriceEstimate, exchange_estimate_from_sample, simulate_terminal,
 )
 
 __all__ = [
-    "GridSpec",
-    "ErrorReport",
-    "ExclusionSummary",
-    "TestCaseResult",
-    "CONVENTIONS",
-    "SUB_CENT_THRESHOLD",
-    "reference_case_model",
-    "run_test_case",
-    "run_grid",
-    "grid_exclusion_summary",
-    "compute_metrics",
-    "emit_plot_data",
-    "results_csv",
-    "write_results_csv",
-    "read_results_csv",
-    "report_json_payload",
+    "GridSpec", "ErrorReport", "ExclusionSummary", "TestCaseResult", "CONVENTIONS",
+    "SUB_CENT_THRESHOLD", "reference_case_model", "run_test_case", "run_grid",
+    "grid_exclusion_summary", "compute_metrics", "emit_plot_data", "results_csv",
+    "write_results_csv", "read_results_csv", "report_json_payload",
 ]
 
 CONVENTIONS = ("a=0", "a=1", "a_star", "a_star_bounded")
@@ -84,13 +75,16 @@ class GridSpec:
     rho_y_list: tuple[float, ...] = (-0.61, -0.31, -0.01, 0.29, 0.59)
     mc: McConfig = field(default_factory=McConfig)
 
-    def combos(self):
-        """(iT, irho, irx, iry, T, rho, rho_x, rho_y) in canonical order."""
-        for i_t, T in enumerate(self.T_list):
-            for i_r, rho in enumerate(self.rho_list):
-                for i_x, rho_x in enumerate(self.rho_x_list):
-                    for i_y, rho_y in enumerate(self.rho_y_list):
-                        yield i_t, i_r, i_x, i_y, T, rho, rho_x, rho_y
+    def __post_init__(self):
+        # a repeated value would price its points twice and the accounting could not close
+        for name in ("T_list", "s0y_list", "rho_list", "rho_x_list", "rho_y_list"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InputError(f"{name} repeats a value: {list(values)}")
+        for name, values in (("T_list", self.T_list), ("s0x", (self.s0x,)),
+                             ("s0y_list", self.s0y_list)):
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise InputError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def n_points(self) -> int:
         return (
@@ -147,11 +141,7 @@ def reference_case_model(case_id: int) -> TwoAssetModel:
         raise ValueError(f"case_id must be 1 or 2, got {case_id}")
     rho_y = -0.6 if case_id == 1 else 0.4
     return TwoAssetModel(
-        heston=_BASE_PARAMS_HESTON,
-        lam_x=1.5,
-        lam_y=1.0,
-        s0x=100.0,
-        s0y=100.0,
+        heston=_BASE_PARAMS_HESTON, lam_x=1.5, lam_y=1.0, s0x=100.0, s0y=100.0,
         corr=CorrelationStructure(rho=0.5, rho_x=-0.4, rho_y=rho_y),
     )
 
@@ -185,73 +175,66 @@ def _convention_a(name: str, a_star: Callable[[], float | None]) -> float:
     return conv.bound_a(a) if name == "a_star_bounded" else a
 
 
-def _price_point(
-    smile_x: heston.Smile,
-    smile_y: heston.Smile,
-    rho: float,
-    x: float,
-    y: float,
-    T: float,
-    a: float,
-) -> tuple[float, float, float, float, float, float]:
-    """(k_X, k_Y, I_X, I_Y, gamma, margrabe price) for one convention at one
-    point."""
-    k_x, k_y = conv.strikes(a, x, y)
-    i_x = smile_x.vol_at_moneyness(k_x - x)
-    i_y = smile_y.vol_at_moneyness(k_y - y)
-    gamma = margrabe.convention_gamma(i_x, i_y, rho)
-    return k_x, k_y, i_x, i_y, gamma, margrabe.margrabe_price(x, y, gamma, T)
+def _price_points(
+    smile_x: heston.Smile, smile_y: heston.Smile, rho: float, x: float, ys: Sequence[float],
+    T: float, a: float,
+) -> list[tuple[float, float, float, float, float, float]]:
+    """(k_X, k_Y, I_X, I_Y, gamma, margrabe price) of convention a at log spots
+    (x, y) for each y in ``ys``, with one vol lookup per leg over all of them."""
+    ks = [conv.strikes(a, x, y) for y in ys]
+    i_x = smile_x.vol_at_moneyness(np.array([k_x - x for k_x, _ in ks])).tolist()
+    i_y = smile_y.vol_at_moneyness(np.array([k_y - y for (_, k_y), y in zip(ks, ys)])).tolist()
+    out = []
+    for y, (k_x, k_y), v_x, v_y in zip(ys, ks, i_x, i_y):
+        gamma = margrabe.convention_gamma(v_x, v_y, rho)
+        out.append((k_x, k_y, v_x, v_y, gamma, margrabe.margrabe_price(x, y, gamma, T)))
+    return out
 
 
 def _point(T: float, corr: CorrelationStructure, s0x: float, s0y: float) -> dict:
     return dict(zip(POINT, (T, corr.rho, corr.rho_x, corr.rho_y, s0x, s0y)))
 
 
-def _point_rows(
-    smile_x: heston.Smile,
-    smile_y: heston.Smile,
-    point: dict,
-    est: PriceEstimate,
-    a_star: float | None,
-    conventions: Sequence[str],
+def _triple_rows(
+    smile_x: heston.Smile, smile_y: heston.Smile, priced: Sequence[tuple[dict, PriceEstimate]],
+    a_star: float | None, conventions: Sequence[str],
 ) -> list[dict]:
-    """Rows of one priced grid point, one per convention; a convention whose
-    a* is unavailable gets an excluded row."""
-    T, rho = point["T"], point["rho"]
-    x, y = math.log(point["s0X"]), math.log(point["s0Y"])
-    try:
-        gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
-    except (DomainError, NumericalError):
-        gamma_hat = math.nan
-    rows: list[dict] = []
+    """Rows of one (T, triple)'s priced points, point by point and one per
+    convention: each convention's a is resolved once and priced at every point
+    together; a convention whose a* is unavailable gets excluded rows."""
+    if not priced:
+        return []
+    T, rho, s0x = (priced[0][0][k] for k in ("T", "rho", "s0X"))
+    x, ys = math.log(s0x), [math.log(point["s0Y"]) for point, _ in priced]
+    gamma_hats = []
+    for (_, est), y in zip(priced, ys):
+        try:
+            gamma_hats.append(margrabe.exchange_implied_vol(est.value, x, y, T))
+        except (DomainError, NumericalError):
+            gamma_hats.append(math.nan)
+    columns = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)
         for name in conventions:
             try:
                 a = _convention_a(name, lambda: a_star)
             except DegenerateConventionError:
-                rows.append(_excluded_row(point, name, "degenerate_convention", est))
+                columns.append([_excluded_row(p, name, "degenerate_convention", est)
+                                for p, est in priced])
                 continue
-            k_x, k_y, i_x, i_y, _, price = _price_point(
-                smile_x, smile_y, rho, x, y, T, a
-            )
-            rho_hat = (
-                margrabe.implied_correlation(gamma_hat, i_x, i_y)
-                if np.isfinite(gamma_hat)
-                else math.nan
-            )
-            rows.append(
-                {
-                    **point, "convention": name, "a_value": a,
-                    "kX": k_x, "kY": k_y, "IX": i_x, "IY": i_y,
-                    "margrabe_price": price,
-                    "mc_price": est.value, "mc_stderr": est.stderr,
-                    "error": price - est.value,
-                    "implied_corr": rho_hat,
-                    "excluded": False, "exclusion_reason": "",
-                }
-            )
-    return rows
+            column = []
+            for (point, est), g_hat, (k_x, k_y, i_x, i_y, _, price) in zip(
+                priced, gamma_hats, _price_points(smile_x, smile_y, rho, x, ys, T, a)
+            ):
+                rho_hat = (margrabe.implied_correlation(g_hat, i_x, i_y)
+                           if np.isfinite(g_hat) else math.nan)
+                column.append({**point, "convention": name, "a_value": a, "kX": k_x, "kY": k_y,
+                               "IX": i_x, "IY": i_y, "margrabe_price": price,
+                               "mc_price": est.value, "mc_stderr": est.stderr,
+                               "error": price - est.value, "implied_corr": rho_hat,
+                               "excluded": False, "exclusion_reason": ""})
+            columns.append(column)
+    return [row for point_rows in zip(*columns) for row in point_rows]
 
 
 def run_test_case(
@@ -275,38 +258,36 @@ def run_test_case(
     a_param = conv.a_star_parametric(model.lam_x, model.lam_y, model.corr)
 
     sample = simulate_terminal(model, T, mc)
-    rows: list[dict] = []
-    for s0y in s0y_values:
-        est = exchange_estimate_from_sample(sample, model.s0x, s0y)
-        rows += _point_rows(
-            smile_x, smile_y, _point(T, model.corr, model.s0x, s0y), est, a_star,
-            ("a=0", "a=1", "a_star"),
-        )
+    priced = [(_point(T, model.corr, model.s0x, s0y),
+               exchange_estimate_from_sample(sample, model.s0x, s0y)) for s0y in s0y_values]
     return TestCaseResult(
         case_id=case_id, T=T, a_star=a_star, a_star_parametric=a_param,
-        observables=obs, smile_x=smile_x, smile_y=smile_y, rows=rows,
+        observables=obs, smile_x=smile_x, smile_y=smile_y,
+        rows=_triple_rows(smile_x, smile_y, priced, a_star, ("a=0", "a=1", "a_star")),
     )
+
+
+def _triples(spec: GridSpec) -> list[tuple[tuple[int, int, int], CorrelationStructure, bool]]:
+    """The sweep's correlation triples in canonical order: their (irho, irhoX,
+    irhoY) indices, the structure and its one validate_correlation verdict."""
+    return [
+        ((i_r, i_x, i_y), corr, validate_correlation(corr)[0])
+        for i_r, rho in enumerate(spec.rho_list)
+        for i_x, rho_x in enumerate(spec.rho_x_list)
+        for i_y, rho_y in enumerate(spec.rho_y_list)
+        for corr in (CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y),)
+    ]
 
 
 def grid_exclusion_summary(spec: GridSpec) -> ExclusionSummary:
     """Deterministic point counts (no simulation): how many correlation
     triples, and hence grid points, the PSD test excludes."""
-    triples = [
-        CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y)
-        for rho in spec.rho_list for rho_x in spec.rho_x_list for rho_y in spec.rho_y_list
-    ]
-    total_triples = len(triples)
-    invalid_triples = sum(not validate_correlation(c)[0] for c in triples)
-    points_per_triple = len(spec.T_list) * len(spec.s0y_list)
+    verdicts = [valid for _, _, valid in _triples(spec)]
+    invalid, per_triple = verdicts.count(False), len(spec.T_list) * len(spec.s0y_list)
     return ExclusionSummary(
-        total_points=spec.n_points(),
-        included=(total_triples - invalid_triples) * points_per_triple,
-        invalid_correlation=invalid_triples * points_per_triple,
-        sub_cent=0,
-        unresolvable_smile=0,
-        degenerate_convention=0,
-        total_triples=total_triples,
-        invalid_triples=invalid_triples,
+        total_points=spec.n_points(), included=(len(verdicts) - invalid) * per_triple,
+        invalid_correlation=invalid * per_triple, sub_cent=0, unresolvable_smile=0,
+        degenerate_convention=0, total_triples=len(verdicts), invalid_triples=invalid,
     )
 
 
@@ -319,47 +300,62 @@ def _excluded_row(point: dict, name: str, reason: str, est: PriceEstimate | None
 
 
 def run_grid(spec: GridSpec) -> list[dict]:
-    """Run the sweep; one row per (grid point, convention), excluded points
-    included with their reason so the accounting closes."""
-    # smiles and observables depend on a leg only through its AssetSpec, which
-    # repeats across rho; every leg sits at the reference spot s0x, and
-    # lookups go through log-moneyness
-    smile = functools.cache(heston.build_smile_grid)
-    observables = functools.cache(heston.measure_smile_observables)
-    rows: list[dict] = []
-    for i_t, i_r, i_x, i_y, T, rho, rho_x, rho_y in spec.combos():
-        model = TwoAssetModel(
-            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y,
-            s0x=spec.s0x, s0y=spec.s0x,
-            corr=CorrelationStructure(rho=rho, rho_x=rho_x, rho_y=rho_y),
-        )
-        points = [_point(T, model.corr, spec.s0x, s0y) for s0y in spec.s0y_list]
-        excluded = None if validate_correlation(model.corr)[0] else "invalid_correlation"
-        if not excluded:
+    """Run the sweep, one maturity at a time; one row per (grid point,
+    convention), excluded points included with their reason so the accounting
+    closes."""
+    triples = _triples(spec)
+    rows = [
+        _excluded_row(_point(T, corr, spec.s0x, s0y), name, "invalid_correlation")
+        for T in spec.T_list for _, corr, ok in triples if not ok
+        for s0y in spec.s0y_list for name in CONVENTIONS
+    ]
+    valid = [(indices, corr) for indices, corr, ok in triples if ok]
+    # the legs the valid triples use; every leg sits at the reference spot s0x,
+    # and lookups go through log-moneyness
+    legs: dict[tuple[str, float], AssetSpec] = {}
+    for _, c in valid:
+        legs["X", c.rho_x] = AssetSpec(lam=spec.lam_x, rho_sv=c.rho_x, s0=spec.s0x)
+        legs["Y", c.rho_y] = AssetSpec(lam=spec.lam_y, rho_sv=c.rho_y, s0=spec.s0x)
+    for i_t, T in enumerate(spec.T_list):
+        smiles: dict[tuple[str, float], heston.Smile | None] = {}
+        for (side, rho_sv), asset in legs.items():
             try:
-                smile_x = smile(spec.heston, model.asset_x, T, asset_id="X")
-                smile_y = smile(spec.heston, model.asset_y, T, asset_id="Y")
+                smiles[side, rho_sv] = heston.build_smile_grid(
+                    spec.heston, asset, T, asset_id=side)
             except DomainError:  # fewer than two resolvable smile strikes at this T
-                excluded = "unresolvable_smile"
-        if excluded:
-            rows += [_excluded_row(p, name, excluded) for p in points for name in CONVENTIONS]
-            continue
-        try:
-            a_star = conv.a_star_observables(
-                observables(spec.heston, model.asset_x, model.asset_y, T), rho
-            )
-        except (DegenerateConventionError, DomainError):
-            a_star = None
-
-        mc = replace(spec.mc, seed=_derived_seed(spec.mc.seed, i_t, i_r, i_x, i_y))
-        sample = simulate_terminal(model, T, mc)
-
-        for point in points:
-            est = exchange_estimate_from_sample(sample, spec.s0x, point["s0Y"])
-            if est.value < SUB_CENT_THRESHOLD:
-                rows += [_excluded_row(point, name, "sub_cent", est) for name in CONVENTIONS]
+                smiles[side, rho_sv] = None
+        observables: dict[tuple[float, float], heston.SmileObservables | None] = {}
+        for rho_x, rho_y in dict.fromkeys((c.rho_x, c.rho_y) for _, c in valid):
+            if smiles["X", rho_x] is not None and smiles["Y", rho_y] is not None:
+                try:
+                    observables[rho_x, rho_y] = heston.measure_smile_observables(
+                        spec.heston, legs["X", rho_x], legs["Y", rho_y], T)
+                except DomainError:
+                    observables[rho_x, rho_y] = None
+        for indices, corr in valid:
+            points = [_point(T, corr, spec.s0x, s0y) for s0y in spec.s0y_list]
+            smile_x, smile_y = smiles["X", corr.rho_x], smiles["Y", corr.rho_y]
+            if smile_x is None or smile_y is None:
+                rows += [_excluded_row(p, name, "unresolvable_smile")
+                         for p in points for name in CONVENTIONS]
                 continue
-            rows += _point_rows(smile_x, smile_y, point, est, a_star, CONVENTIONS)
+            obs = observables[corr.rho_x, corr.rho_y]
+            try:
+                a_star = None if obs is None else conv.a_star_observables(obs, corr.rho)
+            except DegenerateConventionError:
+                a_star = None
+            model = TwoAssetModel(heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y,
+                                  s0x=spec.s0x, s0y=spec.s0x, corr=corr)
+            mc = replace(spec.mc, seed=_derived_seed(spec.mc.seed, i_t, *indices))
+            sample = simulate_terminal(model, T, mc)
+            priced = []
+            for point in points:
+                est = exchange_estimate_from_sample(sample, spec.s0x, point["s0Y"])
+                if est.value < SUB_CENT_THRESHOLD:
+                    rows += [_excluded_row(point, name, "sub_cent", est) for name in CONVENTIONS]
+                else:
+                    priced.append((point, est))
+            rows += _triple_rows(smile_x, smile_y, priced, a_star, CONVENTIONS)
     rows.sort(key=_row_key)
     return rows
 
@@ -396,14 +392,10 @@ def summarize_exclusions(rows: Iterable[dict]) -> ExclusionSummary:
         if reason == "invalid_correlation":
             invalid_triples.add(key[1:4])
     return ExclusionSummary(
-        total_points=len(reasons),
-        included=counts[""],
-        invalid_correlation=counts["invalid_correlation"],
-        sub_cent=counts["sub_cent"],
-        unresolvable_smile=counts["unresolvable_smile"],
-        degenerate_convention=degenerate,
-        total_triples=len({key[1:4] for key in reasons}),
-        invalid_triples=len(invalid_triples),
+        total_points=len(reasons), included=counts[""],
+        invalid_correlation=counts["invalid_correlation"], sub_cent=counts["sub_cent"],
+        unresolvable_smile=counts["unresolvable_smile"], degenerate_convention=degenerate,
+        total_triples=len({key[1:4] for key in reasons}), invalid_triples=len(invalid_triples),
     )
 
 
@@ -443,10 +435,7 @@ def compute_metrics(
             sel = groups[gkey].get(name, [])
             group = dict(zip(group_by, gkey))
             if not sel:
-                reports.append(
-                    ErrorReport(group, name, 0, math.nan, math.nan, math.nan,
-                                math.nan, math.nan, math.nan)
-                )
+                reports.append(ErrorReport(group, name, 0, *[math.nan] * 6))
                 continue
             err = np.array([r["error"] for r in sel])
             mc_val = np.array([r["mc_price"] for r in sel])
@@ -458,33 +447,23 @@ def compute_metrics(
             # population std: a single-moneyness combo contributes zero spread
             stds = [float(np.std(v)) for v in combos.values()]
             atm = [abs(r["error"]) for r in sel if r["s0Y"] == r["s0X"]]
-            reports.append(
-                ErrorReport(
-                    group=group,
-                    convention=name,
-                    n_points=len(sel),
-                    mae=float(np.mean(abs_err)),
-                    mape=float(np.mean(abs_err / mc_val)),
-                    rmse=float(np.sqrt(np.mean(err * err))),
-                    max_ae=float(np.max(abs_err)),
-                    mstd=float(np.mean(stds)) if stds else math.nan,
-                    atm_error=float(np.mean(atm)) if atm else math.nan,
-                )
-            )
+            reports.append(ErrorReport(
+                group=group, convention=name, n_points=len(sel),
+                mae=float(np.mean(abs_err)), mape=float(np.mean(abs_err / mc_val)),
+                rmse=float(np.sqrt(np.mean(err * err))), max_ae=float(np.max(abs_err)),
+                mstd=float(np.mean(stds)) if stds else math.nan,
+                atm_error=float(np.mean(atm)) if atm else math.nan,
+            ))
     return reports
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
+    if value is None or isinstance(value, str):
+        return value or ""
     v = float(value)
-    if math.isnan(v):
-        return ""
-    return repr(v)
+    return "" if math.isnan(v) else repr(v)
 
 
 def results_csv(rows: Iterable[dict]) -> str:
@@ -565,9 +544,7 @@ def emit_plot_data(result, kind: str) -> str:
     if kind in ("implied_corr", "difference", "ratio"):
         for r in rows:
             if kind == "ratio":
-                value = (
-                    r["margrabe_price"] / r["mc_price"] if r["mc_price"] else math.nan
-                )
+                value = r["margrabe_price"] / r["mc_price"] if r["mc_price"] else math.nan
             else:
                 value = r["implied_corr" if kind == "implied_corr" else "error"]
             writer.writerow([r["convention"], _fmt(r["s0Y"]), _fmt(value)])
@@ -600,11 +577,8 @@ def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:
         f"seedseq(seed, iT, irho, irhoX, irhoY); sfc64 blocks of {BLOCK_SIZE}, "
         "block b from child b of seedseq(stream)"
     )
-    payload: dict = {
-        "config": config,
-        "exclusions": asdict(summarize_exclusions(rows)),
-        "metrics": {},
-    }
+    payload: dict = {"config": config, "exclusions": asdict(summarize_exclusions(rows)),
+                     "metrics": {}}
     for group_by in (("T", "rho"), ("T",)):
         for variant, flag in (("all", False), ("exclude_extreme_a", True)):
             reports = compute_metrics(rows, group_by=group_by, exclude_extreme_a=flag)

@@ -4,9 +4,10 @@ Each leg of the two-asset model is itself a Heston asset after rescaling
 (``effective_heston``), and the exact exchange price is a vanilla on the ratio
 asset, so one Fourier kernel (``_time_values``) prices everything: a batch of
 log-strikes for unit spot, each as the damped integral of the characteristic
-function on its out-of-the-money side (on the other side, less the intrinsic
-value, where the damping moment of the first explodes), accurate near 1e-13 of
-spot even for far strikes worth almost nothing.  The characteristic function
+function on its out-of-the-money side (less the intrinsic value, on the other
+side where the damping moment of the first explodes, and on the Lewis contour
+where both do), accurate near 1e-13 of spot even for far strikes worth almost
+nothing.  The characteristic function
 over the damping denominator, f, is evaluated in place once per node for the
 whole batch, in chunks of whole panels (at most 3072 nodes), out to one cut-off
 per side: where |f|, a bound on every strike's integrand, falls below
@@ -69,6 +70,7 @@ _QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
 _QUOTE_STRIKES = (*_SMILE_KNOTS.tolist(), *_QUOTE_WINDOW)  # a leg's knots, then its first rung
 
 _DAMPING_ALPHA = 0.75  # e^{alpha k} damping; alpha and -1-alpha share alpha^2+alpha
+_LEWIS_ALPHA = -0.5  # where both sides' moments explode: E[S_T^0.5] lies in (0, 1]
 _TAIL_TOL = 1e-14
 # 7 tail probes on [u, 1.25 u] for each cut-off u = 100 * 2^j up to 2e6, in one batch
 _TAIL_NODES = np.ldexp(np.linspace(100.0, 125.0, 7), np.arange(15)[:, None])
@@ -185,7 +187,8 @@ def _damped_values(
     cf: Callable[[np.ndarray], np.ndarray], ks: Sequence[float], alpha: float
 ) -> list[float] | None:
     """Damped-transform values for unit spot at log-strikes ``ks`` of calls
-    (alpha > 0) or puts (alpha < -1): Re(e^{-iuk} f) = cos(uk) Re f + sin(uk) Im f,
+    (alpha > 0), puts (alpha < -1) or calls less the spot (-1 < alpha < 0, the
+    Lewis contour): Re(e^{-iuk} f) = cos(uk) Re f + sin(uk) Im f,
     f = cf(u - (alpha+1)i) / den(u) computed once per node for the whole batch,
     on Gauss-Legendre panels over [0, upper], _CHUNK_PANELS panels at a time,
     and read by each strike through its per-panel phases (``_panel_sums``).
@@ -193,7 +196,8 @@ def _damped_values(
     integrand, is below _TAIL_TOL at every probe; panels then double until a strike's
     estimate moves by less than max(_ABS_TOL, _REL_TOL |est|), the estimate it keeps.
     None where the damping moment E[S_T^(1+alpha)] = f(0) (alpha^2 + alpha) is not real and
-    at least 1 (Jensen's bound), as past its explosion time (Andersen & Piterbarg, 2007)."""
+    within Jensen's bounds, at least 1 or in (0, 1] for -1 < alpha < 0, as past its
+    explosion time (Andersen & Piterbarg, 2007)."""
 
     def damped_cf(u: np.ndarray) -> np.ndarray:
         den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
@@ -203,7 +207,9 @@ def _damped_values(
     with np.errstate(over="ignore", invalid="ignore"):  # an exploding moment may overflow
         probe = damped_cf(np.append(0.0, _TAIL_NODES))
     moment = complex(probe[0]) * (alpha * alpha + alpha)  # rounding leaves |Im| < 1e-10 Re
-    if not (1.0 <= moment.real < math.inf and abs(moment.imag) <= 1e-8 * moment.real):
+    m = moment.real
+    within = 0.0 < m <= 1.0 if -1.0 < alpha < 0.0 else 1.0 <= m < math.inf
+    if not (within and abs(moment.imag) <= 1e-8 * m):
         return None
     below = np.abs(probe[1:]).reshape(_TAIL_NODES.shape).max(axis=1) <= _TAIL_TOL
     if not below.any():
@@ -238,8 +244,9 @@ def _time_values(
 ) -> np.ndarray:
     """Out-of-the-money time values for unit spot at log-strikes ``ks`` (the
     call for k >= 0, the put for k < 0): the one Fourier pricing kernel.  A side
-    whose damping moment explodes prices its strikes on the other side, as the
-    in-the-money option less its intrinsic value |1 - e^k| (put-call parity)."""
+    whose damping moment explodes, or whose quadrature fails to converge, is
+    priced on the other side, then on the Lewis contour, whose moment stays in
+    (0, 1], and converted by put-call parity."""
     ks = [float(k) for k in ks]
     if not (math.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
@@ -249,16 +256,25 @@ def _time_values(
     out = np.empty(len(ks))
     for alpha in (_DAMPING_ALPHA, -1.0 - _DAMPING_ALPHA):
         side = [i for i, k in enumerate(ks) if (k >= 0.0) == (alpha > 0.0)]
-        side_ks = [ks[i] for i in side]
-        tv = _damped_values(cf, side_ks, alpha) if side else []
-        if tv is None:
-            tv = _damped_values(cf, side_ks, -1.0 - alpha)
-            if tv is None:
-                raise NumericalError(
-                    f"damping moments of both sides explode at kappa={kappa}, kappa_theta="
-                    f"{kappa_theta}, nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}")
-            tv = [v - abs(1.0 - math.exp(k)) for k, v in zip(side_ks, tv)]
-        out[side] = tv
+        if not side:
+            continue
+        side_ks, err = [ks[i] for i in side], None
+        for a in (alpha, -1.0 - alpha, _LEWIS_ALPHA):
+            try:
+                tv = _damped_values(cf, side_ks, a)
+            except NumericalError as e:  # as next to the moment's explosion: the next contour
+                tv, err = None, e
+            if tv is not None:
+                break
+        else:
+            raise err or NumericalError(
+                f"every damping moment explodes at kappa={kappa}, kappa_theta={kappa_theta}, "
+                f"nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}")
+        # the other side's option less its intrinsic value |1 - e^k|; on the Lewis
+        # contour C - 1 plus min(1, e^k): the call for k >= 0, the put (parity) below
+        out[side] = tv if a == alpha else [
+            v + min(1.0, math.exp(k)) if a == _LEWIS_ALPHA else v - abs(1.0 - math.exp(k))
+            for k, v in zip(side_ks, tv)]
     return out
 
 
@@ -367,11 +383,13 @@ class Smile:
     def z_bounds(self) -> tuple[float, float]:
         return float(self.log_moneyness[0]), float(self.log_moneyness[-1])
 
-    def vol_at_moneyness(self, z: float) -> float:
-        """Implied vol at log-moneyness z = log(K / s0), flat beyond the knots."""
-        if not math.isfinite(z):
+    def vol_at_moneyness(self, z: float | np.ndarray) -> float | np.ndarray:
+        """Implied vol at log-moneyness z = log(K / s0), flat beyond the knots;
+        an array of z gives the array of vols, each with the bits of its scalar read."""
+        if not np.isfinite(z).all():
             raise InputError(f"log-moneyness must be finite, got {z}")
-        return float(self._interp(np.clip(z, *self.z_bounds)))
+        vols = self._interp(np.clip(z, *self.z_bounds))
+        return vols if np.ndim(z) else float(vols)
 
 
 def build_smile(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -645,6 +646,39 @@ class TestConfigHandling:
         assert out == ""
         assert err.startswith("ERROR code=2 type=InputError")
         assert key in err
+
+    # a repeated grid value would price its points twice, and a maturity or
+    # spot at or below zero cannot be priced: both are refused before any run
+    @pytest.mark.parametrize(
+        "flags, grid, message",
+        [
+            (["--T", "0.05", "--T", "0.05", "--rho", "0.5"], {}, "T_list repeats a value"),
+            (["--rho", "0.5", "--rho", "0.5"], {}, "rho_list repeats a value"),
+            ([], {"s0y_list": [90.0, 100.0, 90.0]}, "s0y_list repeats a value"),
+            ([], {"rho_y_list": [0.29, 0.29]}, "rho_y_list repeats a value"),
+            (["--T", "-0.05"], {}, "T_list must be finite and > 0"),
+            ([], {"T_list": [0.05, math.inf]}, "T_list must be finite and > 0"),
+            ([], {"s0y_list": [0.0, 100.0]}, "s0y_list must be finite and > 0"),
+            ([], {"s0x": -100.0}, "s0x must be finite and > 0"),
+        ],
+        ids=["T-repeat", "rho-repeat", "s0y-repeat", "rhoY-repeat", "T-negative",
+             "T-infinite", "s0y-zero", "s0x-negative"],
+    )
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_grid_whose_accounting_cannot_close_exit_2(
+        self, capsys, out_dir, tmp_path, flags, grid, message, dry_run
+    ):
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(yaml.safe_dump({"grid": grid}))
+        code, out, err = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "experiment", "run",
+            "--paths", "64", *flags, *(["--dry-run"] if dry_run else []),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR code=2 type=InputError")
+        assert message in err
+        assert not os.path.exists(os.path.join(out_dir, "results.csv"))
 
     def test_flags_override_config(self, capsys, out_dir, tmp_path):
         cfg = tmp_path / "cfg.yaml"

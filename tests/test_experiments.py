@@ -118,6 +118,57 @@ class TestExclusionCounts:
         )
 
 
+class TestSweepPlan:
+    def test_each_leg_pair_and_triple_is_read_once(self, monkeypatch):
+        # (0.5, -0.42, 0.59) is not PSD; at T 0.0003 the X leg with rho_X -0.42
+        # keeps fewer than two smile knots
+        from exchopt import experiments, heston
+
+        spec = GridSpec(
+            T_list=(0.0003, 0.05), rho_list=(0.1, 0.5), rho_x_list=(-0.42, 0.18),
+            rho_y_list=(-0.01, 0.59), s0y_list=(96.0, 100.0, 104.0),
+            mc=McConfig(n_paths=4096, n_steps=500, seed=1),
+        )
+        calls = {"smile": [], "observables": [], "validate": []}
+
+        def spy(key, fn, record):
+            def wrapper(*args, **kwargs):
+                calls[key].append(record(*args, **kwargs))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(heston, "build_smile_grid", spy(
+            "smile", heston.build_smile_grid,
+            lambda params, asset, T, asset_id="X": (asset_id, asset.rho_sv, T)))
+        monkeypatch.setattr(heston, "measure_smile_observables", spy(
+            "observables", heston.measure_smile_observables,
+            lambda params, asset_x, asset_y, T: (asset_x.rho_sv, asset_y.rho_sv, T)))
+        monkeypatch.setattr(experiments, "validate_correlation", spy(
+            "validate", experiments.validate_correlation, lambda c: (c.rho, c.rho_x, c.rho_y)))
+        rows = run_grid(spec)
+
+        legs = [("X", r) for r in spec.rho_x_list] + [("Y", r) for r in spec.rho_y_list]
+        assert sorted(calls["smile"]) == sorted((*leg, T) for leg in legs for T in spec.T_list)
+        pairs = [(rx, ry) for rx in spec.rho_x_list for ry in spec.rho_y_list]
+        assert sorted(calls["observables"]) == sorted(
+            [(*pair, 0.05) for pair in pairs] + [(0.18, ry, 0.0003) for ry in spec.rho_y_list]
+        )
+        assert sorted(calls["validate"]) == sorted(
+            (rho, rx, ry) for rho in spec.rho_list for rx, ry in pairs
+        )
+        reasons = {(r["T"], r["rho"], r["rho_X"], r["rho_Y"]): r["exclusion_reason"]
+                   for r in rows if r["exclusion_reason"] != "sub_cent"}
+        assert {k for k, v in reasons.items() if v == "invalid_correlation"} == {
+            (T, 0.5, -0.42, 0.59) for T in spec.T_list
+        }
+        assert {k for k, v in reasons.items() if v == "unresolvable_smile"} == {
+            (0.0003, rho, -0.42, ry) for rho, ry in ((0.1, -0.01), (0.1, 0.59), (0.5, -0.01))
+        }
+        assert len(rows) == spec.n_points() * len(CONVENTIONS)
+        summary = summarize_exclusions(rows)
+        assert summary.invalid_triples == grid_exclusion_summary(spec).invalid_triples == 1
+
+
 class TestAStarRangeOnGrid:
     def test_rho_05_exceeds_bounds(self):
         # at rho = 0.5 the closed-form optimum spikes beyond [-1, 2]

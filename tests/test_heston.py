@@ -73,6 +73,21 @@ def gil_pelaez_call(s0, strike, params, rho_sv, T):
     return s0 * (p1 - math.exp(k) * p2)
 
 
+def lewis_call(args, k, alpha):
+    """Unit-spot call at log-strike k by scipy QUADPACK on the damped transform
+    at alpha in (-1, 0), which gives the call less the spot (Lewis, 2001);
+    ``args`` are the kernel's (kappa, kappa theta, nu, v0, rho_sv, T)."""
+    assert -1.0 < alpha < 0.0
+
+    def integrand(u):
+        den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
+        f = _cf_log_return(np.array([u - (alpha + 1.0) * 1j]), *args)[0] / den
+        return (np.exp(-1j * u * k) * f).real
+
+    value = quad(integrand, 0.0, np.inf, limit=1000, epsabs=1e-13, epsrel=1e-12)[0]
+    return 1.0 + math.exp(-alpha * k) / math.pi * value
+
+
 def assert_knots_reprice(params, asset, smile):
     """Every knot vol reprices to heston_vanilla_price, which lies within the
     no-arbitrage bounds, to 2e-12 of spot."""
@@ -185,10 +200,42 @@ class TestVanillaPricer:
         mine = heston_vanilla_price(params, AssetSpec(lam=1.0, rho_sv=rho_sv, s0=100.0), strike, T)
         assert mine == pytest.approx(gil_pelaez_call(100.0, strike, params, rho_sv, T), rel=1e-9)
 
-    def test_both_damping_moments_exploding_raises(self):
+    # E[S_T^1.75] and E[S_T^-0.75] are both infinite here, so neither side's
+    # damping can price; the Lewis contour can, and quad on two of its alphas agrees
+    @pytest.mark.parametrize("args", [
+        (0.5, 0.25, 2.0, 0.16, 0.0, 2.0),
+        (0.172, 0.172 * 0.0836, 2.944, 0.0032, 0.68, 1.47),
+    ])
+    def test_both_damping_moments_exploding_price_on_the_lewis_contour(self, args):
+        cf = lambda u: _cf_log_return(u, *args)
+        for alpha in (heston._DAMPING_ALPHA, -1.0 - heston._DAMPING_ALPHA):
+            assert heston._damped_values(cf, [0.0], alpha) is None
+        ks = [-0.2, 0.0, 0.2]
+        for k, tv in zip(ks, heston._time_values(*args, ks)):
+            call = tv + max(1.0 - math.exp(k), 0.0)
+            for alpha in (-0.3, -0.7):
+                assert call == pytest.approx(lewis_call(args, k, alpha), abs=1e-12)
+
+    def test_lewis_contour_prices_the_spot_vanilla(self):
         params = HestonParams(kappa=0.5, theta=0.5, nu=2.0, sigma0=0.4)
-        with pytest.raises(NumericalError, match=r"both sides explode at kappa=0\.5, .*, T=2\.0$"):
-            heston_vanilla_price(params, AssetSpec(lam=1.0, rho_sv=0.0, s0=100.0), 100.0, 2.0)
+        call = heston_vanilla_price(params, AssetSpec(lam=1.0, rho_sv=0.0, s0=100.0), 100.0, 2.0)
+        assert call == pytest.approx(21.9900322277, abs=1e-9)
+
+    def test_unconverged_side_is_priced_on_the_next_contour(self):
+        # the put side's moment is finite, but its quadrature at k -0.2 does not converge
+        args = (0.5217632164305207, 0.1816893146557375, 0.5793569998777995,
+                0.2508510903629218, -0.593059671365736, 6.343519605591198)
+        cf = lambda u: _cf_log_return(u, *args)
+        with pytest.raises(NumericalError, match="quadrature not converged"):
+            heston._damped_values(cf, [-0.2], -1.0 - heston._DAMPING_ALPHA)
+        put = heston._time_values(*args, [-0.2])[0]
+        call = put + 1.0 - math.exp(-0.2)
+        assert call == pytest.approx(lewis_call(args, -0.2, -0.5), abs=1e-12)
+
+    def test_no_contour_pricing_raises(self, monkeypatch):
+        monkeypatch.setattr(heston, "_damped_values", lambda cf, ks, alpha: None)
+        with pytest.raises(NumericalError, match=r"every damping moment explodes at kappa=0\.5"):
+            heston._time_values(0.5, 0.25, 2.0, 0.16, 0.0, 2.0, [0.0])
 
     def test_input_validation(self):
         for strike in (-5.0, 0.0, math.nan, math.inf):
@@ -246,6 +293,18 @@ class TestSmile:
         assert smile.vol_at_moneyness(lo - 0.5) == smile.vol_at_moneyness(lo)
         assert smile.vol_at_moneyness(hi + 0.5) == smile.vol_at_moneyness(hi)
 
+    def test_array_read_equals_scalar_reads_bit_for_bit(self, case1_model):
+        # the trimmed Y leg: its knots, between them and beyond both ends
+        smile = build_smile_grid(BASE_PARAMS, case1_model.asset_y, 0.05, asset_id="Y")
+        lo, hi = smile.z_bounds
+        z = np.concatenate((smile.log_moneyness, np.linspace(lo - 0.3, hi + 0.3, 57),
+                            [lo - 1e-12, lo + 1e-12, hi - 1e-12, hi + 1e-12]))
+        vols = smile.vol_at_moneyness(z)
+        assert isinstance(vols, np.ndarray) and vols.shape == z.shape
+        scalars = [smile.vol_at_moneyness(float(v)) for v in z]
+        assert all(type(v) is float for v in scalars)
+        assert vols.tobytes() == np.array(scalars).tobytes()
+
     def test_unresolvable_wings_trimmed(self, case1_model):
         # the thin right wing of the Y leg cannot be inverted at T=0.05
         smile = build_smile_grid(BASE_PARAMS, case1_model.asset_y, 0.05, asset_id="Y")
@@ -285,8 +344,9 @@ class TestSmile:
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_moneyness_rejected(self, z):
         smile = Smile("X", 100.0, 0.5, [-0.1, 0.0, 0.1], [0.25, 0.2, 0.22])
-        with pytest.raises(InputError, match="log-moneyness must be finite"):
-            smile.vol_at_moneyness(z)
+        for read in (z, np.array([0.0, z])):
+            with pytest.raises(InputError, match="log-moneyness must be finite"):
+                smile.vol_at_moneyness(read)
 
 
 class TestObservables:
@@ -551,6 +611,22 @@ class TestFourierKernel:
         puts = heston._damped_values(cf, ks, -1.0 - heston._DAMPING_ALPHA)
         for k, c, p in zip(ks, calls, puts):
             assert c - p == pytest.approx(1.0 - math.exp(k), abs=1e-12)
+
+    # the wide domain: low kappa, large nu and long T explode damping moments,
+    # which the paper-range strategies above never reach
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kappa=st.floats(0.05, 10.0), theta=st.floats(0.005, 1.0), nu=st.floats(0.05, 3.0),
+        v0=st.floats(0.001, 1.0), rho_sv=st.floats(-0.99, 0.99), T=st.floats(0.002, 10.0),
+    )
+    def test_wide_domain_within_bounds_and_on_the_lewis_contour(
+        self, kappa, theta, nu, v0, rho_sv, T
+    ):
+        args, ks = (kappa, kappa * theta, nu, v0, rho_sv, T), np.array([-0.2, 0.0, 0.2])
+        tv = heston._time_values(*args, ks)
+        assert np.all(tv >= -5e-13)
+        assert np.all(tv <= np.minimum(1.0, np.exp(ks)))  # a call below spot, a put below strike
+        assert tv[1] == pytest.approx(lewis_call(args, 0.0, -0.5), abs=1e-9)
 
     def test_unconverged_quadrature_names_strikes_and_effort(self, monkeypatch):
         monkeypatch.setattr(heston, "_MAX_REFINE", 0)

@@ -33,6 +33,7 @@ def test_no_second_smile_lookup_or_unused_grid_knob():
     for name in ("vol", "atm_vol", "x0"):
         assert not hasattr(exchopt.Smile, name), name
     assert "conventions" not in {f.name for f in fields(exchopt.experiments.GridSpec)}
+    assert not hasattr(exchopt.experiments.GridSpec, "combos")
 
 
 def test_validate_correlation_reachable_from_package_and_simulation():
