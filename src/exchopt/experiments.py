@@ -82,7 +82,8 @@ class GridSpec:
             if len(set(values)) != len(values):
                 raise InputError(f"{name} repeats a value: {list(values)}")
         for name, values in (("T_list", self.T_list), ("s0x", (self.s0x,)),
-                             ("s0y_list", self.s0y_list)):
+                             ("s0y_list", self.s0y_list), ("lam_x", (self.lam_x,)),
+                             ("lam_y", (self.lam_y,))):
             if not all(math.isfinite(v) and v > 0 for v in values):
                 raise InputError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
@@ -551,11 +552,9 @@ def emit_plot_data(result, kind: str) -> str:
         return buf.getvalue()
 
     if kind == "moneyness_error":
-        acc: dict[tuple[str, float], list[float]] = {}
-        for r in rows:
-            acc.setdefault((r["convention"], r["s0Y"]), []).append(abs(r["error"]))
-        for (name, s0y) in sorted(acc, key=lambda k: (k[0], k[1])):
-            writer.writerow([name, _fmt(s0y), _fmt(float(np.mean(acc[(name, s0y)])))])
+        reports = [rep for rep in compute_metrics(rows, group_by=("s0Y",)) if rep.n_points]
+        for rep in sorted(reports, key=lambda rep: (rep.convention, rep.group["s0Y"])):
+            writer.writerow([rep.convention, _fmt(rep.group["s0Y"]), _fmt(rep.mae)])
         return buf.getvalue()
 
     raise ValueError(f"unknown plot kind {kind!r}")

@@ -4,10 +4,9 @@ Each leg of the two-asset model is itself a Heston asset after rescaling
 (``effective_heston``), and the exact exchange price is a vanilla on the ratio
 asset, so one Fourier kernel (``_time_values``) prices everything: a batch of
 log-strikes for unit spot, each as the damped integral of the characteristic
-function on its out-of-the-money side (less the intrinsic value, on the other
-side where the damping moment of the first explodes, and on the Lewis contour
-where both do), accurate near 1e-13 of spot even for far strikes worth almost
-nothing.  The characteristic function
+function on its out-of-the-money side (on the Lewis contour, one batch for the
+strikes of every side whose damping moment explodes), accurate near 1e-13 of
+spot even for far strikes worth almost nothing.  The characteristic function
 over the damping denominator, f, is evaluated in place once per node for the
 whole batch, in chunks of whole panels (at most 3072 nodes), out to one cut-off
 per side: where |f|, a bound on every strike's integrand, falls below
@@ -70,7 +69,7 @@ _QUOTE_WINDOW = (CONVENTION_SKEW_WINDOW[0], 0.0, CONVENTION_SKEW_WINDOW[1])
 _QUOTE_STRIKES = (*_SMILE_KNOTS.tolist(), *_QUOTE_WINDOW)  # a leg's knots, then its first rung
 
 _DAMPING_ALPHA = 0.75  # e^{alpha k} damping; alpha and -1-alpha share alpha^2+alpha
-_LEWIS_ALPHA = -0.5  # where both sides' moments explode: E[S_T^0.5] lies in (0, 1]
+_LEWIS_ALPHA = -0.5  # where a side's moment explodes: E[S_T^0.5] lies in (0, 1]
 _TAIL_TOL = 1e-14
 # 7 tail probes on [u, 1.25 u] for each cut-off u = 100 * 2^j up to 2e6, in one batch
 _TAIL_NODES = np.ldexp(np.linspace(100.0, 125.0, 7), np.arange(15)[:, None])
@@ -243,38 +242,39 @@ def _time_values(
     T: float, ks: Sequence[float],
 ) -> np.ndarray:
     """Out-of-the-money time values for unit spot at log-strikes ``ks`` (the
-    call for k >= 0, the put for k < 0): the one Fourier pricing kernel.  A side
-    whose damping moment explodes, or whose quadrature fails to converge, is
-    priced on the other side, then on the Lewis contour, whose moment stays in
-    (0, 1], and converted by put-call parity."""
+    call for k >= 0, the put for k < 0): the one Fourier pricing kernel.  Each
+    side integrates on its own damping contour; the strikes of a side whose
+    damping moment explodes, or whose quadrature fails to converge, are priced
+    in one batch on the Lewis contour, whose moment stays in (0, 1]."""
     ks = [float(k) for k in ks]
     if not (math.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
     if not all(map(math.isfinite, ks)):
         raise InputError(f"log-strikes must be finite, got {ks}")
     cf = lambda u: _cf_log_return(u, kappa, kappa_theta, nu, v0, rho_sv, T)
-    out = np.empty(len(ks))
+    out, lewis = np.empty(len(ks)), []
     for alpha in (_DAMPING_ALPHA, -1.0 - _DAMPING_ALPHA):
         side = [i for i, k in enumerate(ks) if (k >= 0.0) == (alpha > 0.0)]
         if not side:
             continue
-        side_ks, err = [ks[i] for i in side], None
-        for a in (alpha, -1.0 - alpha, _LEWIS_ALPHA):
-            try:
-                tv = _damped_values(cf, side_ks, a)
-            except NumericalError as e:  # as next to the moment's explosion: the next contour
-                tv, err = None, e
-            if tv is not None:
-                break
+        try:
+            tv = _damped_values(cf, [ks[i] for i in side], alpha)
+        except NumericalError:  # as next to the moment's explosion: the Lewis contour
+            tv = None
+        if tv is None:
+            lewis += side
         else:
-            raise err or NumericalError(
+            out[side] = tv
+    if lewis:
+        lewis.sort()  # input order
+        lewis_ks = [ks[i] for i in lewis]
+        tv = _damped_values(cf, lewis_ks, _LEWIS_ALPHA)
+        if tv is None:
+            raise NumericalError(
                 f"every damping moment explodes at kappa={kappa}, kappa_theta={kappa_theta}, "
                 f"nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}")
-        # the other side's option less its intrinsic value |1 - e^k|; on the Lewis
-        # contour C - 1 plus min(1, e^k): the call for k >= 0, the put (parity) below
-        out[side] = tv if a == alpha else [
-            v + min(1.0, math.exp(k)) if a == _LEWIS_ALPHA else v - abs(1.0 - math.exp(k))
-            for k, v in zip(side_ks, tv)]
+        # C - 1 plus min(1, e^k): the call for k >= 0, the put (parity) below
+        out[lewis] = [v + min(1.0, math.exp(k)) for k, v in zip(lewis_ks, tv)]
     return out
 
 

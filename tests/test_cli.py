@@ -647,8 +647,8 @@ class TestConfigHandling:
         assert err.startswith("ERROR code=2 type=InputError")
         assert key in err
 
-    # a repeated grid value would price its points twice, and a maturity or
-    # spot at or below zero cannot be priced: both are refused before any run
+    # a repeated grid value would price its points twice, and a maturity, spot
+    # or leg scale at or below zero cannot be priced: both are refused before any run
     @pytest.mark.parametrize(
         "flags, grid, message",
         [
@@ -660,9 +660,11 @@ class TestConfigHandling:
             ([], {"T_list": [0.05, math.inf]}, "T_list must be finite and > 0"),
             ([], {"s0y_list": [0.0, 100.0]}, "s0y_list must be finite and > 0"),
             ([], {"s0x": -100.0}, "s0x must be finite and > 0"),
+            ([], {"lam_x": -1.0}, "lam_x must be finite and > 0"),
+            ([], {"lam_y": math.nan}, "lam_y must be finite and > 0"),
         ],
         ids=["T-repeat", "rho-repeat", "s0y-repeat", "rhoY-repeat", "T-negative",
-             "T-infinite", "s0y-zero", "s0x-negative"],
+             "T-infinite", "s0y-zero", "s0x-negative", "lam_x-negative", "lam_y-nan"],
     )
     @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
     def test_grid_whose_accounting_cannot_close_exit_2(

@@ -190,15 +190,30 @@ class TestVanillaPricer:
 
     # E[S_T^1.75] is infinite in the first model and E[S_T^-0.75] in the
     # second (Andersen & Piterbarg, 2007), so the out-of-the-money side's
-    # damping cannot price these strikes; the other side and parity can
-    @pytest.mark.parametrize("model, rho_sv, T, strike", [
-        *[((0.3, 1.0, 1.0, 0.4), 0.9, 3.0, K) for K in (100.0, 110.0, 130.0)],
-        *[((1.5, 0.1, 2.0, 0.3), -0.5, 2.0, K) for K in (70.0, 80.0, 90.0)],
-    ])
-    def test_exploding_damping_moment_prices_on_the_other_side(self, model, rho_sv, T, strike):
-        params = HestonParams(*model)
-        mine = heston_vanilla_price(params, AssetSpec(lam=1.0, rho_sv=rho_sv, s0=100.0), strike, T)
-        assert mine == pytest.approx(gil_pelaez_call(100.0, strike, params, rho_sv, T), rel=1e-9)
+    # damping cannot price the strikes on that side; the Lewis contour prices
+    # them in the same batch as the finite side's own strikes, and agrees to
+    # 1e-12 of spot with the other side's damping less the intrinsic value
+    @pytest.mark.parametrize("model, rho_sv, T, alpha", [
+        ((0.3, 1.0, 1.0, 0.4), 0.9, 3.0, heston._DAMPING_ALPHA),
+        ((1.5, 0.1, 2.0, 0.3), -0.5, 2.0, -1.0 - heston._DAMPING_ALPHA),
+    ], ids=["call-side", "put-side"])
+    def test_exploding_damping_moment_prices_on_the_lewis_contour(self, model, rho_sv, T, alpha):
+        params, strikes = HestonParams(*model), (70.0, 80.0, 90.0, 100.0, 110.0, 130.0)
+        args, ks = leg_kernel(*model, 1.0, rho_sv, T), [math.log(K / 100.0) for K in strikes]
+        tv = heston._time_values(*args, ks)
+        for k, v in zip(ks, tv):
+            assert v == heston._time_values(*args, [k])[0]
+        cf = lambda u: _cf_log_return(u, *args)
+        side = [i for i, k in enumerate(ks) if (k >= 0.0) == (alpha > 0.0)]
+        side_ks = [ks[i] for i in side]
+        assert heston._damped_values(cf, side_ks, alpha) is None
+        other = heston._damped_values(cf, side_ks, -1.0 - alpha)
+        for i, k, o in zip(side, side_ks, other):
+            assert tv[i] == pytest.approx(o - abs(1.0 - math.exp(k)), abs=1e-12)
+            mine = heston_vanilla_price(
+                params, AssetSpec(lam=1.0, rho_sv=rho_sv, s0=100.0), strikes[i], T)
+            assert mine == pytest.approx(
+                gil_pelaez_call(100.0, strikes[i], params, rho_sv, T), rel=1e-9)
 
     # E[S_T^1.75] and E[S_T^-0.75] are both infinite here, so neither side's
     # damping can price; the Lewis contour can, and quad on two of its alphas agrees
@@ -643,7 +658,9 @@ class TestFourierKernel:
         # slow decay: the integrand stays above zero out to u = 3.3e6, so the
         # search stops at its cap instead of building panels
         args = (1.0, 1e-4, 1.0, 1e-4, -0.5, 1.0)
-        with pytest.raises(NumericalError, match=r"u=3276800\.0 at log-strikes \[0\.05\]"):
+        # both sides fail, so the message names the one Lewis batch, in input order
+        message = r"u=3276800\.0 at log-strikes \[-0\.05, 0\.05\]"
+        with pytest.raises(NumericalError, match=message):
             heston._time_values(*args, [-0.05, 0.05])
 
     def test_rejects_non_finite_strikes_and_maturity(self):
