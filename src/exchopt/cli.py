@@ -69,6 +69,7 @@ class RunConfig:
         out_dir = os.path.abspath(self.out_dir)
         if os.path.commonpath([out_dir, os.path.abspath(path)]) != out_dir:
             raise InputError(f"output name {name!r} escapes the output directory")
+        os.makedirs(self.out_dir, exist_ok=True)  # here, where a command writes
         return path
 
 
@@ -370,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
             elif dest == "maturity":
                 overrides[dest] = value
         raw = load_config(args.config, overrides)
-        os.makedirs(args.out, exist_ok=True)
         cfg = _build_run_config(raw, args.out)
         if args.print_config:
             print(yaml.safe_dump(cfg.raw, sort_keys=True, default_flow_style=False), end="")

@@ -22,13 +22,13 @@ taken in real arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import blackscholes, margrabe
 from .errors import DomainError, InputError, NumericalError
@@ -353,11 +353,45 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
     return model.s0x * _unit_call(k, kappa_hat, kappa_theta, h.nu * lam_u, v0, rho_u, T)
 
 
+def _pchip_pieces(x: np.ndarray, y: np.ndarray) -> list[list[float]]:
+    """[x_i, c0, c1, c2, c3] of each interval [x_i, x_i+1), coefficients highest
+    power first, of the monotone cubic through (x, y): SciPy 1.17's
+    ``PchipInterpolator`` step by step, so with its bits.
+
+    Knot slopes: the weighted harmonic mean of the neighbouring secants m
+    (Fritsch & Carlson, 1980), 0 where they change sign or either is 0; at
+    each end the one-sided three-point rule (Moler's pchiptx), 0 where its
+    sign differs from the end secant's and 3 m where the secants change sign
+    and it exceeds that; two knots make a line.  The coefficients are
+    ``CubicHermiteSpline``'s [t/h, (m - d_i)/h - t, d_i, y_i] with
+    t = (d_i + d_i+1 - 2 m)/h."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if x.size == 2:
+        d[:] = m[0]
+    else:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        sign = np.sign(m)
+        harmonic = (sign[1:] == sign[:-1]) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # at zero secants, discarded
+            d[1:-1] = np.where(harmonic, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                              np.where(overshoot, 3.0 * m0, end))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((x[:-1], t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]), axis=1).tolist()
+
+
 class Smile:
     """Implied-vol smile of one leg: interpolating vol lookup over log-moneyness.
 
-    Monotone cubic (PCHIP) interpolation between knots, flat extrapolation
-    beyond them; strikes are stored as log-moneyness relative to the leg spot.
+    Monotone cubic (PCHIP, ``_pchip_pieces``) interpolation between
+    knots, flat extrapolation beyond them; strikes are stored as log-moneyness
+    relative to the leg spot.  Reads have the bits of SciPy's
+    ``PchipInterpolator`` at the knot-clipped point.
     """
 
     def __init__(
@@ -368,16 +402,24 @@ class Smile:
         v = np.asarray(vols, dtype=float)
         if z.ndim != 1 or z.size < 2 or z.size != v.size:
             raise InputError("need at least two (log_moneyness, vol) knots")
+        if not np.isfinite(z).all():
+            raise InputError("log-moneyness knots must be finite")
         if np.any(np.diff(z) <= 0):
             raise InputError("log-moneyness knots must be strictly increasing")
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
             raise InputError("vols must be positive and finite")
+        s0, T = float(s0), float(T)
+        if not (math.isfinite(s0) and s0 > 0):
+            raise InputError(f"s0 must be positive, got {s0}")
+        if not (math.isfinite(T) and T > 0):
+            raise InputError(f"T must be positive, got {T}")
         self.asset_id = asset_id
-        self.s0 = float(s0)
-        self.T = float(T)
+        self.s0 = s0
+        self.T = T
         self.log_moneyness = z
         self.vols = v
-        self._interp = PchipInterpolator(z, v, extrapolate=False)
+        self._knots = z.tolist()
+        self._pieces = _pchip_pieces(z, v)
 
     @property
     def z_bounds(self) -> tuple[float, float]:
@@ -385,11 +427,27 @@ class Smile:
 
     def vol_at_moneyness(self, z: float | np.ndarray) -> float | np.ndarray:
         """Implied vol at log-moneyness z = log(K / s0), flat beyond the knots;
-        an array of z gives the array of vols, each with the bits of its scalar read."""
-        if not np.isfinite(z).all():
+        an array of z gives the array of its scalar reads."""
+        if np.ndim(z):
+            z = np.asarray(z, dtype=float)
+            return np.fromiter(map(self._read, z.ravel().tolist()), float, z.size).reshape(z.shape)
+        return self._read(float(z))
+
+    def _read(self, z: float) -> float:
+        """SciPy's ``PPoly`` read of the cubic at z clipped to the knots: on the
+        interval x_i <= z < x_i+1 (the last one closed), c3 + c2 s + c1 s^2 +
+        c0 s^2 s with s = z - x_i, summed in that order."""
+        if not math.isfinite(z):
             raise InputError(f"log-moneyness must be finite, got {z}")
-        vols = self._interp(np.clip(z, *self.z_bounds))
-        return vols if np.ndim(z) else float(vols)
+        knots = self._knots
+        if z < knots[0]:
+            z = knots[0]
+        elif z > knots[-1]:
+            z = knots[-1]
+        x, c0, c1, c2, c3 = self._pieces[bisect.bisect_right(knots, z, hi=len(knots) - 1) - 1]
+        s = z - x
+        ss = s * s
+        return c3 + c2 * s + c1 * ss + c0 * (ss * s)
 
 
 def build_smile(

@@ -61,7 +61,8 @@ _MIN_FIT_NONZERO_CONTROL = 10
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo settings.  ``n_steps`` counts Euler steps per year; a run of
-    maturity T uses ceil(n_steps * T) steps."""
+    maturity T uses ceil(n_steps * T) steps, a product within 1e-12 (relative)
+    of a whole number counting as that number (2000 * 4.03 is 8060.000000000001)."""
 
     n_paths: int = 100_000
     n_steps: int = DEFAULT_STEPS_PER_YEAR
@@ -79,7 +80,9 @@ class McConfig:
             raise InputError(f"seed must fit in 64 bits, got {self.seed}")
 
     def steps_for(self, T: float) -> int:
-        return max(1, math.ceil(self.n_steps * T))
+        steps = self.n_steps * T
+        whole = round(steps)
+        return max(1, whole if abs(steps - whole) <= 1e-12 * steps else math.ceil(steps))
 
 
 @dataclass(frozen=True)

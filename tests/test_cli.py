@@ -544,6 +544,16 @@ class TestExperiment:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("argv, expected", [
+        (("--print-config",), 0),
+        (("price", "exchange", "--T", "-1"), 2),
+        (("surface", "--asset", "X", "--output", "../escape.csv"), 2),
+    ], ids=["print-config", "refused-T", "escaping-output"])
+    def test_run_that_writes_nothing_creates_no_out_dir(self, capsys, out_dir, argv, expected):
+        code, _, _ = run_cli(capsys, "--out", out_dir, *argv)
+        assert code == expected
+        assert not os.path.exists(out_dir)
+
     def test_print_config_round_trip(self, capsys, out_dir, tmp_path):
         code, first, _ = run_cli(capsys, "--out", out_dir, "--print-config")
         assert code == 0

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from exchopt import blackscholes, experiments, heston
 from exchopt.blackscholes import bs_price, implied_vol
@@ -264,6 +265,19 @@ class TestVanillaPricer:
                 )
 
 
+@st.composite
+def pchip_cases(draw):
+    """(knots, vols, interior reads) of 2 to 41 knots: vols drawn from a few
+    levels make flat runs and sign changes of the secants."""
+    n = draw(st.integers(2, 41))
+    gaps = draw(st.lists(st.floats(1e-3, 0.2), min_size=n - 1, max_size=n - 1))
+    z = np.cumsum([draw(st.floats(-1.0, 0.0)), *gaps]).tolist()
+    levels = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=n))
+    vols = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    inside = draw(st.lists(st.floats(z[0], z[-1]), min_size=1, max_size=30))
+    return z, vols, inside
+
+
 class TestSmile:
     def test_degenerate_smile_is_flat(self):
         frozen = HestonParams(kappa=5.0, theta=0.0225, nu=1e-4, sigma0=0.15)
@@ -320,6 +334,25 @@ class TestSmile:
         assert all(type(v) is float for v in scalars)
         assert vols.tobytes() == np.array(scalars).tobytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=pchip_cases())
+    @example(case=([-0.1, 0.2], [0.3, 0.2], [0.05]))  # two knots: a line
+    @example(case=([-0.1, 0.0, 0.15], [0.25, 0.2, 0.22], [-0.05, 0.1]))  # slope sign change
+    @example(case=([0.0, 0.1, 0.2], [0.2, 0.201, 0.101], [0.03]))  # end slope capped at 3 m0
+    @example(case=([0.0, 0.1, 0.2], [0.2, 0.201, 0.301], [0.03]))  # end slope set to 0
+    @example(case=([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2],
+                   [0.3, 0.3, 0.3, 0.25, 0.25, 0.28], [-0.25, -0.05, 0.15]))  # flat runs
+    def test_reads_equal_scipy_pchip_bit_for_bit(self, case):
+        z, vols, inside = case
+        lo, hi = z[0], z[-1]
+        reads = np.array([*z, *inside, *np.nextafter(z, math.inf), *np.nextafter(z, -math.inf),
+                          lo - 0.5, hi + 0.5])
+        oracle = PchipInterpolator(z, vols, extrapolate=False)(np.clip(reads, lo, hi))
+        smile = Smile("X", 100.0, 0.5, z, vols)
+        assert smile.vol_at_moneyness(reads).tobytes() == oracle.tobytes()
+        scalars = np.array([smile.vol_at_moneyness(float(r)) for r in reads])
+        assert scalars.tobytes() == oracle.tobytes()
+
     def test_unresolvable_wings_trimmed(self, case1_model):
         # the thin right wing of the Y leg cannot be inverted at T=0.05
         smile = build_smile_grid(BASE_PARAMS, case1_model.asset_y, 0.05, asset_id="Y")
@@ -355,6 +388,21 @@ class TestSmile:
     def test_smile_knot_validation(self):
         with pytest.raises(InputError):
             Smile("X", 100.0, 0.5, [0.0, 0.0], [0.2, 0.2])
+
+    @pytest.mark.parametrize("s0, T, z, match", [
+        (100.0, 0.5, [-0.1, math.nan, 0.1], "knots must be finite"),
+        (100.0, 0.5, [-0.1, 0.0, math.inf], "knots must be finite"),
+        (math.nan, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
+        (-5.0, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
+        (0.0, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
+        (math.inf, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
+        (100.0, -1.0, [-0.1, 0.0, 0.1], "T must be positive"),
+        (100.0, 0.0, [-0.1, 0.0, 0.1], "T must be positive"),
+        (100.0, math.nan, [-0.1, 0.0, 0.1], "T must be positive"),
+    ])
+    def test_smile_refuses_non_finite_knots_spot_and_maturity(self, s0, T, z, match):
+        with pytest.raises(InputError, match=match):
+            Smile("X", s0, T, z, [0.25, 0.2, 0.22])
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_moneyness_rejected(self, z):

@@ -1,5 +1,10 @@
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -63,3 +68,28 @@ def test_control_variate_is_not_optional():
     from exchopt import simulation
 
     assert "use_control_variate" not in {f.name for f in fields(simulation.McConfig)}
+
+
+def test_quote_price_and_paths_leave_scipy_interpolate_unloaded():
+    # a fresh interpreter: this test session has imported SciPy for its oracles
+    script = textwrap.dedent("""
+        import sys
+        import exchopt, exchopt.cli
+        from exchopt import experiments, heston, simulation
+        model, T = experiments.reference_case_model(1), 0.25
+        heston.measure_smile_observables(model.heston, model.asset_x, model.asset_y, T)
+        smile_x = heston.build_smile_grid(model.heston, model.asset_x, T, asset_id="X")
+        heston.build_smile_grid(model.heston, model.asset_y, T, asset_id="Y")
+        smile_x.vol_at_moneyness(0.01)
+        heston.exchange_option_price(model, T)
+        simulation.simulate_terminal(model, 0.05, simulation.McConfig(n_paths=64, seed=1))
+        print(" ".join(m for m in ("scipy.interpolate", "scipy.optimize", "scipy.linalg")
+                       if m in sys.modules))
+    """)
+    src = pathlib.Path(exchopt.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -384,6 +384,15 @@ class TestMcConfig:
         with pytest.raises(InputError, match=field):
             McConfig(**{field: value})
 
+    # products within 1e-12 of a whole number are that number: 2000 * 4.03 is
+    # 8060.000000000001 and 365 * 2.2 is 803.0000000000001, one ceil step too many
+    @pytest.mark.parametrize("n_steps, T, steps", [
+        (2000, 4.03, 8060), (365, 2.2, 803), (100, 0.07, 7), (2000, 2.01, 4020),
+        (365, 1.4, 511), (2000, 0.05, 100), (2000, 0.05 + 1e-9, 101), (2000, 1e-6, 1),
+    ])
+    def test_steps_round_float_noise_only(self, n_steps, T, steps):
+        assert McConfig(n_steps=n_steps).steps_for(T) == steps
+
     def test_numpy_integers_accepted(self):
         mc = McConfig(n_paths=np.int64(64), n_steps=np.int32(50), seed=np.uint64(3),
                       jobs=np.int8(2))
