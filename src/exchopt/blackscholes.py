@@ -1,7 +1,9 @@
 """Black-Scholes call pricing in log coordinates (r = 0) and robust implied vol.
 
 Everything works on log spot ``x``, log strike ``k`` and time to expiry ``T``;
-prices are undiscounted (zero rates throughout the library).
+prices are undiscounted (zero rates throughout the library).  One
+bracket-and-Newton loop inverts prices: ``implied_vol`` runs it on one price,
+``_implied_vols`` on a smile's log-strikes at one x and T.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from scipy.special import ndtr  # erfc-based normal CDF, abs error < 1e-15
 
 from .errors import DomainError, InputError, NumericalError
 
-__all__ = [
-    "bs_price",
-    "bs_vega",
-    "implied_vol",
-    "norm_pdf",
-]
+__all__ = ["bs_price", "bs_vega", "implied_vol"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -28,10 +25,6 @@ _IV_BRACKET_HI = 5.0
 _IV_NEWTON_SEED = 0.5
 _IV_MAX_ITER = 100
 _IV_PRICE_TOL = 1e-12  # relative to e^x
-
-
-def norm_pdf(z):
-    return np.exp(-0.5 * np.asarray(z) ** 2) / _SQRT_2PI
 
 
 def _check_finite(**kwargs):
@@ -52,7 +45,11 @@ def bs_price(x: float, k: float, sigma: float, T: float) -> float:
         raise InputError(f"negative time to expiry T={T}")
     if sigma < 0:
         raise InputError(f"negative sigma={sigma}")
-    return _call(x, k, sigma, T)
+    s = sigma * math.sqrt(T)
+    if s == 0.0:
+        return max(math.exp(x) - math.exp(k), 0.0)
+    d1 = (x - k) / s + 0.5 * s
+    return float(math.exp(x) * ndtr(d1) - math.exp(k) * ndtr(d1 - s))
 
 
 def bs_vega(x: float, k: float, sigma: float, T: float) -> float:
@@ -62,23 +59,9 @@ def bs_vega(x: float, k: float, sigma: float, T: float) -> float:
         raise InputError(f"negative time to expiry T={T}")
     if T == 0.0 or sigma <= 0.0:
         return 0.0
-    return _vega(x, k, sigma, T)
-
-
-def _call(x: float, k: float, sigma: float, T: float) -> float:
-    """bs_price without argument checks, for T >= 0 and sigma >= 0."""
-    s = sigma * math.sqrt(T)
-    if s == 0.0:
-        return max(math.exp(x) - math.exp(k), 0.0)
-    d1 = (x - k) / s + 0.5 * s
-    return float(math.exp(x) * ndtr(d1) - math.exp(k) * ndtr(d1 - s))
-
-
-def _vega(x: float, k: float, sigma: float, T: float) -> float:
-    """bs_vega without argument checks, for T > 0 and sigma > 0."""
     s = sigma * math.sqrt(T)
     d1 = (x - k) / s + 0.5 * s
-    return float(math.exp(x) * norm_pdf(d1) * math.sqrt(T))
+    return float(math.exp(x) * (np.exp(-0.5 * (d1 * d1)) / _SQRT_2PI) * math.sqrt(T))
 
 
 def implied_vol(price: float, x: float, k: float, T: float) -> float:
@@ -92,84 +75,97 @@ def implied_vol(price: float, x: float, k: float, T: float) -> float:
     no-arbitrage bracket intrinsic < price < e^x, NumericalError when the
     iteration cap is hit.
     """
-    _check_finite(price=price, x=x, k=k, T=T)
-    if T <= 0:
-        raise DomainError(f"cannot invert at expiry: T={T} <= 0")
-    spot = math.exp(x)
-    intrinsic = max(spot - math.exp(k), 0.0)
-    if not (intrinsic < price < spot):
-        raise DomainError(
-            f"price {price} outside arbitrage bounds ({intrinsic}, {spot})"
-        )
-    tol = _IV_PRICE_TOL * spot
-
-    lo, hi = _IV_BRACKET_LO, _IV_BRACKET_HI
-    while _call(x, k, hi, T) < price:
-        hi *= 2.0
-        if hi > 1e3:
-            raise DomainError(f"price {price} not attainable below sigma={hi}")
-    if _call(x, k, lo, T) > price:
-        raise DomainError(f"price {price} below sigma={lo} value")
-
-    sigma = _IV_NEWTON_SEED
-    for _ in range(_IV_MAX_ITER):
-        diff = _call(x, k, sigma, T) - price
-        if abs(diff) <= tol:
-            return sigma
-        # maintain the bracket around the root
-        if diff > 0.0:
-            hi = sigma
-        else:
-            lo = sigma
-        v = _vega(x, k, sigma, T)
-        newton = sigma - diff / v if v > 0.0 else math.inf
-        sigma = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
-            # bracket collapsed to float resolution; accept the midpoint
-            return 0.5 * (lo + hi)
-    raise NumericalError(
-        f"implied vol did not converge after {_IV_MAX_ITER} iterations "
-        f"(price={price}, x={x}, k={k}, T={T}, bracket=[{lo}, {hi}])"
-    )
+    return _invert([price], x, [k], T)[0]
 
 
 def _implied_vols(prices, x: float, ks, T: float) -> np.ndarray:
-    """implied_vol over log-strikes ``ks`` at one x and T: each element takes the
-    scalar loop's steps and exits on arrays (e^k by math.exp), so its vol has the
-    scalar bits.  If any element fails, the scalar loop runs and raises its error."""
-    prices, ks = np.array(prices, dtype=float), np.array(ks, dtype=float)
-    lo, hi, sigma = (np.full_like(prices, v) for v in
-                     (_IV_BRACKET_LO, _IV_BRACKET_HI, _IV_NEWTON_SEED))
-    ok = math.isfinite(x) and math.isfinite(T) and T > 0
-    spot, ek, sq = math.exp(x), np.array([math.exp(k) for k in ks]), math.sqrt(T) if ok else 0.0
-    fail = ~(ok & np.isfinite(ks) & (np.maximum(spot - ek, 0.0) < prices) & (prices < spot))
+    """implied_vol over log-strikes ``ks`` at one x and T, as an array."""
+    prices, ks = np.asarray(prices, dtype=float).tolist(), np.asarray(ks, dtype=float).tolist()
+    return np.array(_invert(prices, x, ks, T), dtype=float)
 
-    def diff_d1(sig):  # _call(x, k, sig, T) - price on arrays, and its d1
-        s = sig * sq
-        d1 = (x - ks) / s + 0.5 * s
-        return spot * ndtr(d1) - ek * ndtr(d1 - s) - prices, d1
 
-    # failed elements compute junk, and an overflow gives inf as a Python float does
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        up = ~fail
-        while up.any() and hi.max() <= 1e3:  # the upper end doubles while the quote exceeds it
-            up &= diff_d1(hi)[0] < 0.0
-            hi = np.where(up, hi * 2.0, hi)
-        fail |= (hi > 1e3) | (diff_d1(lo)[0] > 0.0)
-        live = ~fail
-        for _ in range(_IV_MAX_ITER):
-            if not live.any():
-                break
-            diff, d1 = diff_d1(sigma)
-            live &= np.abs(diff) > _IV_PRICE_TOL * spot  # converged elements keep their sigma
-            above = diff > 0.0  # maintain the bracket around the root
-            hi, lo = np.where(above, sigma, hi), np.where(above, lo, sigma)
-            # a zero vega steps to -+inf, outside the bracket, as the scalar's inf
-            newton, mid = sigma - diff / (spot * norm_pdf(d1) * sq), 0.5 * (lo + hi)
-            step = np.where((lo < newton) & (newton < hi), newton, mid)
-            shut = live & (hi - lo < 1e-14)  # collapsed: the scalar loop returns the midpoint
-            sigma = np.where(shut, mid, np.where(live, step, sigma))
-            live ^= shut
-    if (fail | live).any():
-        return np.array([implied_vol(p, x, k, T) for p, k in zip(prices.tolist(), ks.tolist())])
+def _invert(prices: list, x: float, ks: list, T: float) -> list:
+    """implied_vol's loop over (price, log-strike) pairs at one x and T.
+
+    Each element takes the steps implied_vol takes for it alone, in Python
+    floats; each round prices all its elements in one ndtr call and takes the
+    densities of their vegas from one np.exp call.  The lowest failing element
+    raises the error implied_vol raises for it."""
+    rows, refused = [], None  # a row: index, x - k, e^k, price, lo, hi, sigma
+    try:  # elements after the first refused one cannot fail first
+        for i, (price, k) in enumerate(zip(prices, ks)):
+            if not math.isfinite(price + x + k + T):  # a term is not finite, or the sum overflows
+                _check_finite(price=price, x=x, k=k, T=T)
+            if T <= 0:
+                raise DomainError(f"cannot invert at expiry: T={T} <= 0")
+            spot, ek = math.exp(x), math.exp(k)
+            intrinsic = max(spot - ek, 0.0)
+            if not (intrinsic < price < spot):
+                raise DomainError(f"price {price} outside arbitrage bounds ({intrinsic}, {spot})")
+            rows.append([i, x - k, ek, price, _IV_BRACKET_LO, _IV_BRACKET_HI, _IV_NEWTON_SEED])
+    except (InputError, DomainError) as err:
+        refused = err
+    if not rows:
+        if refused:
+            raise refused
+        return []
+    sq, tol = math.sqrt(T), _IV_PRICE_TOL * spot
+
+    def cdf(rows, col):  # (row, N(d1), N(d2)) at each row's sigma r[col], and the d1s
+        d1s, d2s = [], []
+        for r in rows:
+            s = r[col] * sq
+            d1 = r[1] / s + 0.5 * s
+            d1s.append(d1)
+            d2s.append(d1 - s)
+        c = ndtr(d1s + d2s).tolist()
+        return zip(rows, c, c[len(rows):]), d1s
+
+    failed = {}
+    up = [r for r, a, b in cdf(rows, 5)[0] if spot * a - r[2] * b - r[3] < 0.0]
+    while up:  # the upper end doubles while the quote exceeds it
+        for r in up:
+            r[5] *= 2.0
+            if r[5] > 1e3:
+                failed[r[0]] = DomainError(f"price {r[3]} not attainable below sigma={r[5]}")
+        up = [r for r in up if r[0] not in failed]
+        up = [r for r, a, b in cdf(up, 5)[0] if spot * a - r[2] * b - r[3] < 0.0]
+    for r, a, b in cdf(rows, 4)[0]:
+        if spot * a - r[2] * b - r[3] > 0.0:
+            failed.setdefault(r[0], DomainError(f"price {r[3]} below sigma={r[4]} value"))
+    live, sigma = [r for r in rows if r[0] not in failed], [_IV_NEWTON_SEED] * len(rows)
+    for _ in range(_IV_MAX_ITER):
+        if not live:
+            break
+        rcs, d1s = cdf(live, 6)
+        live = []
+        # np.exp, not math.exp: their last bits differ, and the vega steers each step
+        for (r, a, b), pdf in zip(rcs, np.exp([-0.5 * (d1 * d1) for d1 in d1s]).tolist()):
+            i, _, ek, price, lo, hi, sig = r
+            diff = spot * a - ek * b - price
+            if abs(diff) <= tol:
+                sigma[i] = sig
+                continue
+            if diff > 0.0:  # maintain the bracket around the root
+                r[5] = hi = sig
+            else:
+                r[4] = lo = sig
+            v = spot * (pdf / _SQRT_2PI) * sq
+            newton = sig - diff / v if v > 0.0 else math.inf
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 1e-14:
+                sigma[i] = mid  # bracket collapsed to float resolution; accept the midpoint
+            else:
+                r[6] = newton if lo < newton < hi else mid
+                live.append(r)
+    for r in live:
+        i, _, _, price, lo, hi, _ = r
+        failed[i] = NumericalError(
+            f"implied vol did not converge after {_IV_MAX_ITER} iterations "
+            f"(price={price}, x={x}, k={ks[i]}, T={T}, bracket=[{lo}, {hi}])"
+        )
+    if failed:
+        raise failed[min(failed)]
+    if refused:
+        raise refused
     return sigma

@@ -139,7 +139,7 @@ def _derived_seed(master: int, *indices: int) -> int:
 def reference_case_model(case_id: int) -> TwoAssetModel:
     """The two reference parameterisations; they differ only in rho_Y."""
     if case_id not in (1, 2):
-        raise ValueError(f"case_id must be 1 or 2, got {case_id}")
+        raise InputError(f"case_id must be 1 or 2, got {case_id}")
     rho_y = -0.6 if case_id == 1 else 0.4
     return TwoAssetModel(
         heston=_BASE_PARAMS_HESTON, lam_x=1.5, lam_y=1.0, s0x=100.0, s0y=100.0,
@@ -532,7 +532,7 @@ def emit_plot_data(result, kind: str) -> str:
 
     if kind == "skew":
         if not isinstance(result, TestCaseResult):
-            raise ValueError("kind='skew' needs a TestCaseResult with smiles")
+            raise InputError("kind='skew' needs a TestCaseResult with smiles")
         for smile in (result.smile_x, result.smile_y):
             for rec in heston.smile_csv_rows(smile):
                 writer.writerow(
@@ -557,7 +557,7 @@ def emit_plot_data(result, kind: str) -> str:
             writer.writerow([rep.convention, _fmt(rep.group["s0Y"]), _fmt(rep.mae)])
         return buf.getvalue()
 
-    raise ValueError(f"unknown plot kind {kind!r}")
+    raise InputError(f"unknown plot kind {kind!r}")
 
 
 def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:

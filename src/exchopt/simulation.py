@@ -230,6 +230,9 @@ def exchange_estimate_from_sample(
 ) -> PriceEstimate:
     """Exchange-option estimate for the spot pair (s0x, s0y) from an existing
     normalized sample (payoff homogeneity in the initial spots)."""
+    for name, v in (("s0x", s0x), ("s0y", s0y)):
+        if not (np.isfinite(v) and v > 0):
+            raise InputError(f"{name} must be finite and > 0, got {v}")
     model = sample.model
     sx, sy = model.lam_x * model.heston.sigma0, model.lam_y * model.heston.sigma0
     sigma_cv = margrabe.convention_gamma(sx, sy, model.rho)

@@ -1,16 +1,20 @@
+import hashlib
 import inspect
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exchopt import blackscholes, heston
 from exchopt.blackscholes import _implied_vols, bs_price, bs_vega, implied_vol
 from exchopt.errors import DomainError, InputError, NumericalError
-from exchopt.experiments import reference_case_model
-from exchopt.models import AssetSpec, HestonParams
+from exchopt.experiments import GridSpec, reference_case_model
+from exchopt.models import (
+    AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
+)
 from test_heston import leg_models
 
 X100 = math.log(100.0)
@@ -36,16 +40,17 @@ def bisect_iv(price, x, k, T, lo=1e-8, hi=5.0, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def checked_implied_vol(price, x, k, T):
-    """The Newton/bracket loop of implied_vol on the public, argument-checking
-    bs_price and bs_vega: the reference for the unchecked helpers."""
+def checked_implied_vol(price, x, k, T, tol=1e-12):
+    """The Newton/bracket loop of implied_vol, one price at a time on the
+    public, argument-checking bs_price and bs_vega: the reference for the
+    loop that implied_vol and the batch inversion share."""
     lo, hi = 1e-6, 5.0
     while bs_price(x, k, hi, T) < price:
         hi *= 2.0
     sigma = 0.5 if lo < 0.5 < hi else 0.5 * (lo + hi)
     for _ in range(100):
         diff = bs_price(x, k, sigma, T) - price
-        if abs(diff) <= 1e-12 * math.exp(x):
+        if abs(diff) <= tol * math.exp(x):
             return sigma
         if diff > 0.0:
             hi = sigma
@@ -149,13 +154,14 @@ class TestImpliedVol:
         assert implied_vol(p, X100, X100 + 0.1, 0.5) == pytest.approx(0.15, abs=1e-8)
 
     def test_expiry_rejected(self):
-        with pytest.raises(DomainError, match="at expiry"):
+        with pytest.raises(DomainError, match=r"^cannot invert at expiry: T=0\.0 <= 0$"):
             implied_vol(5.0, X100, X100, 0.0)
 
     def test_intrinsic_price_rejected(self):
-        with pytest.raises(DomainError):
+        bounds = r"outside arbitrage bounds \(10\.000000000000043, 100\.00000000000004\)$"
+        with pytest.raises(DomainError, match=r"^price 10\.0 " + bounds):
             implied_vol(10.0, X100, math.log(90.0), 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^price 100\.00000000000004 " + bounds):
             implied_vol(math.exp(X100), X100, math.log(90.0), 1.0)
 
     def test_deep_otm_short_dated_vs_bisection_oracle(self):
@@ -201,9 +207,26 @@ class TestImpliedVol:
                 assert got == vol
 
 
-def scalar_loop(prices, x, ks, T):
-    """implied_vol one element at a time: the reference for _implied_vols."""
-    return [implied_vol(p, x, k, T) for p, k in zip(prices, ks)]
+def checked_loop(prices, x, ks, T, tol=1e-12):
+    """checked_implied_vol one element at a time: the reference for _implied_vols."""
+    return [checked_implied_vol(p, x, k, T, tol) for p, k in zip(prices, ks)]
+
+
+def bad_price(kind, x, k, T):
+    return {
+        "nan": math.nan,
+        "intrinsic": max(math.exp(x) - math.exp(k), 0.0),
+        "spot": math.exp(x),
+        "below_lo": bs_price(x, k, 1e-7, T),  # at the money, below the sigma = 1e-6 price
+    }[kind]
+
+
+def raised(fn, *args):
+    """(type, message) of the error fn raises, or None with its value."""
+    try:
+        return None, fn(*args)
+    except (InputError, DomainError, NumericalError) as err:
+        return (type(err), str(err)), None
 
 
 class TestBatchImpliedVols:
@@ -219,13 +242,42 @@ class TestBatchImpliedVols:
             for z, tv, vol in zip(smile.log_moneyness, tvs, smile.vols):
                 assert vol == checked_implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        x=st.floats(-1.0, 6.0),
+        T=st.floats(1e-4, 5.0),
+        legs=st.integers(1, 50).flatmap(lambda n: st.lists(
+            st.tuples(st.floats(-1.5, 1.5), st.floats(1e-3, 10.0)), min_size=n, max_size=n)),
+        bad=st.lists(st.tuples(
+            st.integers(0, 49), st.sampled_from(("nan", "intrinsic", "spot", "below_lo"))), max_size=3),
+    )
+    def test_batch_equals_each_element_alone(self, x, T, legs, bad):
+        # every valid element carries the checked loop's bits, and the batch
+        # raises the lowest failing element's error as that element raises it
+        ks = [x + dk for dk, _ in legs]
+        prices = [bs_price(x, k, sigma, T) for k, (_, sigma) in zip(ks, legs)]
+        for i, kind in bad:
+            if i < len(ks):
+                if kind == "below_lo":
+                    ks[i] = x
+                prices[i] = bad_price(kind, x, ks[i], T)
+        alone = [raised(implied_vol, p, x, k, T) for p, k in zip(prices, ks)]
+        for (err, vol), p, k in zip(alone, prices, ks):
+            if err is None:
+                assert vol == checked_implied_vol(p, x, k, T)
+        first = next((err for err, _ in alone if err), None)
+        err, vols = raised(_implied_vols, prices, x, ks, T)
+        assert err == first
+        if first is None:
+            assert vols.tolist() == [vol for _, vol in alone]
+
     def test_bracket_doubling_and_collapse_exits(self, monkeypatch):
         # deep out of the money and short-dated at vols above the starting
         # bracket [1e-6, 5]: the vega at the seed is 0, so the first step
         # bisects up to the doubled upper end
         T, ks = 0.01, np.repeat([0.3, 0.4, 0.5], 5)
         prices = [bs_price(0.0, k, s, T) for k, s in zip(ks, [6.0, 7.0, 9.0, 12.0, 20.0] * 3)]
-        assert _implied_vols(prices, 0.0, ks, T).tolist() == scalar_loop(prices, 0.0, ks, T)
+        assert _implied_vols(prices, 0.0, ks, T).tolist() == checked_loop(prices, 0.0, ks, T)
         # with the price tolerance at 1e-16 of spot these knots leave through
         # the collapsed bracket just after a Newton step inside it, at a
         # midpoint whose price misses by more than the tolerance
@@ -233,33 +285,49 @@ class TestBatchImpliedVols:
         T, ks = 1.0, [0.3, 0.24, 0.38, 0.48]
         prices = [bs_price(0.0, k, s, T) for k, s in zip(ks, [0.23, 0.44, 0.53, 1.14])]
         got = _implied_vols(prices, 0.0, ks, T)
-        assert got.tolist() == scalar_loop(prices, 0.0, ks, T)
+        assert got.tolist() == checked_loop(prices, 0.0, ks, T, tol=1e-16)
         assert all(abs(bs_price(0.0, k, v, T) - p) > 1e-16 for k, v, p in zip(ks, got, prices))
 
     @pytest.mark.parametrize("i", [0, 2, 5])
-    @pytest.mark.parametrize("bad", ["nan", "intrinsic", "spot", "below_lo"])
-    def test_first_failure_raises_the_scalar_error(self, i, bad):
+    @pytest.mark.parametrize("bad, error, message", [
+        ("nan", InputError, "non-finite price=nan"),
+        ("intrinsic", DomainError, "price 0.0 outside arbitrage bounds (0.0, 1.0)"),
+        ("spot", DomainError, "price 1.0 outside arbitrage bounds (0.0, 1.0)"),
+        ("below_lo", DomainError, "price 1e-10 below sigma=1e-06 value"),
+    ])
+    def test_first_failure_raises_its_own_error(self, i, bad, error, message):
         # at the money, where 1e-10 lies below the sigma = 1e-6 price 9e-8
         T, ks = 0.05, np.zeros(7)
         prices = [bs_price(0.0, 0.0, s, T) for s in np.linspace(0.1, 0.7, 7)]
         prices[i] = {"nan": math.nan, "intrinsic": 0.0, "spot": 1.0, "below_lo": 1e-10}[bad]
-        with pytest.raises((InputError, DomainError)) as scalar:
-            scalar_loop(prices, 0.0, ks, T)
-        with pytest.raises(scalar.type, match=f"^{re.escape(str(scalar.value))}$"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            implied_vol(prices[i], 0.0, 0.0, T)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            _implied_vols(prices, 0.0, ks, T)
+
+    def test_lowest_of_two_failing_elements_wins(self):
+        # both below the sigma = 1e-6 price, so both fail inside the loop
+        T, ks = 0.05, np.zeros(7)
+        prices = [bs_price(0.0, 0.0, s, T) for s in np.linspace(0.1, 0.7, 7)]
+        prices[2], prices[5] = 2e-10, 1e-10
+        with pytest.raises(DomainError, match=r"^price 2e-10 below sigma=1e-06 value$"):
             _implied_vols(prices, 0.0, ks, T)
 
     def test_lowest_index_wins_over_an_earlier_stage(self, monkeypatch):
         # at zero price tolerance the deep out-of-the-money element 1 runs
         # into the iteration cap, after element 3 has already failed the
-        # arbitrage check: the scalar loop raises for element 1
+        # arbitrage check: the batch raises element 1's error
         monkeypatch.setattr(blackscholes, "_IV_PRICE_TOL", 0.0)
         T, ks = 0.05, [0.0, 0.2, 0.1, 0.3]
         prices = [bs_price(0.0, k, 0.05, T) for k in ks]
         prices[3] = 1.0
-        with pytest.raises(NumericalError) as scalar:
-            scalar_loop(prices, 0.0, ks, T)
-        assert "k=0.2" in str(scalar.value)
-        with pytest.raises(NumericalError, match=f"^{re.escape(str(scalar.value))}$"):
+        message = (
+            "implied vol did not converge after 100 iterations (price=4.971561606834354e-75, "
+            "x=0.0, k=0.2, T=0.05, bracket=[1e-06, 0.06392256632844111])"
+        )
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            implied_vol(prices[1], 0.0, ks[1], T)
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             _implied_vols(prices, 0.0, ks, T)
 
     def test_unattainable_price_raises_the_scalar_error(self):
@@ -272,6 +340,53 @@ class TestBatchImpliedVols:
             _implied_vols([0.5], 0.0, [0.0], 1e-12)
 
     def test_expiry_and_empty_batch(self):
-        with pytest.raises(DomainError, match="at expiry"):
+        with pytest.raises(DomainError, match=r"^cannot invert at expiry: T=0\.0 <= 0$"):
             _implied_vols([0.1, 0.2], 0.0, [0.0, 0.1], 0.0)
         assert _implied_vols([], 0.0, [], 1.0).size == 0
+
+
+# sha256 of the inversion's bits: _implied_vols on the quote batches (each
+# leg's kept smile knots, then both legs' first-rung window strikes) of both
+# reference cases at T 0.05, 0.25 and 1.0, then implied_vol on the exact
+# exchange prices of 200 seeded paper-grid points whose time value is at least
+# a cent; a change that alters these bits records the new digest and says why
+INVERSION_DIGEST = "84eb4a686482a3a5ba467d23a69fa98c6abead3d7dfcc24b7f1f79b6f2732934"
+
+
+def inversion_digest_values():
+    values, n = [], heston.SMILE_GRID_POINTS
+    for case in (1, 2):
+        m = reference_case_model(case)
+        for T in (0.05, 0.25, 1.0):
+            quotes = [heston._leg_quote(m.heston, asset, T) for asset in (m.asset_x, m.asset_y)]
+            batches = []
+            for quote in quotes:
+                kept = np.flatnonzero(quote[:n] >= heston.MIN_TIME_VALUE)
+                knots = slice(kept[0], kept[-1] + 1)
+                batches.append((quote[knots], heston._SMILE_KNOTS[knots]))
+            batches.append((np.concatenate([q[n:] for q in quotes]), heston._QUOTE_WINDOW * 2))
+            for tv, zs in batches:
+                prices = np.add(tv, [max(1.0 - math.exp(z), 0.0) for z in zs])
+                values.extend(_implied_vols(prices, 0.0, zs, T))
+    spec, rng, inverted = GridSpec(), np.random.default_rng(24), 0
+    triples = [
+        (rho, rx, ry) for rho in spec.rho_list for rx in spec.rho_x_list for ry in spec.rho_y_list
+        if validate_correlation(CorrelationStructure(rho, rx, ry))[0]
+    ]
+    while inverted < 200:
+        T = spec.T_list[rng.integers(len(spec.T_list))]
+        s0y = spec.s0y_list[rng.integers(len(spec.s0y_list))]
+        model = TwoAssetModel(
+            heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y, s0x=spec.s0x, s0y=s0y,
+            corr=CorrelationStructure(*triples[rng.integers(len(triples))]),
+        )
+        price = heston.exchange_option_price(model, T)
+        if price - max(spec.s0x - s0y, 0.0) >= 0.01:
+            values.append(implied_vol(price, math.log(spec.s0x), math.log(s0y), T))
+            inverted += 1
+    return np.array(values)
+
+
+def test_inversion_bits_pinned():
+    digest = hashlib.sha256(inversion_digest_values().tobytes()).hexdigest()
+    assert digest == INVERSION_DIGEST

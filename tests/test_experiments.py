@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import pytest
@@ -13,6 +14,7 @@ from exchopt.experiments import (
     emit_plot_data,
     grid_exclusion_summary,
     read_results_csv,
+    reference_case_model,
     report_json_payload,
     results_csv,
     run_grid,
@@ -359,6 +361,23 @@ class TestEmitPlotData:
     def test_unknown_kind(self, tiny_rows):
         with pytest.raises(ValueError):
             emit_plot_data(tiny_rows, "nope")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: emit_plot_data([], "nope"), "unknown plot kind 'nope'"),
+        (lambda: emit_plot_data([], "skew"), "kind='skew' needs a TestCaseResult with smiles"),
+        (lambda: reference_case_model(3), "case_id must be 1 or 2, got 3"),
+    ])
+    def test_bad_arguments_raise_input_error(self, call, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_test_case_refuses_a_spot_that_is_not_finite_and_positive():
+    mc = McConfig(n_paths=64, n_steps=20, seed=1)
+    with pytest.raises(InputError, match=r"^s0y must be finite and > 0, got 0\.0$"):
+        run_test_case(1, mc=mc, s0y_values=[0.0])
+    with pytest.raises(InputError, match=r"^s0y must be finite and > 0, got nan$"):
+        run_test_case(1, mc=mc, s0y_values=[100.0, math.nan])
 
 
 class TestReportPayload:

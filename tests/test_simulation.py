@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -304,6 +305,18 @@ class TestControlVariate:
         exact = exchange_option_price(model, 0.05)
         assert est.beta == 1.0
         assert abs(est.value - exact) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("s0x, s0y, message", [
+        (0.0, 100.0, "s0x must be finite and > 0, got 0.0"),
+        (100.0, -5.0, "s0y must be finite and > 0, got -5.0"),
+        (math.nan, 100.0, "s0x must be finite and > 0, got nan"),
+        (100.0, math.inf, "s0y must be finite and > 0, got inf"),
+        (100.0, 0.0, "s0y must be finite and > 0, got 0.0"),
+    ])
+    def test_estimate_refuses_a_spot_that_is_not_finite_and_positive(self, s0x, s0y, message):
+        sample = simulate_terminal(grid_model(0.5, -0.4, -0.6), 0.05, McConfig(n_paths=64, n_steps=20, seed=1))
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            exchange_estimate_from_sample(sample, s0x, s0y)
 
 
 class TestConditionalLegs:
