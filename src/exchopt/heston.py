@@ -13,11 +13,12 @@ per side: where |f|, a bound on every strike's integrand, falls below
 tolerance.  Each strike reads f panel by panel through its weights and midpoint
 phases (``_panel_sums``), which depend on no model and are kept in a bounded
 table of (strike, chunk) rows keyed by the chunk's integer panel index, so trig
-runs per panel and only on a miss.  A leg's smile knots (one read-only grid)
-and first-rung convention-window strikes are one batch per (leg, T)
-(``_leg_quote``), kept for the last few legs; a leg's kept knots, and both legs'
-window strikes of a rung, are inverted as one batch.  The complex log1p is
-taken in real arithmetic.
+runs per panel and only on a miss.  The kernel keeps its last few batches,
+read-only, so every caller shares one memo.  A leg's smile knots (one
+read-only grid) and first-rung convention-window strikes are one batch per
+(leg, T) (``_QUOTE_STRIKES``), which the smile and the observables both read;
+a leg's kept knots, and both legs' window strikes of a rung, are inverted as
+one batch.  The complex log1p is taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _MAX_REFINE = 9
 _CHUNK_PANELS = 128  # 3072 nodes: no level allocates more at once
 _ROW_MEMO = 512  # (strike, chunk) rows of _panel_row: at most about 1.5 MB
-_QUOTE_MEMO = 16  # legs whose quote batch is kept: a sweep maturity has 10
+_KERNEL_MEMO = 16  # kernel batches kept: a sweep maturity has 10 legs' quote batches
 
 
 @dataclass(frozen=True)
@@ -237,15 +238,18 @@ def _damped_values(
                          f": upper={upper}, panels={n_panels}, last delta={step.max():.3e}")
 
 
+@functools.lru_cache(maxsize=_KERNEL_MEMO)
 def _time_values(
     kappa: float, kappa_theta: float, nu: float, v0: float, rho_sv: float,
-    T: float, ks: Sequence[float],
+    T: float, ks: tuple[float, ...],
 ) -> np.ndarray:
-    """Out-of-the-money time values for unit spot at log-strikes ``ks`` (the
-    call for k >= 0, the put for k < 0): the one Fourier pricing kernel.  Each
-    side integrates on its own damping contour; the strikes of a side whose
-    damping moment explodes, or whose quadrature fails to converge, are priced
-    in one batch on the Lewis contour, whose moment stays in (0, 1]."""
+    """Read-only out-of-the-money time values for unit spot at log-strikes ``ks``
+    (the call for k >= 0, the put for k < 0): the one Fourier pricing kernel,
+    kept for the last _KERNEL_MEMO batches (keyed on the kernel's floats, so a
+    leg's spot does not split them).  Each side integrates on its own damping
+    contour; the strikes of a side whose damping moment explodes, or whose
+    quadrature fails to converge, are priced in one batch on the Lewis contour,
+    whose moment stays in (0, 1].  Batching leaves each strike's bits unchanged."""
     ks = [float(k) for k in ks]
     if not (math.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
@@ -275,12 +279,13 @@ def _time_values(
                 f"nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}")
         # C - 1 plus min(1, e^k): the call for k >= 0, the put (parity) below
         out[lewis] = [v + min(1.0, math.exp(k)) for k, v in zip(lewis_ks, tv)]
+    out.flags.writeable = False
     return out
 
 
 def _unit_call(k: float, *cf_args: float) -> float:
     """Call value for unit spot at log-strike k; ``cf_args`` as _time_values."""
-    tv = float(_time_values(*cf_args, [k])[0])
+    tv = float(_time_values(*cf_args, (k,))[0])
     return tv if k >= 0.0 else tv + 1.0 - math.exp(k)
 
 
@@ -288,22 +293,6 @@ def _leg_args(params: HestonParams, asset: AssetSpec) -> tuple[float, ...]:
     """Kernel arguments (kappa, kappa theta, nu, v0, rho_sv) of one scaled leg."""
     eff = effective_heston(params, asset)
     return eff.kappa, eff.kappa * eff.theta, eff.nu, eff.v0, asset.rho_sv
-
-
-def _leg_quote(params: HestonParams, asset: AssetSpec, T: float) -> np.ndarray:
-    """Read-only time values for unit spot of one leg at the SMILE_GRID_POINTS
-    smile knots, then at the first-rung window strikes (_QUOTE_STRIKES): the one
-    kernel batch that build_smile_grid and measure_smile_observables share,
-    kept for the last _QUOTE_MEMO legs (keyed on the kernel's floats, so the
-    spot does not split them).  Batching leaves each strike's bits unchanged."""
-    return _quote_time_values(*_leg_args(params, asset), T)
-
-
-@functools.lru_cache(maxsize=_QUOTE_MEMO)
-def _quote_time_values(*cf_args: float) -> np.ndarray:
-    tv = _time_values(*cf_args, _QUOTE_STRIKES)
-    tv.flags.writeable = False
-    return tv
 
 
 def heston_vanilla_price(
@@ -458,7 +447,7 @@ def build_smile(
     below MIN_TIME_VALUE of spot raises DomainError (nothing is skipped silently)."""
     ks = sorted(log_strikes)
     zs = [k - asset.x0 for k in ks]
-    tv = _time_values(*_leg_args(params, asset), T, zs)
+    tv = _time_values(*_leg_args(params, asset), T, tuple(zs))
     low = [k for k, t in zip(ks, tv) if t < MIN_TIME_VALUE]
     if low:
         raise DomainError(f"time value below {MIN_TIME_VALUE} of spot at log strikes {low}, T={T}")
@@ -474,7 +463,7 @@ def build_smile_grid(
     ``MIN_TIME_VALUE * s0``, the inversion's tolerance, are dropped from
     the contiguous wing (lookups past the kept knots use flat extrapolation).
     """
-    zs, tv = _SMILE_KNOTS, _leg_quote(params, asset, T)[:SMILE_GRID_POINTS]
+    tv = _time_values(*_leg_args(params, asset), T, _QUOTE_STRIKES)[:SMILE_GRID_POINTS]
     keep = np.flatnonzero(tv >= MIN_TIME_VALUE)
     if keep.size < 2:
         raise DomainError(
@@ -482,7 +471,7 @@ def build_smile_grid(
             f"[{math.exp(SMILE_GRID_SPAN[0]):.3f}, {math.exp(SMILE_GRID_SPAN[1]):.3f}] "
             f"moneyness have resolvable time value at T={T}; a smile needs two"
         )
-    zs, tv = zs[keep[0] : keep[-1] + 1], tv[keep[0] : keep[-1] + 1]
+    zs, tv = _SMILE_KNOTS[keep[0] : keep[-1] + 1], tv[keep[0] : keep[-1] + 1]
     return Smile(asset_id, asset.s0, T, zs, _vols_from_time_values(tv, zs, T))
 
 
@@ -495,17 +484,16 @@ def measure_smile_observables(
     The window shrinks through WINDOW_SHRINK_LADDER (both ends proportionally)
     until every wing read of both legs has time value at least
     MIN_TIME_VALUE of spot and inverts; corners where even the tightest
-    window fails raise DomainError.  The first rung reads the legs' quote
-    batches (``_leg_quote``).
+    window fails raise DomainError.  The first rung reads the last three
+    strikes of the legs' quote batches (_QUOTE_STRIKES), a later rung its own.
     """
     last_err: Exception | None = None
     for factor in WINDOW_SHRINK_LADDER:
         zs = (factor * CONVENTION_SKEW_WINDOW[0], 0.0, factor * CONVENTION_SKEW_WINDOW[1])
+        batch = _QUOTE_STRIKES if zs == _QUOTE_WINDOW else zs
         tvs = []
         for asset in (asset_x, asset_y):
-            tv = (_leg_quote(params, asset, T)[SMILE_GRID_POINTS:]
-                  if factor == WINDOW_SHRINK_LADDER[0]
-                  else _time_values(*_leg_args(params, asset), T, zs))
+            tv = _time_values(*_leg_args(params, asset), T, batch)[-3:]
             if min(tv[0], tv[2]) < MIN_TIME_VALUE:
                 break
             tvs.append(tv)

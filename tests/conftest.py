@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from exchopt import heston
 from exchopt.experiments import reference_case_model
 from exchopt.heston import SmileObservables, build_smile
 from exchopt.simulation import McConfig
+
+
+@pytest.fixture(autouse=True)
+def cold_kernel_memo():
+    """Every test starts with the Fourier kernel's memo empty: tests that patch
+    kernel internals must not read values another test left there."""
+    heston._time_values.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -199,7 +199,7 @@ class TestImpliedVol:
         for asset in (model.asset_x, model.asset_y):
             smile = heston.build_smile_grid(model.heston, asset, T)
             args = heston._leg_args(model.heston, asset)
-            tvs = heston._time_values(*args, T, smile.log_moneyness)
+            tvs = heston._time_values(*args, T, tuple(smile.log_moneyness.tolist()))
             for z, tv, vol in zip(smile.log_moneyness, tvs, smile.vols):
                 price = tv + max(1.0 - math.exp(z), 0.0)
                 got = implied_vol(price, 0.0, z, T)
@@ -238,7 +238,8 @@ class TestBatchImpliedVols:
         asset = AssetSpec(lam=lam, rho_sv=rho_sv, s0=100.0)
         for T in (0.005, 0.05, 1.0):
             smile = heston.build_smile_grid(params, asset, T)
-            tvs = heston._time_values(*heston._leg_args(params, asset), T, smile.log_moneyness)
+            args = heston._leg_args(params, asset)
+            tvs = heston._time_values(*args, T, tuple(smile.log_moneyness.tolist()))
             for z, tv, vol in zip(smile.log_moneyness, tvs, smile.vols):
                 assert vol == checked_implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
 
@@ -358,7 +359,8 @@ def inversion_digest_values():
     for case in (1, 2):
         m = reference_case_model(case)
         for T in (0.05, 0.25, 1.0):
-            quotes = [heston._leg_quote(m.heston, asset, T) for asset in (m.asset_x, m.asset_y)]
+            quotes = [heston._time_values(*heston._leg_args(m.heston, asset), T, heston._QUOTE_STRIKES)
+                      for asset in (m.asset_x, m.asset_y)]
             batches = []
             for quote in quotes:
                 kept = np.flatnonzero(quote[:n] >= heston.MIN_TIME_VALUE)

@@ -201,9 +201,9 @@ class TestVanillaPricer:
     def test_exploding_damping_moment_prices_on_the_lewis_contour(self, model, rho_sv, T, alpha):
         params, strikes = HestonParams(*model), (70.0, 80.0, 90.0, 100.0, 110.0, 130.0)
         args, ks = leg_kernel(*model, 1.0, rho_sv, T), [math.log(K / 100.0) for K in strikes]
-        tv = heston._time_values(*args, ks)
+        tv = heston._time_values(*args, tuple(ks))
         for k, v in zip(ks, tv):
-            assert v == heston._time_values(*args, [k])[0]
+            assert v == heston._time_values(*args, (k,))[0]
         cf = lambda u: _cf_log_return(u, *args)
         side = [i for i, k in enumerate(ks) if (k >= 0.0) == (alpha > 0.0)]
         side_ks = [ks[i] for i in side]
@@ -226,7 +226,7 @@ class TestVanillaPricer:
         cf = lambda u: _cf_log_return(u, *args)
         for alpha in (heston._DAMPING_ALPHA, -1.0 - heston._DAMPING_ALPHA):
             assert heston._damped_values(cf, [0.0], alpha) is None
-        ks = [-0.2, 0.0, 0.2]
+        ks = (-0.2, 0.0, 0.2)
         for k, tv in zip(ks, heston._time_values(*args, ks)):
             call = tv + max(1.0 - math.exp(k), 0.0)
             for alpha in (-0.3, -0.7):
@@ -244,14 +244,14 @@ class TestVanillaPricer:
         cf = lambda u: _cf_log_return(u, *args)
         with pytest.raises(NumericalError, match="quadrature not converged"):
             heston._damped_values(cf, [-0.2], -1.0 - heston._DAMPING_ALPHA)
-        put = heston._time_values(*args, [-0.2])[0]
+        put = heston._time_values(*args, (-0.2,))[0]
         call = put + 1.0 - math.exp(-0.2)
         assert call == pytest.approx(lewis_call(args, -0.2, -0.5), abs=1e-12)
 
     def test_no_contour_pricing_raises(self, monkeypatch):
         monkeypatch.setattr(heston, "_damped_values", lambda cf, ks, alpha: None)
         with pytest.raises(NumericalError, match=r"every damping moment explodes at kappa=0\.5"):
-            heston._time_values(0.5, 0.25, 2.0, 0.16, 0.0, 2.0, [0.0])
+            heston._time_values(0.5, 0.25, 2.0, 0.16, 0.0, 2.0, (0.0,))
 
     def test_input_validation(self):
         for strike in (-5.0, 0.0, math.nan, math.inf):
@@ -544,13 +544,12 @@ KERNEL_DIGEST = "5b26610e27fa70815b81b9e97156fd8e5d93cc99508f1c61eb21e88644467ec
 
 
 def kernel_digest_values():
-    quote_z = [*GRID_Z, *heston._QUOTE_WINDOW]
     values = []
     for case in (1, 2):
         m = reference_case_model(case)
         for T in (0.05, 0.25, 1.0):
             for asset in (m.asset_x, m.asset_y):
-                values.extend(heston._time_values(*heston._leg_args(m.heston, asset), T, quote_z))
+                values.extend(heston._time_values(*heston._leg_args(m.heston, asset), T, heston._QUOTE_STRIKES))
     spec = GridSpec()
     triples = [
         (rho, rx, ry) for rho in spec.rho_list for rx in spec.rho_x_list for ry in spec.rho_y_list
@@ -578,18 +577,21 @@ class TestFourierKernel:
         # strikes (lo, 0, hi) of the observables appended
         args = leg_kernel(**leg)
         lo, hi = heston.CONVENTION_SKEW_WINDOW
-        knots_and_window = np.concatenate((GRID_Z, [lo, 0.0, hi]))
-        single = {z: heston._time_values(*args, [z])[0] for z in knots_and_window}
-        for zs in (GRID_Z, GRID_Z[::-1], knots_and_window):
+        knots = tuple(GRID_Z.tolist())
+        knots_and_window = (*knots, lo, 0.0, hi)
+        single = {z: heston._time_values(*args, (z,))[0] for z in knots_and_window}
+        for zs in (knots, knots[::-1], knots_and_window):
             assert np.array_equal(heston._time_values(*args, zs), [single[z] for z in zs])
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @leg_models
     def test_panel_table_cold_warm_or_evicting_give_the_same_bits(self, **leg):
-        args, zs = leg_kernel(**leg), [*GRID_Z, *heston._QUOTE_WINDOW]
+        args, zs = leg_kernel(**leg), heston._QUOTE_STRIKES
+        heston._time_values.cache_clear()  # each example's cold pass fills the table
         heston._panel_row.cache_clear()
         cold = heston._time_values(*args, zs)
         rows = heston._panel_row.cache_info().misses
+        heston._time_values.cache_clear()  # the panel table, not the kernel memo, serves warm
         warm = heston._time_values(*args, zs)
         if rows <= heston._ROW_MEMO:  # the whole batch fits: every row is read back
             assert heston._panel_row.cache_info().misses == rows
@@ -597,6 +599,7 @@ class TestFourierKernel:
         with pytest.MonkeyPatch.context() as mp:
             small = functools.lru_cache(maxsize=8)(heston._panel_row.__wrapped__)
             mp.setattr(heston, "_panel_row", small)
+            heston._time_values.cache_clear()
             evicting = heston._time_values(*args, zs)
             assert small.cache_info().currsize == 8
         assert cold.tobytes() == warm.tobytes() == evicting.tobytes()
@@ -612,7 +615,7 @@ class TestFourierKernel:
             for half in (batches[:20], batches[20:]):
                 tracemalloc.reset_peak()
                 for ks in half:
-                    heston._time_values(*args, ks)
+                    heston._time_values(*args, tuple(ks.tolist()))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             info, held = heston._panel_row.cache_info(), tracemalloc.get_traced_memory()[0]
             heston._panel_row.cache_clear()
@@ -657,7 +660,8 @@ class TestFourierKernel:
     @leg_models
     def test_calls_decreasing_convex_and_within_bounds(self, **leg):
         strikes = np.exp(GRID_Z)  # unit spot; the grid straddles the k = 0 side switch
-        calls = heston._time_values(*leg_kernel(**leg), GRID_Z) + np.maximum(1.0 - strikes, 0.0)
+        tv = heston._time_values(*leg_kernel(**leg), tuple(GRID_Z.tolist()))
+        calls = tv + np.maximum(1.0 - strikes, 0.0)
         assert np.all(calls >= np.maximum(1.0 - strikes, 0.0) - 5e-13)
         assert np.all(calls <= 1.0)
         assert np.all(np.diff(calls) <= 5e-13)
@@ -686,7 +690,7 @@ class TestFourierKernel:
         self, kappa, theta, nu, v0, rho_sv, T
     ):
         args, ks = (kappa, kappa * theta, nu, v0, rho_sv, T), np.array([-0.2, 0.0, 0.2])
-        tv = heston._time_values(*args, ks)
+        tv = heston._time_values(*args, tuple(ks.tolist()))
         assert np.all(tv >= -5e-13)
         assert np.all(tv <= np.minimum(1.0, np.exp(ks)))  # a call below spot, a put below strike
         assert tv[1] == pytest.approx(lewis_call(args, 0.0, -0.5), abs=1e-9)
@@ -695,7 +699,7 @@ class TestFourierKernel:
         monkeypatch.setattr(heston, "_MAX_REFINE", 0)
         asset = AssetSpec(lam=1.0, rho_sv=-0.6, s0=100.0)
         with pytest.raises(NumericalError) as err:
-            heston._time_values(*heston._leg_args(BASE_PARAMS, asset), 0.05, [0.0, 0.1])
+            heston._time_values(*heston._leg_args(BASE_PARAMS, asset), 0.05, (0.0, 0.1))
         msg = str(err.value)
         assert "log-strikes [0.0, 0.1]" in msg
         for field in ("upper=", "panels=", "last delta="):
@@ -709,14 +713,14 @@ class TestFourierKernel:
         # both sides fail, so the message names the one Lewis batch, in input order
         message = r"u=3276800\.0 at log-strikes \[-0\.05, 0\.05\]"
         with pytest.raises(NumericalError, match=message):
-            heston._time_values(*args, [-0.05, 0.05])
+            heston._time_values(*args, (-0.05, 0.05))
 
     def test_rejects_non_finite_strikes_and_maturity(self):
         args = leg_kernel(1.5, 0.15, 0.5, 0.15, 1.0, -0.6, 0.5)
         with pytest.raises(InputError):
-            heston._time_values(*args, [0.0, math.nan])
+            heston._time_values(*args, (0.0, math.nan))
         with pytest.raises(InputError):
-            heston._time_values(*args[:-1], 0.0, [0.0])
+            heston._time_values(*args[:-1], 0.0, (0.0,))
 
     def test_clog1p_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -751,17 +755,31 @@ class TestFourierKernel:
 
 
 @pytest.fixture()
-def kernel_calls(monkeypatch):
-    """Strike list of every Fourier kernel call, with the leg-quote memo cold."""
-    calls, kernel = [], heston._time_values
+def kernel_passes(monkeypatch):
+    """Arguments (leg, T, strikes) of every Fourier kernel pass: each miss of a
+    memo of the kernel memo's size, which stands in for it."""
+    passes, kernel = [], heston._time_values.__wrapped__
 
     def spy(*args):
-        calls.append(list(args[-1]))
+        passes.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(heston, "_time_values", spy)
-    heston._quote_time_values.cache_clear()
-    return calls
+    memo = functools.lru_cache(maxsize=heston._KERNEL_MEMO)(spy)
+    monkeypatch.setattr(heston, "_time_values", memo)
+    return passes
+
+
+@pytest.fixture()
+def side_passes(monkeypatch):
+    """Damping contour of every ``_damped_values`` call: one per side priced."""
+    alphas, damped = [], heston._damped_values
+
+    def spy(cf, ks, alpha):
+        alphas.append(alpha)
+        return damped(cf, ks, alpha)
+
+    monkeypatch.setattr(heston, "_damped_values", spy)
+    return alphas
 
 
 @pytest.fixture()
@@ -800,9 +818,9 @@ def own_rung_observables(params, asset_x, asset_y, T, window):
 
 
 def assert_cold_and_warm_observables_match_own_rung(params, asset_x, asset_y, T):
-    heston._quote_time_values.cache_clear()
+    heston._time_values.cache_clear()
     cold = measure_smile_observables(params, asset_x, asset_y, T)
-    heston._quote_time_values.cache_clear()
+    heston._time_values.cache_clear()
     for asset in (asset_x, asset_y):
         build_smile_grid(params, asset, T)
     warm = measure_smile_observables(params, asset_x, asset_y, T)
@@ -811,13 +829,13 @@ def assert_cold_and_warm_observables_match_own_rung(params, asset_x, asset_y, T)
 
 class TestLegQuote:
     @pytest.mark.parametrize("T", [0.05, 1.0])
-    def test_quote_path_prices_each_leg_in_one_kernel_call(self, kernel_calls, case1_model, T):
+    def test_quote_path_prices_each_leg_in_one_kernel_call(self, kernel_passes, case1_model, T):
         # the calls of `exchopt price exchange --convention a-star`
         m = case1_model
         measure_smile_observables(m.heston, m.asset_x, m.asset_y, T)
         for asset in (m.asset_x, m.asset_y):
             build_smile_grid(m.heston, asset, T)
-        assert len(kernel_calls) == 2
+        assert [ks for *_, ks in kernel_passes] == [heston._QUOTE_STRIKES] * 2
 
     @pytest.mark.parametrize("T", [0.05, 1.0])
     def test_quote_path_inverts_one_batch_per_smile_and_rung(self, inversions, case1_model, T):
@@ -829,7 +847,9 @@ class TestLegQuote:
         assert inversions["scalar"] == []
         assert inversions["batch"] == [6, *(len(smile.vols) for smile in smiles)]
 
-    def test_sweep_prices_each_leg_and_maturity_in_one_kernel_call(self, kernel_calls, monkeypatch):
+    def test_sweep_prices_each_leg_and_maturity_in_one_kernel_call(
+        self, kernel_passes, side_passes, monkeypatch
+    ):
         # the default grid's smiles and observables, with its Monte Carlo
         # stubbed out so every benchmark price reads as sub-cent
         monkeypatch.setattr(experiments, "simulate_terminal", lambda model, T, mc: None)
@@ -837,46 +857,54 @@ class TestLegQuote:
                             lambda sample, s0x, s0y: PriceEstimate(0.0, 0.0, 0, 0, beta=1.0))
         spec = GridSpec()
         experiments.run_grid(spec)
-        quote = [*GRID_Z, *heston._QUOTE_WINDOW]
+        batches = [ks for *_, ks in kernel_passes]
         lo, hi = heston.CONVENTION_SKEW_WINDOW
-        later_rungs = [[f * lo, 0.0, f * hi] for f in heston.WINDOW_SHRINK_LADDER[1:]]
+        later_rungs = [(f * lo, 0.0, f * hi) for f in heston.WINDOW_SHRINK_LADDER[1:]]
         legs = len(spec.T_list) * (len(spec.rho_x_list) + len(spec.rho_y_list))
-        assert sum(ks == quote for ks in kernel_calls) == legs
-        assert all(ks == quote or ks in later_rungs for ks in kernel_calls)
+        assert batches.count(heston._QUOTE_STRIKES) == legs
+        assert all(ks == heston._QUOTE_STRIKES or ks in later_rungs for ks in batches)
+        # no batch of one leg and maturity is priced twice: a later rung that
+        # several correlation triples walk is read back from the memo
+        assert len(set(kernel_passes)) == len(kernel_passes)
+        assert len(side_passes) <= 112
 
     def test_memo_stays_bounded_over_many_legs(self):
         # legs a hair apart: each is a new entry, with the same quadrature effort
         legs = [AssetSpec(lam=1.0 + 1e-6 * i, rho_sv=-0.6, s0=100.0) for i in range(100)]
-        heston._quote_time_values.cache_clear()
         peaks = []
         tracemalloc.start()
         try:
             for half in (legs[:50], legs[50:]):
                 tracemalloc.reset_peak()
                 for asset in half:
-                    heston._leg_quote(BASE_PARAMS, asset, 1.0)
+                    heston._time_values(
+                        *heston._leg_args(BASE_PARAMS, asset), 1.0, heston._QUOTE_STRIKES)
                 peaks.append(tracemalloc.get_traced_memory()[1])
-            info, held = heston._quote_time_values.cache_info(), tracemalloc.get_traced_memory()[0]
-            heston._quote_time_values.cache_clear()
+            info, held = heston._time_values.cache_info(), tracemalloc.get_traced_memory()[0]
+            heston._time_values.cache_clear()
             held -= tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert info.misses == 100 and info.maxsize == heston._QUOTE_MEMO
-        assert info.currsize <= heston._QUOTE_MEMO
-        # the memo frees what it holds: at most _QUOTE_MEMO entries of about
+        assert info.misses == 100 and info.maxsize == heston._KERNEL_MEMO
+        assert info.currsize <= heston._KERNEL_MEMO
+        # the memo frees what it holds: at most _KERNEL_MEMO entries of about
         # 0.7 KiB; the second 50 legs peak no higher than the first (a memo
         # holding all 100 legs holds 62 KiB and peaks 36-44 KiB higher)
-        assert held < heston._QUOTE_MEMO * 2**10
+        assert held < heston._KERNEL_MEMO * 2**10
         assert peaks[1] - peaks[0] < 16 * 2**10
 
     def test_quote_is_read_only_and_shared_across_spots(self, case1_model):
         from dataclasses import replace
 
+        def quote(asset):
+            return heston._time_values(
+                *heston._leg_args(BASE_PARAMS, asset), 0.05, heston._QUOTE_STRIKES)
+
         asset = case1_model.asset_x
-        tv = heston._leg_quote(BASE_PARAMS, asset, 0.05)
+        tv = quote(asset)
         with pytest.raises(ValueError):
             tv[0] = 0.0
-        assert heston._leg_quote(BASE_PARAMS, replace(asset, s0=80.0), 0.05) is tv
+        assert quote(replace(asset, s0=80.0)) is tv
 
     @pytest.mark.parametrize("T", [0.005, 1.0])
     def test_one_read_only_knot_grid_that_smiles_copy(self, case1_model, T):
