@@ -162,6 +162,19 @@ class TestVanillaPricer:
             100.0, abs=1e-8
         )
 
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("T", [0.01, 0.05, 0.25, 1.0])
+    def test_prices_never_below_zero_or_intrinsic(self, case, T):
+        # far out of the money the quadrature leaves noise near 1e-13 of spot
+        # on either side of zero (leg Y of case 1 read -2.7e-13 at K 150, T 0.05)
+        m = reference_case_model(case)
+        for asset in (m.asset_x, m.asset_y):
+            for moneyness in (0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 3.0, 5.0):
+                strike = moneyness * asset.s0
+                price = heston_vanilla_price(m.heston, asset, strike, T)
+                assert price >= 0.0
+                assert price >= max(asset.s0 - strike, 0.0) - 1e-13 * asset.s0
+
     def test_case1_asset_x_vs_mc_oracle(self, case1_model):
         mc = McConfig(n_paths=200_000, n_steps=2000, seed=5)
         exact = heston_vanilla_price(BASE_PARAMS, case1_model.asset_x, 100.0, 0.05)
@@ -496,7 +509,47 @@ class TestObservables:
         assert err.value.__cause__ is errors[-1]
 
 
+def paper_grid_triples(spec):
+    """The valid (rho, rho_X, rho_Y) triples of a grid, in grid order."""
+    return [
+        (rho, rx, ry) for rho in spec.rho_list for rx in spec.rho_x_list for ry in spec.rho_y_list
+        if validate_correlation(CorrelationStructure(rho, rx, ry))[0]
+    ]
+
+
+# the default-grid points ((rho, rho_X, rho_Y), T, S0Y) whose quadrature
+# noise reads below zero, down to -1.38e-12 at (0.9, -0.42, -0.01), T 0.05, S0Y 112
+NOISE_BELOW_ZERO = [
+    ((0.1, -0.72, 0.59), 0.05, 120.0), ((0.7, -0.12, 0.59), 0.05, 112.0),
+    ((0.7, -0.12, 0.59), 0.05, 116.0), ((0.7, -0.12, 0.59), 0.05, 120.0),
+    ((0.9, -0.42, -0.01), 0.05, 112.0), ((0.9, -0.12, 0.29), 0.05, 112.0),
+    ((0.9, -0.12, 0.29), 0.05, 120.0), ((0.9, -0.12, 0.29), 0.1, 120.0),
+    ((0.9, 0.18, 0.59), 0.05, 108.0), ((0.9, 0.18, 0.59), 0.05, 112.0),
+    ((0.9, 0.18, 0.59), 0.05, 116.0), ((0.9, 0.18, 0.59), 0.1, 112.0),
+    ((0.9, 0.18, 0.59), 0.5, 120.0),
+]
+
+
 class TestExchangeOraclePrice:
+    def test_prices_never_below_zero_or_intrinsic(self):
+        # 300 seeded default-grid points and the points of NOISE_BELOW_ZERO; in
+        # the money, s0x (tv + 1 - e^k) may round one ulp of 20 below intrinsic
+        spec, rng = GridSpec(), np.random.default_rng(25)
+        triples = paper_grid_triples(spec)
+        points = [
+            (triples[rng.integers(len(triples))], spec.T_list[rng.integers(len(spec.T_list))],
+             spec.s0y_list[rng.integers(len(spec.s0y_list))])
+            for _ in range(300)
+        ]
+        for triple, T, s0y in points + NOISE_BELOW_ZERO:
+            model = TwoAssetModel(
+                heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y, s0x=spec.s0x,
+                s0y=s0y, corr=CorrelationStructure(*triple),
+            )
+            price = exchange_option_price(model, T)
+            assert price >= 0.0
+            assert price >= max(model.s0x - s0y, 0.0) - 1e-13 * model.s0x
+
     def test_matches_mc(self, case2_model):
         mc = McConfig(n_paths=200_000, n_steps=2000, seed=13)
         est = simulate_exchange(case2_model, 0.05, mc)
@@ -540,7 +593,7 @@ class TestExchangeOraclePrice:
 # 0.25 and 1.0, then exchange_option_price at 20 paper-grid points spread over
 # every maturity, triple and S0Y; a change that alters these bits records the
 # new digest and says why
-KERNEL_DIGEST = "5b26610e27fa70815b81b9e97156fd8e5d93cc99508f1c61eb21e88644467ec7"
+KERNEL_DIGEST = "4f1c893e03fed1b8df6c03d966c2ae1c44a854997a858d2ee9249e63b061bb9a"
 
 
 def kernel_digest_values():
@@ -551,10 +604,7 @@ def kernel_digest_values():
             for asset in (m.asset_x, m.asset_y):
                 values.extend(heston._time_values(*heston._leg_args(m.heston, asset), T, heston._QUOTE_STRIKES))
     spec = GridSpec()
-    triples = [
-        (rho, rx, ry) for rho in spec.rho_list for rx in spec.rho_x_list for ry in spec.rho_y_list
-        if validate_correlation(CorrelationStructure(rho, rx, ry))[0]
-    ]
+    triples = paper_grid_triples(spec)
     for i in range(20):
         model = TwoAssetModel(
             heston=spec.heston, lam_x=spec.lam_x, lam_y=spec.lam_y, s0x=spec.s0x,
