@@ -69,7 +69,7 @@ class RunConfig:
         out_dir = os.path.abspath(self.out_dir)
         if os.path.commonpath([out_dir, os.path.abspath(path)]) != out_dir:
             raise InputError(f"output name {name!r} escapes the output directory")
-        os.makedirs(self.out_dir, exist_ok=True)  # here, where a command writes
+        os.makedirs(os.path.dirname(path), exist_ok=True)  # here, where a command writes
         return path
 
 
@@ -235,8 +235,7 @@ def _cmd_convention_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _write_report(cfg: RunConfig, name: str, rows: list[dict]) -> str:
-    path = cfg.out_path(name)
+def _write_report(cfg: RunConfig, path: str, rows: list[dict]) -> str:
     with open(path, "w") as fh:
         json.dump(experiments.report_json_payload(cfg.grid, rows), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -253,10 +252,11 @@ def _cmd_experiment_run(cfg: RunConfig, args) -> int:
     if args.dry_run:
         print("dry run: no simulation (sub-cent and degenerate counts need prices)")
         return 0
+    # both names are checked before the sweep, which can run for hours
+    results_path, report_path = cfg.out_path(args.results), cfg.out_path(args.report)
     rows = experiments.run_grid(cfg.grid)
-    results_path = cfg.out_path(args.results)
     experiments.write_results_csv(rows, results_path)
-    report_path = _write_report(cfg, args.report, rows)
+    _write_report(cfg, report_path, rows)
     summary = experiments.summarize_exclusions(rows)
     print(
         f"included {summary.included}, invalid-corr {summary.invalid_correlation}, "
@@ -285,7 +285,7 @@ def _cmd_experiment_report(cfg: RunConfig, args) -> int:
             f"MStd={rep.mstd:.6f} ATM={rep.atm_error:.6f}"
         )
     if args.report:
-        print(f"wrote {_write_report(cfg, args.report, rows)}")
+        print(f"wrote {_write_report(cfg, cfg.out_path(args.report), rows)}")
     return 0
 
 

@@ -8,7 +8,7 @@ import re
 import pytest
 import yaml
 
-from exchopt import heston
+from exchopt import experiments, heston
 from exchopt.cli import _build_run_config, load_config, main
 from exchopt.errors import InputError, NumericalError
 from exchopt.experiments import results_csv
@@ -329,6 +329,25 @@ class TestConventionSolve:
 
 
 class TestExperiment:
+    def test_output_names_in_subdirectories_are_written(self, capsys, out_dir, monkeypatch):
+        monkeypatch.setattr(experiments, "run_grid", lambda spec: [REPORT_ROW])
+        code, _, _ = run_cli(
+            capsys, "--out", out_dir, "experiment", "run",
+            "--results", "r/x.csv", "--report", "q/y.json",
+        )
+        assert code == 0
+        for name in ("r/x.csv", "q/y.json"):
+            assert os.path.isfile(os.path.join(out_dir, name))
+
+    def test_escaping_report_is_refused_before_the_sweep(self, capsys, out_dir, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(experiments, "run_grid", lambda spec: sweeps.append(spec) or [])
+        code, _, err = run_cli(
+            capsys, "--out", out_dir, "experiment", "run", "--report", "../report.json",
+        )
+        assert code == 2 and "escapes the output directory" in err
+        assert sweeps == []
+
     def test_dry_run_reports_exclusions(self, capsys, out_dir):
         code, out, _ = run_cli(
             capsys, "--out", out_dir, "experiment", "run", "--dry-run",
@@ -774,13 +793,13 @@ class TestConfigHandling:
 
 
 class TestSurface:
-    def test_writes_smile_csv(self, capsys, out_dir):
+    @pytest.mark.parametrize("name", ["x_smile.csv", "a/b.csv"])
+    def test_writes_smile_csv(self, capsys, out_dir, name):
         code, out, _ = run_cli(
-            capsys, "--out", out_dir, "surface", "--asset", "X",
-            "--output", "x_smile.csv",
+            capsys, "--out", out_dir, "surface", "--asset", "X", "--output", name,
         )
         assert code == 0
-        path = os.path.join(out_dir, "x_smile.csv")
+        path = os.path.join(out_dir, name)
         with open(path) as fh:
             header = fh.readline().strip()
         assert header == "asset,T,log_strike,strike,implied_vol"
