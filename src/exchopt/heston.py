@@ -279,7 +279,7 @@ def _time_values(
                 f"nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}")
         # C - 1 plus min(1, e^k): the call for k >= 0, the put (parity) below
         out[lewis] = [v + min(1.0, math.exp(k)) for k, v in zip(lewis_ks, tv)]
-    np.maximum(out, 0.0, out=out)  # quadrature noise of ~1e-14 below a worthless option
+    np.maximum(out, 0.0, out=out)  # far out of the money, quadrature noise straddles 0
     out.flags.writeable = False
     return out
 

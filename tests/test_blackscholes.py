@@ -359,8 +359,10 @@ def inversion_digest_values():
     for case in (1, 2):
         m = reference_case_model(case)
         for T in (0.05, 0.25, 1.0):
-            quotes = [heston._time_values(*heston._leg_args(m.heston, asset), T, heston._QUOTE_STRIKES)
-                      for asset in (m.asset_x, m.asset_y)]
+            quotes = [
+                heston._time_values(*heston._leg_args(m.heston, asset), T, heston._QUOTE_STRIKES)
+                for asset in (m.asset_x, m.asset_y)
+            ]
             batches = []
             for quote in quotes:
                 kept = np.flatnonzero(quote[:n] >= heston.MIN_TIME_VALUE)

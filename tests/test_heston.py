@@ -602,7 +602,8 @@ def kernel_digest_values():
         m = reference_case_model(case)
         for T in (0.05, 0.25, 1.0):
             for asset in (m.asset_x, m.asset_y):
-                values.extend(heston._time_values(*heston._leg_args(m.heston, asset), T, heston._QUOTE_STRIKES))
+                args = heston._leg_args(m.heston, asset)
+                values.extend(heston._time_values(*args, T, heston._QUOTE_STRIKES))
     spec = GridSpec()
     triples = paper_grid_triples(spec)
     for i in range(20):
