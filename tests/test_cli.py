@@ -804,6 +804,22 @@ class TestSurface:
             header = fh.readline().strip()
         assert header == "asset,T,log_strike,strike,implied_vol"
 
+    # sha256 of the default model's (reference case 1) smile export of each leg
+    # at T 0.25; a change that alters these bytes records the new digests and says why
+    SURFACE_DIGESTS = {
+        "X": "361b22acf237791ddd857e018402f89c829e8fed3b1dc5b7dbbb1d850f35ec96",
+        "Y": "0bf0fe59680bc24368667b475c7bbcfb43d994917f3330edd72b1385247c711b",
+    }
+
+    @pytest.mark.parametrize("asset", ["X", "Y"])
+    def test_smile_csv_bytes_pinned(self, capsys, out_dir, asset):
+        code, _, _ = run_cli(
+            capsys, "--out", out_dir, "surface", "--asset", asset, "--T", "0.25",
+        )
+        assert code == 0
+        data = pathlib.Path(out_dir, "smile.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.SURFACE_DIGESTS[asset]
+
     def test_output_cannot_escape_out_dir(self, capsys, out_dir):
         code, _, err = run_cli(
             capsys, "--out", out_dir, "surface", "--asset", "X",

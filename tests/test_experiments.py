@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from dataclasses import asdict
@@ -370,6 +371,32 @@ class TestEmitPlotData:
     def test_bad_arguments_raise_input_error(self, call, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             call()
+
+    # sha256 of every plot extract: all five kinds on small_case, and the four
+    # row kinds on tiny_rows; a change that alters these bytes records the new
+    # digests and says why
+    EXTRACT_DIGESTS = {
+        ("case", "skew"): "7b272078420487e12df4bf5b52378d4f1ec4d1b4181f61681b6b61980701f9d8",
+        ("case", "implied_corr"):
+            "dcffef600e755fc3ad6a60f218ccd2f201ac173753da5dec009f4fe31857020e",
+        ("case", "ratio"): "2c5d5a9bec92102900d764bca0318ede9dfae3d440c0b2cd5590f94f83641f81",
+        ("case", "difference"):
+            "06a12f6096157906b25637c1a2dac202813d16f6138af646afdc66bbf9c7e146",
+        ("case", "moneyness_error"):
+            "ee4fd6c04c25f10e2916ae8eb9b1068a9c83052de455896b943b1a73dcb8e1aa",
+        ("grid", "implied_corr"):
+            "3f5eea2259f85fcedd7d1fcdd40fbd5434ef43053893781ea5e6612f08df2370",
+        ("grid", "ratio"): "2e088dfc7ab96756f95d67cc08b0c49f2a5afe2916b471a167395254a084bc9f",
+        ("grid", "difference"):
+            "2de483d7b71f3288e4fce62e473883f32982ea5d6c9c5dafae88c311ea994a9d",
+        ("grid", "moneyness_error"):
+            "dee311303ec5460527fbd861d463cbbd68ff255afbaafd9eb9da13b04110ddce",
+    }
+
+    @pytest.mark.parametrize("source, kind", list(EXTRACT_DIGESTS))
+    def test_extract_bytes_pinned(self, small_case, tiny_rows, source, kind):
+        text = emit_plot_data(small_case if source == "case" else tiny_rows, kind)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EXTRACT_DIGESTS[source, kind]
 
 
 def test_test_case_refuses_a_spot_that_is_not_finite_and_positive():

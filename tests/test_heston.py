@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
@@ -586,6 +586,78 @@ class TestExchangeOraclePrice:
         )
         for s0y, intrinsic in ((90.0, 10.0), (100.0, 0.0), (110.0, 0.0)):
             assert exchange_option_price(replace(same, s0y=s0y), 0.05) == intrinsic
+
+    # exchange parity C(X, Y) - C(Y, X) = S0X - S0Y: the swapped model prices a
+    # different ratio asset (drift rate kappa - nu lam_X rho_X, the opposite
+    # spot-vol correlation, the opposite log-strike), so parity checks the
+    # change of numeraire and the kernel at a second model, with no reference quadrature
+    @staticmethod
+    def parity_prices(heston_params, lam_x, lam_y, s0x, s0y, rho, rho_x, rho_y, T):
+        """(C(X, Y), C(Y, X)): the exchange price and that of the swapped model."""
+        return tuple(
+            exchange_option_price(TwoAssetModel(heston_params, l1, l2, s1, s2,
+                                                CorrelationStructure(rho, r1, r2)), T)
+            for l1, l2, s1, s2, r1, r2 in ((lam_x, lam_y, s0x, s0y, rho_x, rho_y),
+                                           (lam_y, lam_x, s0y, s0x, rho_y, rho_x))
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_parity_on_the_default_grid(self, data):
+        spec = GridSpec()
+        triple = data.draw(st.sampled_from(paper_grid_triples(spec)))
+        T, s0y = data.draw(st.sampled_from(spec.T_list)), data.draw(st.sampled_from(spec.s0y_list))
+        c_xy, c_yx = self.parity_prices(
+            spec.heston, spec.lam_x, spec.lam_y, spec.s0x, s0y, *triple, T)
+        assert abs(c_xy - c_yx - (spec.s0x - s0y)) <= 1e-12 * spec.s0x
+
+    # the heston domain of test_wide_domain_within_bounds_and_on_the_lewis_contour
+    # up to T 2.  Here 1e-12 of spot does not hold (4.3e-12 was seen at T 0.41),
+    # so the bound is the kernel's own: each time value to within
+    # max(_ABS_TOL, _REL_TOL tv) of spot.  Random draws at T 4-10 miss even that,
+    # by up to 9x (an open defect of the kernel's stopping rule at long T)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kappa=st.floats(0.05, 10.0), theta=st.floats(0.005, 1.0), nu=st.floats(0.05, 3.0),
+        v0=st.floats(0.001, 1.0), T=st.floats(0.002, 2.0), lam_x=st.floats(0.5, 2.0),
+        lam_y=st.floats(0.5, 2.0), rho=st.floats(-0.99, 0.99), rho_x=st.floats(-0.99, 0.99),
+        rho_y=st.floats(-0.99, 0.99), s0y=st.floats(50.0, 150.0),
+    )
+    def test_parity_over_the_wide_domain(
+        self, kappa, theta, nu, v0, T, lam_x, lam_y, rho, rho_x, rho_y, s0y
+    ):
+        assume(validate_correlation(CorrelationStructure(rho, rho_x, rho_y))[0])
+        params = HestonParams(kappa=kappa, theta=theta, nu=nu, sigma0=math.sqrt(v0))
+        s0x = 100.0
+        c_xy, c_yx = self.parity_prices(params, lam_x, lam_y, s0x, s0y, rho, rho_x, rho_y, T)
+        tol = sum(max(heston._ABS_TOL * s0, heston._REL_TOL * (c - max(s0 - s1, 0.0)))
+                  for c, s0, s1 in ((c_xy, s0x, s0y), (c_yx, s0y, s0x)))
+        assert abs(c_xy - c_yx - (s0x - s0y)) <= tol
+
+    # as nu -> 0 the variance path is deterministic, and the exact price tends
+    # to Margrabe at the ratio asset's integrated variance
+    # lam_U^2 (theta T + (v0 - theta)(1 - e^(-kappa T)) / kappa), with a gap
+    # linear in nu: it shrinks tenfold from nu 1e-5 to 1e-6 (the ratio that
+    # strays most, case 2 at T 0.05 and S0Y 100, reads 10.0047)
+    @pytest.mark.parametrize("case_id", [1, 2])
+    @pytest.mark.parametrize("T", [0.05, 1.0])
+    @pytest.mark.parametrize("s0y", [90.0, 100.0, 110.0])
+    def test_deterministic_variance_limit_is_margrabe(self, case_id, T, s0y):
+        from dataclasses import replace
+
+        from exchopt import margrabe
+
+        gaps = []
+        for nu in (1e-5, 1e-6):
+            model = reference_case_model(case_id)
+            model = replace(model, s0y=s0y, heston=replace(model.heston, nu=nu))
+            h = model.heston
+            lam_u = margrabe.convention_gamma(model.lam_x, model.lam_y, model.rho)
+            w = h.theta * T + (h.v0 - h.theta) * -math.expm1(-h.kappa * T) / h.kappa
+            limit = margrabe.margrabe_price(
+                math.log(model.s0x), math.log(s0y), lam_u * math.sqrt(w / T), T)
+            gaps.append(exchange_option_price(model, T) - limit)
+        assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=1e-3)
 
 
 # sha256 of the kernel's bits: the quote batch (41 smile knots, then the
