@@ -76,9 +76,12 @@ class GridSpec:
     mc: McConfig = field(default_factory=McConfig)
 
     def __post_init__(self):
-        # a repeated value would price its points twice and the accounting could not close
+        # an empty list would simulate for no row, and a repeated value would price
+        # its points twice: either way the accounting could not close
         for name in ("T_list", "s0y_list", "rho_list", "rho_x_list", "rho_y_list"):
             values = getattr(self, name)
+            if not values:
+                raise InputError(f"{name} is empty")
             if len(set(values)) != len(values):
                 raise InputError(f"{name} repeats a value: {list(values)}")
         for name, values in (("T_list", self.T_list), ("s0x", (self.s0x,)),

@@ -711,6 +711,28 @@ class TestConfigHandling:
         assert message in err
         assert not os.path.exists(os.path.join(out_dir, "results.csv"))
 
+    # an empty grid list is refused before the sweep, which would otherwise run
+    # every other list's Monte Carlo and write no row
+    @pytest.mark.parametrize("name", ["T_list", "s0y_list", "rho_list", "rho_x_list",
+                                      "rho_y_list"])
+    def test_empty_grid_list_exit_2_before_any_simulation(
+        self, capsys, out_dir, tmp_path, monkeypatch, name
+    ):
+        runs, simulate = [], experiments.simulate_terminal
+        monkeypatch.setattr(experiments, "simulate_terminal",
+                            lambda *args: runs.append(args) or simulate(*args))
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(yaml.safe_dump({"grid": {"T_list": [0.05], "rho_list": [0.5], name: []}}))
+        code, out, err = run_cli(
+            capsys, "--config", str(cfg), "--out", out_dir, "experiment", "run", "--paths", "64",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR code=2 type=InputError")
+        assert f"{name} is empty" in err
+        assert runs == []
+        assert not os.path.exists(os.path.join(out_dir, "results.csv"))
+
     def test_flags_override_config(self, capsys, out_dir, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({"mc": {"seed": 1}}))

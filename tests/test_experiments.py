@@ -44,6 +44,12 @@ def tiny_rows():
     return run_grid(tiny_spec())
 
 
+@pytest.mark.parametrize("name", ["T_list", "s0y_list", "rho_list", "rho_x_list", "rho_y_list"])
+def test_grid_refuses_an_empty_list(name):
+    with pytest.raises(InputError, match=f"^{name} is empty$"):
+        tiny_spec(**{name: ()})
+
+
 class TestExclusionCounts:
     def test_paper_grid_fraction(self):
         summary = grid_exclusion_summary(GridSpec())
