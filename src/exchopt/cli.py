@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 invalid configuration or inputs, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import numbers
@@ -144,7 +143,7 @@ def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
         grid = experiments.GridSpec(
             heston=model.heston, mc=mc, **_section("grid", raw["grid"] or {})
         )
-    except InputError:
+    except (InputError, DomainError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise InputError(f"config is missing or mistypes a field: {err}") from err
@@ -211,9 +210,7 @@ def _cmd_surface(cfg: RunConfig, args) -> int:
     rows = heston.smile_csv_rows(smile)
     path = cfg.out_path(args.output)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(experiments._csv(list(rows[0]), [list(row.values()) for row in rows]))
     print(f"wrote {len(rows)} strikes to {path}")
     return 0
 

@@ -199,6 +199,18 @@ def _point(T: float, corr: CorrelationStructure, s0x: float, s0y: float) -> dict
     return dict(zip(POINT, (T, corr.rho, corr.rho_x, corr.rho_y, s0x, s0y)))
 
 
+def _row(point: dict, name: str, est: PriceEstimate | None = None, reason: str = "",
+         **priced) -> dict:
+    """The one results row: ``point``'s convention ``name`` row, NaN in every
+    column it does not price, with the Monte Carlo estimate when there is one;
+    a ``reason`` marks it excluded."""
+    row = dict.fromkeys(RESULT_COLUMNS, math.nan)
+    row.update(point, convention=name, excluded=bool(reason), exclusion_reason=reason, **priced)
+    if est is not None:
+        row.update(mc_price=est.value, mc_stderr=est.stderr)
+    return row
+
+
 def _triple_rows(
     smile_x: heston.Smile, smile_y: heston.Smile, priced: Sequence[tuple[dict, PriceEstimate]],
     a_star: float | None, conventions: Sequence[str],
@@ -223,7 +235,7 @@ def _triple_rows(
             try:
                 a = _convention_a(name, lambda: a_star)
             except DegenerateConventionError:
-                columns.append([_excluded_row(p, name, "degenerate_convention", est)
+                columns.append([_row(p, name, est, "degenerate_convention")
                                 for p, est in priced])
                 continue
             column = []
@@ -232,11 +244,9 @@ def _triple_rows(
             ):
                 rho_hat = (margrabe.implied_correlation(g_hat, i_x, i_y)
                            if np.isfinite(g_hat) else math.nan)
-                column.append({**point, "convention": name, "a_value": a, "kX": k_x, "kY": k_y,
-                               "IX": i_x, "IY": i_y, "margrabe_price": price,
-                               "mc_price": est.value, "mc_stderr": est.stderr,
-                               "error": price - est.value, "implied_corr": rho_hat,
-                               "excluded": False, "exclusion_reason": ""})
+                column.append(_row(point, name, est, a_value=a, kX=k_x, kY=k_y, IX=i_x,
+                                   IY=i_y, margrabe_price=price, error=price - est.value,
+                                   implied_corr=rho_hat))
             columns.append(column)
     return [row for point_rows in zip(*columns) for row in point_rows]
 
@@ -295,21 +305,13 @@ def grid_exclusion_summary(spec: GridSpec) -> ExclusionSummary:
     )
 
 
-def _excluded_row(point: dict, name: str, reason: str, est: PriceEstimate | None = None):
-    row = dict.fromkeys(RESULT_COLUMNS, math.nan)
-    row.update(point, convention=name, excluded=True, exclusion_reason=reason)
-    if est is not None:
-        row.update(mc_price=est.value, mc_stderr=est.stderr)
-    return row
-
-
 def run_grid(spec: GridSpec) -> list[dict]:
     """Run the sweep, one maturity at a time; one row per (grid point,
     convention), excluded points included with their reason so the accounting
     closes."""
     triples = _triples(spec)
     rows = [
-        _excluded_row(_point(T, corr, spec.s0x, s0y), name, "invalid_correlation")
+        _row(_point(T, corr, spec.s0x, s0y), name, reason="invalid_correlation")
         for T in spec.T_list for _, corr, ok in triples if not ok
         for s0y in spec.s0y_list for name in CONVENTIONS
     ]
@@ -340,7 +342,7 @@ def run_grid(spec: GridSpec) -> list[dict]:
             points = [_point(T, corr, spec.s0x, s0y) for s0y in spec.s0y_list]
             smile_x, smile_y = smiles["X", corr.rho_x], smiles["Y", corr.rho_y]
             if smile_x is None or smile_y is None:
-                rows += [_excluded_row(p, name, "unresolvable_smile")
+                rows += [_row(p, name, reason="unresolvable_smile")
                          for p in points for name in CONVENTIONS]
                 continue
             obs = observables[corr.rho_x, corr.rho_y]
@@ -356,7 +358,7 @@ def run_grid(spec: GridSpec) -> list[dict]:
             for point in points:
                 est = exchange_estimate_from_sample(sample, spec.s0x, point["s0Y"])
                 if est.value < SUB_CENT_THRESHOLD:
-                    rows += [_excluded_row(point, name, "sub_cent", est) for name in CONVENTIONS]
+                    rows += [_row(point, name, est, "sub_cent") for name in CONVENTIONS]
                 else:
                     priced.append((point, est))
             rows += _triple_rows(smile_x, smile_y, priced, a_star, CONVENTIONS)
@@ -470,15 +472,20 @@ def _fmt(value) -> str:
     return "" if math.isnan(v) else repr(v)
 
 
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV writer: a header, then rows of cells each written by _fmt
+    (floats at full precision), so the text is byte-stable for given cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in cells] for cells in rows)
+    return buf.getvalue()
+
+
 def results_csv(rows: Iterable[dict]) -> str:
     """Serialize sweep rows with full float precision; byte-stable for a given
     row list."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in RESULT_COLUMNS])
-    return buf.getvalue()
+    return _csv(RESULT_COLUMNS, ([row.get(col) for col in RESULT_COLUMNS] for row in rows))
 
 
 def write_results_csv(rows: Iterable[dict], path) -> None:
@@ -529,38 +536,29 @@ def emit_plot_data(result, kind: str) -> str:
     ``ratio``, ``difference`` (per-convention curves vs S0^Y) and
     ``moneyness_error`` (mean absolute error vs S0^Y across a row set).
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "x", "y"])
-
-    if kind == "skew":
-        if not isinstance(result, TestCaseResult):
-            raise InputError("kind='skew' needs a TestCaseResult with smiles")
-        for smile in (result.smile_x, result.smile_y):
-            for rec in heston.smile_csv_rows(smile):
-                writer.writerow(
-                    [smile.asset_id, _fmt(rec["strike"]), _fmt(rec["implied_vol"])]
-                )
-        return buf.getvalue()
-
+    if kind == "skew" and not isinstance(result, TestCaseResult):
+        raise InputError("kind='skew' needs a TestCaseResult with smiles")
     rows = result.rows if isinstance(result, TestCaseResult) else result
     rows = [r for r in rows if not r["excluded"]]
-    if kind in ("implied_corr", "difference", "ratio"):
+    if kind == "skew":
+        cells = [(smile.asset_id, rec["strike"], rec["implied_vol"])
+                 for smile in (result.smile_x, result.smile_y)
+                 for rec in heston.smile_csv_rows(smile)]
+    elif kind in ("implied_corr", "difference", "ratio"):
+        cells = []
         for r in rows:
             if kind == "ratio":
                 value = r["margrabe_price"] / r["mc_price"] if r["mc_price"] else math.nan
             else:
                 value = r["implied_corr" if kind == "implied_corr" else "error"]
-            writer.writerow([r["convention"], _fmt(r["s0Y"]), _fmt(value)])
-        return buf.getvalue()
-
-    if kind == "moneyness_error":
+            cells.append((r["convention"], r["s0Y"], value))
+    elif kind == "moneyness_error":
         reports = [rep for rep in compute_metrics(rows, group_by=("s0Y",)) if rep.n_points]
-        for rep in sorted(reports, key=lambda rep: (rep.convention, rep.group["s0Y"])):
-            writer.writerow([rep.convention, _fmt(rep.group["s0Y"]), _fmt(rep.mae)])
-        return buf.getvalue()
-
-    raise InputError(f"unknown plot kind {kind!r}")
+        cells = [(rep.convention, rep.group["s0Y"], rep.mae)
+                 for rep in sorted(reports, key=lambda rep: (rep.convention, rep.group["s0Y"]))]
+    else:
+        raise InputError(f"unknown plot kind {kind!r}")
+    return _csv(("series", "x", "y"), cells)
 
 
 def report_json_payload(spec: GridSpec, rows: list[dict]) -> dict:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import blackscholes, margrabe
 from .errors import DomainError, InputError, NumericalError
-from .models import AssetSpec, HestonParams, TwoAssetModel, validate_correlation
+from .models import AssetSpec, HestonParams, TwoAssetModel
 
 __all__ = [
     "SmileObservables",
@@ -327,9 +327,6 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
     if not (np.isfinite(T) and T > 0):
         raise InputError(f"T must be positive, got {T}")
     c = model.corr
-    valid, det = validate_correlation(c)
-    if not valid:
-        raise DomainError(f"correlation structure not PSD (det={det:.6e})")
     h = model.heston
     lx, ly = model.lam_x, model.lam_y
     lam_u = margrabe.convention_gamma(lx, ly, model.rho)

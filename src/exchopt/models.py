@@ -79,7 +79,7 @@ class CorrelationStructure:
 
     Entries are validated to [-1, 1] on construction; joint validity (positive
     semi-definiteness of the 3x3 matrix) is a separate checked property, see
-    validate_correlation.
+    validate_correlation, which a TwoAssetModel requires.
     """
 
     rho: float
@@ -127,7 +127,7 @@ def validate_correlation(c: CorrelationStructure) -> tuple[bool, float]:
     with each pair of factors leading, in the orders (W^X, W^Y, Z), (Z, W^X, W^Y)
     and (W^Y, Z, W^X), so the verdict does not depend on the order cholesky3 gets
     and a singular structure such as (1, 0.3, 0.3) is valid; det is for messages.
-    The one validity verdict: cholesky3, exchange_option_price and run_grid use it."""
+    The one validity verdict: cholesky3 (so every TwoAssetModel) and run_grid use it."""
     det = (
         1.0
         + 2.0 * c.rho * c.rho_x * c.rho_y
@@ -151,9 +151,10 @@ def cholesky3(c: CorrelationStructure) -> np.ndarray:
 @dataclass(frozen=True)
 class TwoAssetModel:
     """Full shared-volatility specification: shared variance params, per-leg scaling factors
-    and spots, and the correlation structure of (W^X, W^Y, Z).  The per-leg
-    AssetSpec views are derived so the spot-vol correlations cannot drift out
-    of sync with the joint structure."""
+    and spots, and the correlation structure of (W^X, W^Y, Z), which must be
+    PSD (a structure validate_correlation rejects raises DomainError).  The
+    per-leg AssetSpec views are derived so the spot-vol correlations cannot
+    drift out of sync with the joint structure."""
 
     heston: HestonParams
     lam_x: float
@@ -167,6 +168,7 @@ class TwoAssetModel:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise InputError(f"{name} must be finite and > 0, got {v}")
+        cholesky3(self.corr)  # the one PSD check
 
     @property
     def rho(self) -> float:

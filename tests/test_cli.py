@@ -814,6 +814,32 @@ class TestConfigHandling:
         assert code == 2
 
 
+class TestNonPsdModel:
+    # (rho, rho_X, rho_Y) = (0.9, -0.72, 0.59) has det -1.44: every command
+    # refuses the model with the config, before any kernel pass or simulation
+    @pytest.mark.parametrize(
+        "argv",
+        [["price", "exchange"], ["price", "mc"], ["convention", "solve"],
+         ["surface", "--asset", "X"], ["experiment", "run", "--dry-run"]],
+        ids=["price-exchange", "price-mc", "convention-solve", "surface", "experiment-dry-run"],
+    )
+    def test_every_command_refuses(self, capsys, out_dir, tmp_path, monkeypatch, argv):
+        from exchopt import simulation
+
+        work = []
+        monkeypatch.setattr(heston, "_time_values", lambda *args: work.append("kernel"))
+        monkeypatch.setattr(simulation, "simulate_terminal", lambda *args: work.append("mc"))
+        cfg = tmp_path / "not_psd.yaml"
+        cfg.write_text(yaml.safe_dump({"model": {"rho": 0.9, "rho_x": -0.72, "rho_y": 0.59}}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "--out", out_dir, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == ('ERROR code=2 type=DomainError '
+                       'msg="correlation structure not PSD (det=-1.441140e+00)"\n')
+        assert work == []
+        assert not os.path.exists(out_dir)
+
+
 class TestSurface:
     @pytest.mark.parametrize("name", ["x_smile.csv", "a/b.csv"])
     def test_writes_smile_csv(self, capsys, out_dir, name):

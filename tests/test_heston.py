@@ -570,10 +570,10 @@ class TestExchangeOraclePrice:
         from dataclasses import replace
         from exchopt.models import CorrelationStructure
 
-        bad = replace(
-            case1_model, corr=CorrelationStructure(rho=0.9, rho_x=-0.72, rho_y=0.59)
-        )
         with pytest.raises(DomainError):
+            bad = replace(
+                case1_model, corr=CorrelationStructure(rho=0.9, rho_x=-0.72, rho_y=0.59)
+            )
             exchange_option_price(bad, 0.05)
 
     def test_identical_legs_pay_intrinsic(self, case1_model):

@@ -127,6 +127,12 @@ class TestValidateCorrelation:
         assert not valid
         assert det == pytest.approx(1.0 - 0.76464 - 0.81 - 0.5184 - 0.3481, abs=1e-12)
 
+    def test_model_refuses_a_structure_that_is_not_psd(self):
+        message = r"^correlation structure not PSD \(det=-1\.441140e\+00\)$"
+        with pytest.raises(DomainError, match=message):
+            TwoAssetModel(heston=BASE_PARAMS, lam_x=1.0, lam_y=1.24, s0x=100.0, s0y=100.0,
+                          corr=CorrelationStructure(0.9, -0.72, 0.59))
+
     def test_case1_structure(self):
         valid, det = validate_correlation(CorrelationStructure(0.5, -0.4, -0.6))
         assert valid
@@ -503,8 +509,8 @@ class TestAccuracy:
         assert abs(est.value - exact) <= 3.0 * est.stderr
 
     def test_invalid_correlation_rejected(self):
-        model = grid_model(0.9, -0.72, 0.59)
         with pytest.raises(DomainError):
+            model = grid_model(0.9, -0.72, 0.59)
             simulate_exchange(model, 0.25, McConfig(n_paths=1000, n_steps=10, seed=0))
 
 
