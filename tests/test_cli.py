@@ -676,8 +676,9 @@ class TestConfigHandling:
         assert err.startswith("ERROR code=2 type=InputError")
         assert key in err
 
-    # a repeated grid value would price its points twice, and a maturity, spot
-    # or leg scale at or below zero cannot be priced: both are refused before any run
+    # an empty grid list would simulate every other list for no row, a repeated
+    # grid value would price its points twice, and a maturity, spot or leg scale
+    # at or below zero cannot be priced: all are refused before any simulation
     @pytest.mark.parametrize(
         "flags, grid, message",
         [
@@ -691,14 +692,20 @@ class TestConfigHandling:
             ([], {"s0x": -100.0}, "s0x must be finite and > 0"),
             ([], {"lam_x": -1.0}, "lam_x must be finite and > 0"),
             ([], {"lam_y": math.nan}, "lam_y must be finite and > 0"),
+            *(([], {name: []}, f"{name} is empty")
+              for name in ("T_list", "s0y_list", "rho_list", "rho_x_list", "rho_y_list")),
         ],
         ids=["T-repeat", "rho-repeat", "s0y-repeat", "rhoY-repeat", "T-negative",
-             "T-infinite", "s0y-zero", "s0x-negative", "lam_x-negative", "lam_y-nan"],
+             "T-infinite", "s0y-zero", "s0x-negative", "lam_x-negative", "lam_y-nan",
+             "T-empty", "s0y-empty", "rho-empty", "rhoX-empty", "rhoY-empty"],
     )
     @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
     def test_grid_whose_accounting_cannot_close_exit_2(
-        self, capsys, out_dir, tmp_path, flags, grid, message, dry_run
+        self, capsys, out_dir, tmp_path, monkeypatch, flags, grid, message, dry_run
     ):
+        runs, simulate = [], experiments.simulate_terminal
+        monkeypatch.setattr(experiments, "simulate_terminal",
+                            lambda *args: runs.append(args) or simulate(*args))
         cfg = tmp_path / "grid.yaml"
         cfg.write_text(yaml.safe_dump({"grid": grid}))
         code, out, err = run_cli(
@@ -709,27 +716,6 @@ class TestConfigHandling:
         assert out == ""
         assert err.startswith("ERROR code=2 type=InputError")
         assert message in err
-        assert not os.path.exists(os.path.join(out_dir, "results.csv"))
-
-    # an empty grid list is refused before the sweep, which would otherwise run
-    # every other list's Monte Carlo and write no row
-    @pytest.mark.parametrize("name", ["T_list", "s0y_list", "rho_list", "rho_x_list",
-                                      "rho_y_list"])
-    def test_empty_grid_list_exit_2_before_any_simulation(
-        self, capsys, out_dir, tmp_path, monkeypatch, name
-    ):
-        runs, simulate = [], experiments.simulate_terminal
-        monkeypatch.setattr(experiments, "simulate_terminal",
-                            lambda *args: runs.append(args) or simulate(*args))
-        cfg = tmp_path / "grid.yaml"
-        cfg.write_text(yaml.safe_dump({"grid": {"T_list": [0.05], "rho_list": [0.5], name: []}}))
-        code, out, err = run_cli(
-            capsys, "--config", str(cfg), "--out", out_dir, "experiment", "run", "--paths", "64",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("ERROR code=2 type=InputError")
-        assert f"{name} is empty" in err
         assert runs == []
         assert not os.path.exists(os.path.join(out_dir, "results.csv"))
 
