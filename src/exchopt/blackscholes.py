@@ -4,6 +4,10 @@ Everything works on log spot ``x``, log strike ``k`` and time to expiry ``T``;
 prices are undiscounted (zero rates throughout the library).  One
 bracket-and-Newton loop inverts prices: ``implied_vol`` runs it on one price,
 ``_implied_vols`` on a smile's log-strikes at one x and T.
+
+The normal CDF is SciPy's ``ndtr``, bound on the first price: importing this
+module, and everything that never prices through it (the Monte Carlo engine,
+the exact exchange pricer, the CLI's config paths), does not load SciPy.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr  # erfc-based normal CDF, abs error < 1e-15
 
 from .errors import DomainError, InputError, NumericalError
 
@@ -27,10 +30,27 @@ _IV_MAX_ITER = 100
 _IV_PRICE_TOL = 1e-12  # relative to e^x
 
 
+def _ndtr(d):
+    """The standard normal CDF: replaces itself with scipy.special.ndtr
+    (erfc-based, abs error < 1e-15) on the first call."""
+    global _ndtr
+    from scipy.special import ndtr as _ndtr
+
+    return _ndtr(d)
+
+
 def _check_finite(**kwargs):
     for name, v in kwargs.items():
         if not np.isfinite(v):
             raise InputError(f"non-finite {name}={v}")
+
+
+def _check_exp(**kwargs):
+    for name, v in kwargs.items():
+        try:
+            math.exp(v)
+        except OverflowError:
+            raise InputError(f"{name}={v} too large: e^{name} overflows a float") from None
 
 
 def bs_price(x: float, k: float, sigma: float, T: float) -> float:
@@ -39,25 +59,35 @@ def bs_price(x: float, k: float, sigma: float, T: float) -> float:
     d1 = (x - k)/(sigma sqrt(T)) + sigma sqrt(T)/2 with T the time to expiry.
     Zero total standard deviation (T == 0 or sigma == 0) returns the intrinsic
     value so terminal payoffs can be evaluated through the same code path.
+    InputError when x or k exceeds log(DBL_MAX), where e^x or e^k overflows.
     """
     _check_finite(x=x, k=k, sigma=sigma, T=T)
     if T < 0:
         raise InputError(f"negative time to expiry T={T}")
     if sigma < 0:
         raise InputError(f"negative sigma={sigma}")
+    try:
+        spot, ek = math.exp(x), math.exp(k)
+    except OverflowError:
+        _check_exp(x=x, k=k)
     s = sigma * math.sqrt(T)
     if s == 0.0:
-        return max(math.exp(x) - math.exp(k), 0.0)
+        return max(spot - ek, 0.0)
     d1 = (x - k) / s + 0.5 * s
-    return float(math.exp(x) * ndtr(d1) - math.exp(k) * ndtr(d1 - s))
+    return float(spot * _ndtr(d1) - ek * _ndtr(d1 - s))
 
 
 def bs_vega(x: float, k: float, sigma: float, T: float) -> float:
-    """Analytic dBS/dsigma = e^x phi(d1) sqrt(T); zero at expiry."""
+    """Analytic dBS/dsigma = e^x phi(d1) sqrt(T); zero at expiry and at sigma = 0.
+
+    Refuses what bs_price refuses, with the same errors."""
     _check_finite(x=x, k=k, sigma=sigma, T=T)
     if T < 0:
         raise InputError(f"negative time to expiry T={T}")
-    if T == 0.0 or sigma <= 0.0:
+    if sigma < 0:
+        raise InputError(f"negative sigma={sigma}")
+    _check_exp(x=x, k=k)
+    if T == 0.0 or sigma == 0.0:
         return 0.0
     s = sigma * math.sqrt(T)
     d1 = (x - k) / s + 0.5 * s
@@ -71,9 +101,10 @@ def implied_vol(price: float, x: float, k: float, T: float) -> float:
     the bracket starts at [1e-6, 5] and the upper end doubles while the quote
     exceeds it.  Converges to |BS(sigma) - price| <= 1e-12 e^x.
 
-    Raises DomainError at expiry (T == 0) or when the price violates the strict
-    no-arbitrage bracket intrinsic < price < e^x, NumericalError when the
-    iteration cap is hit.
+    Raises InputError for a non-finite argument or an x or k above
+    log(DBL_MAX), DomainError at expiry (T == 0) or when the price violates the
+    strict no-arbitrage bracket intrinsic < price < e^x, NumericalError when
+    the iteration cap is hit.
     """
     return _invert([price], x, [k], T)[0]
 
@@ -88,7 +119,7 @@ def _invert(prices: list, x: float, ks: list, T: float) -> list:
     """implied_vol's loop over (price, log-strike) pairs at one x and T.
 
     Each element takes the steps implied_vol takes for it alone, in Python
-    floats; each round prices all its elements in one ndtr call and takes the
+    floats; each round prices all its elements in one _ndtr call and takes the
     densities of their vegas from one np.exp call.  The lowest failing element
     raises the error implied_vol raises for it."""
     rows, refused = [], None  # a row: index, x - k, e^k, price, lo, hi, sigma
@@ -98,7 +129,10 @@ def _invert(prices: list, x: float, ks: list, T: float) -> list:
                 _check_finite(price=price, x=x, k=k, T=T)
             if T <= 0:
                 raise DomainError(f"cannot invert at expiry: T={T} <= 0")
-            spot, ek = math.exp(x), math.exp(k)
+            try:
+                spot, ek = math.exp(x), math.exp(k)
+            except OverflowError:
+                _check_exp(x=x, k=k)
             intrinsic = max(spot - ek, 0.0)
             if not (intrinsic < price < spot):
                 raise DomainError(f"price {price} outside arbitrage bounds ({intrinsic}, {spot})")
@@ -118,7 +152,7 @@ def _invert(prices: list, x: float, ks: list, T: float) -> list:
             d1 = r[1] / s + 0.5 * s
             d1s.append(d1)
             d2s.append(d1 - s)
-        c = ndtr(d1s + d2s).tolist()
+        c = _ndtr(d1s + d2s).tolist()
         return zip(rows, c, c[len(rows):]), d1s
 
     failed = {}

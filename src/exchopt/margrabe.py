@@ -31,7 +31,9 @@ class ImpliedCorrelationBoundsWarning(UserWarning):
 
 
 def margrabe_price(x: float, y: float, gamma: float, T: float) -> float:
-    """BS(x, y, gamma, T): e^x N(d1) - e^y N(d2) with the Y leg as strike."""
+    """BS(x, y, gamma, T): e^x N(d1) - e^y N(d2) with the Y leg as strike.
+
+    bs_price's errors name y as k, the strike slot it fills."""
     if not np.isfinite(gamma) or gamma < 0:
         raise InputError(f"gamma must be finite and >= 0, got {gamma}")
     if not (np.isfinite(T) and T > 0):
@@ -53,7 +55,7 @@ def exchange_implied_vol(price: float, x: float, y: float, T: float) -> float:
     """gamma_hat with margrabe_price(x, y, gamma_hat, T) = price.
 
     Reuses the vanilla implied-vol inversion with k = y; same tolerance and
-    error behaviour.
+    error behaviour, and its errors name y as k.
     """
     return blackscholes.implied_vol(price, x, y, T)
 

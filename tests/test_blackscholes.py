@@ -12,6 +12,7 @@ from exchopt import blackscholes, heston
 from exchopt.blackscholes import _implied_vols, bs_price, bs_vega, implied_vol
 from exchopt.errors import DomainError, InputError, NumericalError
 from exchopt.experiments import GridSpec, reference_case_model
+from exchopt.margrabe import exchange_implied_vol, margrabe_price
 from exchopt.models import (
     AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
 )
@@ -124,6 +125,12 @@ class TestBsVega:
     def test_zero_at_expiry(self):
         assert bs_vega(X100, X100, 0.2, 0.0) == 0.0
 
+    def test_zero_vol_is_zero_and_negative_vol_refused(self):
+        assert bs_vega(X100, X100, 0.0, 1.0) == 0.0
+        for fn in (bs_price, bs_vega):
+            with pytest.raises(InputError, match=r"^negative sigma=-0\.2$"):
+                fn(X100, X100, -0.2, 1.0)
+
     def test_deep_itm_vanishes(self):
         assert bs_vega(X100, X100 - 4.0, 0.2, 1.0) < 1e-10
 
@@ -205,6 +212,28 @@ class TestImpliedVol:
                 got = implied_vol(price, 0.0, z, T)
                 assert got == checked_implied_vol(price, 0.0, z, T)
                 assert got == vol
+
+
+def overflow_message(name):
+    return f"^{re.escape(f'{name}=800.0 too large: e^{name} overflows a float')}$"
+
+
+# e^800 overflows a float: every entry point refuses x or k = 800 with an
+# InputError naming the argument (margrabe's y fills the strike slot k),
+# at zero vol and at expiry too
+@pytest.mark.parametrize("fn, args", [
+    (bs_price, (0.2, 1.0)), (bs_price, (0.0, 1.0)), (bs_price, (0.2, 0.0)),
+    (bs_vega, (0.2, 1.0)), (bs_vega, (0.0, 1.0)), (bs_vega, (0.2, 0.0)),
+    (margrabe_price, (0.2, 1.0)),
+    (lambda x, k, T: implied_vol(0.5, x, k, T), (1.0,)),
+    (lambda x, k, T: exchange_implied_vol(0.5, x, k, T), (1.0,)),
+], ids=["bs_price", "bs_price-zero-vol", "bs_price-expiry", "bs_vega", "bs_vega-zero-vol",
+        "bs_vega-expiry", "margrabe_price", "implied_vol", "exchange_implied_vol"])
+@pytest.mark.parametrize("name", ["x", "k"])
+def test_overflowing_log_argument_refused(fn, args, name):
+    x, k = (800.0, 0.0) if name == "x" else (0.0, 800.0)
+    with pytest.raises(InputError, match=overflow_message(name)):
+        fn(x, k, *args)
 
 
 def checked_loop(prices, x, ks, T, tol=1e-12):
@@ -330,6 +359,24 @@ class TestBatchImpliedVols:
             implied_vol(prices[1], 0.0, ks[1], T)
         with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             _implied_vols(prices, 0.0, ks, T)
+
+    def test_overflowing_strike_is_refused_in_index_order(self):
+        # the lowest refused element wins, whichever check refuses it
+        T, ks = 0.05, np.zeros(6)
+        prices = [bs_price(0.0, 0.0, s, T) for s in np.linspace(0.1, 0.6, 6)]
+        batch = prices[:]
+        batch[2], ks[4] = 1.0, 800.0
+        with pytest.raises(DomainError, match=r"^price 1\.0 outside arbitrage bounds \(0\.0, 1\.0\)$"):
+            _implied_vols(batch, 0.0, ks, T)
+        ks[1] = 800.0
+        with pytest.raises(InputError, match=overflow_message("k")):
+            _implied_vols(batch, 0.0, ks, T)
+        # a lower element that fails inside the loop wins over the overflow
+        batch[0] = 1e-10
+        with pytest.raises(DomainError, match=r"^price 1e-10 below sigma=1e-06 value$"):
+            _implied_vols(batch, 0.0, ks, T)
+        with pytest.raises(InputError, match=overflow_message("x")):
+            _implied_vols(prices, 800.0, np.zeros(6), T)
 
     def test_unattainable_price_raises_the_scalar_error(self):
         # half the spot at the money and T 1e-12 needs sigma above the 1e3 cap:

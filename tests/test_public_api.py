@@ -1,4 +1,6 @@
 import importlib
+import json
+import math
 import os
 import pathlib
 import pkgutil
@@ -70,26 +72,51 @@ def test_control_variate_is_not_optional():
     assert "use_control_variate" not in {f.name for f in fields(simulation.McConfig)}
 
 
-def test_quote_price_and_paths_leave_scipy_interpolate_unloaded():
+def test_scipy_loads_on_the_first_inversion_only(tmp_path):
     # a fresh interpreter: this test session has imported SciPy for its oracles
     script = textwrap.dedent("""
-        import sys
+        import contextlib, io, json, math, sys
         import exchopt, exchopt.cli
-        from exchopt import experiments, heston, simulation
-        model, T = experiments.reference_case_model(1), 0.25
-        heston.measure_smile_observables(model.heston, model.asset_x, model.asset_y, T)
-        smile_x = heston.build_smile_grid(model.heston, model.asset_x, T, asset_id="X")
-        heston.build_smile_grid(model.heston, model.asset_y, T, asset_id="Y")
-        smile_x.vol_at_moneyness(0.01)
-        heston.exchange_option_price(model, T)
+        from exchopt import blackscholes, experiments, heston, simulation
+
+        def scipy_modules():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        loaded = {"import": scipy_modules()}
+        model = experiments.reference_case_model(1)
         simulation.simulate_terminal(model, 0.05, simulation.McConfig(n_paths=64, seed=1))
-        print(" ".join(m for m in ("scipy.interpolate", "scipy.optimize", "scipy.linalg")
-                       if m in sys.modules))
+        heston.exchange_option_price(model, 0.25)
+        loaded["simulate_terminal, exchange_option_price"] = scipy_modules()
+        for argv, code in ((["--print-config"], 0), (["experiment", "run", "--dry-run"], 0),
+                           (["price", "exchange", "--T", "-1"], 2)):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert exchopt.cli.main(["--out", sys.argv[1], *argv]) == code
+            loaded[" ".join(argv)] = scipy_modules()
+        x, k = math.log(100.0), math.log(110.0)
+        first = blackscholes.implied_vol(3.0, x, k, 0.25)
+        special = "scipy.special" in sys.modules
+        import scipy.special
+        # the quote path prices through the bound ndtr and nothing else of SciPy
+        heston.measure_smile_observables(model.heston, model.asset_x, model.asset_y, 0.25)
+        smile_x = heston.build_smile_grid(model.heston, model.asset_x, 0.25, asset_id="X")
+        smile_x.vol_at_moneyness(0.01)
+        print(json.dumps({
+            "loaded": loaded, "special": special,
+            "bound": blackscholes._ndtr is scipy.special.ndtr,
+            "vols": [first.hex(), blackscholes.implied_vol(3.0, x, k, 0.25).hex()],
+            "quote": [m for m in ("scipy.interpolate", "scipy.optimize", "scipy.linalg")
+                      if m in sys.modules],
+        }))
     """)
     src = pathlib.Path(exchopt.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    out = json.loads(proc.stdout)
+    assert all(not modules for modules in out["loaded"].values()), out["loaded"]
+    assert out["special"] and out["bound"]
+    here = exchopt.implied_vol(3.0, math.log(100.0), math.log(110.0), 0.25).hex()
+    assert out["vols"] == [here, here]
+    assert out["quote"] == []
