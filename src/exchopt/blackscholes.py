@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, InputError, NumericalError, finite
 
 __all__ = ["bs_price", "bs_vega", "implied_vol"]
 
@@ -39,18 +39,26 @@ def _ndtr(d):
     return _ndtr(d)
 
 
-def _check_finite(**kwargs):
-    for name, v in kwargs.items():
-        if not np.isfinite(v):
-            raise InputError(f"non-finite {name}={v}")
-
-
 def _check_exp(**kwargs):
     for name, v in kwargs.items():
         try:
             math.exp(v)
         except OverflowError:
             raise InputError(f"{name}={v} too large: e^{name} overflows a float") from None
+
+
+def _exp_legs(x: float, k: float, sigma: float, T: float) -> tuple[float, float]:
+    """(e^x, e^k) once bs_price's arguments pass its checks: all finite,
+    T >= 0, sigma >= 0, and neither exponential overflowing."""
+    finite(x=x, k=k, sigma=sigma, T=T)
+    if T < 0:
+        raise InputError(f"negative time to expiry T={T}")
+    if sigma < 0:
+        raise InputError(f"negative sigma={sigma}")
+    try:
+        return math.exp(x), math.exp(k)
+    except OverflowError:
+        _check_exp(x=x, k=k)
 
 
 def bs_price(x: float, k: float, sigma: float, T: float) -> float:
@@ -61,15 +69,7 @@ def bs_price(x: float, k: float, sigma: float, T: float) -> float:
     value so terminal payoffs can be evaluated through the same code path.
     InputError when x or k exceeds log(DBL_MAX), where e^x or e^k overflows.
     """
-    _check_finite(x=x, k=k, sigma=sigma, T=T)
-    if T < 0:
-        raise InputError(f"negative time to expiry T={T}")
-    if sigma < 0:
-        raise InputError(f"negative sigma={sigma}")
-    try:
-        spot, ek = math.exp(x), math.exp(k)
-    except OverflowError:
-        _check_exp(x=x, k=k)
+    spot, ek = _exp_legs(x, k, sigma, T)
     s = sigma * math.sqrt(T)
     if s == 0.0:
         return max(spot - ek, 0.0)
@@ -81,17 +81,12 @@ def bs_vega(x: float, k: float, sigma: float, T: float) -> float:
     """Analytic dBS/dsigma = e^x phi(d1) sqrt(T); zero at expiry and at sigma = 0.
 
     Refuses what bs_price refuses, with the same errors."""
-    _check_finite(x=x, k=k, sigma=sigma, T=T)
-    if T < 0:
-        raise InputError(f"negative time to expiry T={T}")
-    if sigma < 0:
-        raise InputError(f"negative sigma={sigma}")
-    _check_exp(x=x, k=k)
+    spot, _ = _exp_legs(x, k, sigma, T)
     if T == 0.0 or sigma == 0.0:
         return 0.0
     s = sigma * math.sqrt(T)
     d1 = (x - k) / s + 0.5 * s
-    return float(math.exp(x) * (np.exp(-0.5 * (d1 * d1)) / _SQRT_2PI) * math.sqrt(T))
+    return float(spot * (np.exp(-0.5 * (d1 * d1)) / _SQRT_2PI) * math.sqrt(T))
 
 
 def implied_vol(price: float, x: float, k: float, T: float) -> float:
@@ -126,7 +121,7 @@ def _invert(prices: list, x: float, ks: list, T: float) -> list:
     try:  # elements after the first refused one cannot fail first
         for i, (price, k) in enumerate(zip(prices, ks)):
             if not math.isfinite(price + x + k + T):  # a term is not finite, or the sum overflows
-                _check_finite(price=price, x=x, k=k, T=T)
+                finite(price=price, x=x, k=k, T=T)
             if T <= 0:
                 raise DomainError(f"cannot invert at expiry: T={T} <= 0")
             try:

@@ -22,7 +22,7 @@ import yaml
 
 from . import convention as conv
 from . import experiments, heston, margrabe
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, InputError, NumericalError, positive
 from .models import CorrelationStructure, HestonParams, TwoAssetModel
 from .simulation import McConfig, simulate_exchange
 
@@ -138,8 +138,7 @@ def _build_run_config(raw: dict, out_dir: str) -> RunConfig:
         model = TwoAssetModel(heston=heston, corr=corr, **m)
         mc = McConfig(**{"jobs": os.cpu_count() or 1, **_section("mc", raw["mc"])})
         maturity = _typed("top-level", "maturity", 0.0, raw["maturity"])
-        if not (maturity > 0 and math.isfinite(maturity)):
-            raise InputError(f"maturity must be positive, got {maturity}")
+        positive(maturity=maturity)
         grid = experiments.GridSpec(
             heston=model.heston, mc=mc, **_section("grid", raw["grid"] or {})
         )

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import DegenerateConventionError, DomainError, InputError
+from .errors import DegenerateConventionError, DomainError, correlation, finite, positive
 from .heston import SmileObservables
 from .models import CorrelationStructure
 
@@ -40,8 +38,7 @@ def strikes(a: float, x: float, y: float) -> tuple[float, float]:
     Evaluated as x + a (y - x) so that both strikes equal x *exactly* (not just
     to rounding) when x == y; downstream coincidence checks rely on that.
     """
-    if not (np.isfinite(a) and np.isfinite(x) and np.isfinite(y)):
-        raise InputError(f"non-finite input: a={a}, x={x}, y={y}")
+    finite(a=a, x=x, y=y)
     return x + a * (y - x), y + a * (x - y)
 
 
@@ -68,9 +65,7 @@ def _limit_terms(
     lam_x: float, lam_y: float, corr: CorrelationStructure
 ) -> tuple[float, float]:
     """_a_star_terms at the short-time limits: levels lam_i, skews rho_i."""
-    for name, lam in (("lam_x", lam_x), ("lam_y", lam_y)):
-        if not (np.isfinite(lam) and lam > 0):
-            raise InputError(f"{name} must be > 0, got {lam}")
+    positive(lam_x=lam_x, lam_y=lam_y)
     return _a_star_terms(lam_x, lam_y, corr.rho_x, corr.rho_y, corr.rho)
 
 
@@ -89,16 +84,14 @@ def a_star_observables(obs: SmileObservables, rho: float) -> float:
     Reduces to a_star_parametric when the observables sit at their short-time
     limits I_i = lam_i sigma0, S_Y / S_X = rho_Y / rho_X.
     """
-    if not (np.isfinite(rho) and abs(rho) <= 1.0):
-        raise InputError(f"rho must lie in [-1, 1], got {rho}")
+    correlation(rho=rho)
     return _a_star(*_a_star_terms(obs.level_x, obs.level_y, obs.skew_x, obs.skew_y, rho))
 
 
 def bound_a(a: float) -> float:
     """Clamp a into A_BOUNDS = [-1, 2] (extreme a pick vols from unquotable
     strikes)."""
-    if not np.isfinite(a):
-        raise InputError(f"a must be finite, got {a}")
+    finite(a=a)
     return min(max(a, A_BOUNDS[0]), A_BOUNDS[1])
 
 
@@ -113,8 +106,7 @@ def linear_convention_residual(
     zero exactly at a = a_star_parametric.
     """
     numer, denom = _limit_terms(lam_x, lam_y, corr)
-    if not np.isfinite(a):
-        raise InputError(f"a must be finite, got {a}")
+    finite(a=a)
     return a * denom - numer
 
 
@@ -141,13 +133,8 @@ def general_residual(
     rho_i D_i / (2 s_i) and dI_Y/dy = -dI_Y/dz at the money.  Returns
     left - right; a convention is first-order optimal iff this vanishes.
     """
-    for name, v in (
-        ("sigma0_x", sigma0_x), ("sigma0_y", sigma0_y),
-        ("dplus_x", dplus_x), ("dplus_y", dplus_y),
-        ("dkx_dy", dkx_dy), ("dky_dy", dky_dy),
-    ):
-        if not np.isfinite(v):
-            raise InputError(f"non-finite {name}={v}")
+    finite(sigma0_x=sigma0_x, sigma0_y=sigma0_y, dplus_x=dplus_x, dplus_y=dplus_y,
+           dkx_dy=dkx_dy, dky_dy=dky_dy)
     rho, rho_x, rho_y = corr.rho, corr.rho_x, corr.rho_y
     st2 = sigma0_x**2 + sigma0_y**2 - 2.0 * rho * sigma0_x * sigma0_y
     if st2 <= 0.0:

@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its four scalar argument checks.
+
+Each check takes keyword arguments in the order the caller lists them and
+raises InputError naming the first one it refuses and its value."""
+
+import math
 
 
 class InputError(ValueError):
@@ -16,3 +21,31 @@ class NumericalError(RuntimeError):
 
 class DegenerateConventionError(DomainError):
     """The strike-convention denominator is (near) zero: no unique optimum."""
+
+
+def finite(**values: float) -> None:
+    """Refuse NaN and +-inf: ``non-finite {name}={value}``."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise InputError(f"non-finite {name}={v}")
+
+
+def positive(**values: float) -> None:
+    """Refuse anything but a finite value > 0."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0.0):
+            raise InputError(f"{name} must be finite and > 0, got {v}")
+
+
+def non_negative(**values: float) -> None:
+    """Refuse anything but a finite value >= 0."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v >= 0.0):
+            raise InputError(f"{name} must be finite and >= 0, got {v}")
+
+
+def correlation(**values: float) -> None:
+    """Refuse anything outside [-1, 1], NaN included."""
+    for name, v in values.items():
+        if not -1.0 <= v <= 1.0:  # NaN fails every comparison
+            raise InputError(f"{name} must lie in [-1, 1], got {v}")

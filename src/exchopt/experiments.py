@@ -26,7 +26,7 @@ import numpy as np
 
 from . import convention as conv
 from . import heston, margrabe
-from .errors import DegenerateConventionError, DomainError, InputError, NumericalError
+from .errors import DegenerateConventionError, DomainError, InputError, NumericalError, positive
 from .models import (
     AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
 )
@@ -84,11 +84,12 @@ class GridSpec:
                 raise InputError(f"{name} is empty")
             if len(set(values)) != len(values):
                 raise InputError(f"{name} repeats a value: {list(values)}")
-        for name, values in (("T_list", self.T_list), ("s0x", (self.s0x,)),
-                             ("s0y_list", self.s0y_list), ("lam_x", (self.lam_x,)),
-                             ("lam_y", (self.lam_y,))):
-            if not all(math.isfinite(v) and v > 0 for v in values):
-                raise InputError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for T in self.T_list:
+            positive(T_list=T)
+        positive(s0x=self.s0x)
+        for s0y in self.s0y_list:
+            positive(s0y_list=s0y)
+        positive(lam_x=self.lam_x, lam_y=self.lam_y)
 
     def n_points(self) -> int:
         return (

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import blackscholes, margrabe
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, InputError, NumericalError, finite, positive
 from .models import AssetSpec, HestonParams, TwoAssetModel
 
 __all__ = [
@@ -100,10 +100,8 @@ class SmileObservables:
     window: tuple[float, float]
 
     def __post_init__(self):
-        if not (self.level_x > 0 and self.level_y > 0):
-            raise InputError("ATM levels must be positive")
-        if not (np.isfinite(self.skew_x) and np.isfinite(self.skew_y)):
-            raise InputError("skews must be finite")
+        positive(level_x=self.level_x, level_y=self.level_y)
+        finite(skew_x=self.skew_x, skew_y=self.skew_y)
 
 
 def effective_heston(params: HestonParams, asset: AssetSpec) -> HestonParams:
@@ -251,8 +249,7 @@ def _time_values(
     quadrature fails to converge, are priced in one batch on the Lewis contour,
     whose moment stays in (0, 1].  Batching leaves each strike's bits unchanged."""
     ks = [float(k) for k in ks]
-    if not (math.isfinite(T) and T > 0):
-        raise InputError(f"T must be positive, got {T}")
+    positive(T=T)
     if not all(map(math.isfinite, ks)):
         raise InputError(f"log-strikes must be finite, got {ks}")
     cf = lambda u: _cf_log_return(u, kappa, kappa_theta, nu, v0, rho_sv, T)
@@ -301,8 +298,7 @@ def heston_vanilla_price(
 ) -> float:
     """European call (r = 0) on one leg: ``params`` are the shared variance
     parameters, scaled to the leg by ``effective_heston``."""
-    if not (np.isfinite(strike) and strike > 0):
-        raise InputError(f"strike must be positive, got {strike}")
+    positive(strike=strike)
     k = math.log(strike / asset.s0)
     return asset.s0 * _unit_call(k, *_leg_args(params, asset), T)
 
@@ -324,8 +320,7 @@ def exchange_option_price(model: TwoAssetModel, T: float) -> float:
     a vanilla call on U struck at 1.  Used as an independent benchmark for the
     Monte Carlo engine.
     """
-    if not (np.isfinite(T) and T > 0):
-        raise InputError(f"T must be positive, got {T}")
+    positive(T=T)
     c = model.corr
     h = model.heston
     lx, ly = model.lam_x, model.lam_y
@@ -390,16 +385,13 @@ class Smile:
         if z.ndim != 1 or z.size < 2 or z.size != v.size:
             raise InputError("need at least two (log_moneyness, vol) knots")
         if not np.isfinite(z).all():
-            raise InputError("log-moneyness knots must be finite")
+            raise InputError(f"log-moneyness knots must be finite, got {z.tolist()}")
         if np.any(np.diff(z) <= 0):
-            raise InputError("log-moneyness knots must be strictly increasing")
+            raise InputError(f"log-moneyness knots must be strictly increasing, got {z.tolist()}")
         if np.any(v <= 0) or not np.all(np.isfinite(v)):
-            raise InputError("vols must be positive and finite")
+            raise InputError(f"vols must be positive and finite, got {v.tolist()}")
         s0, T = float(s0), float(T)
-        if not (math.isfinite(s0) and s0 > 0):
-            raise InputError(f"s0 must be positive, got {s0}")
-        if not (math.isfinite(T) and T > 0):
-            raise InputError(f"T must be positive, got {T}")
+        positive(s0=s0, T=T)
         self.asset_id = asset_id
         self.s0 = s0
         self.T = T
@@ -424,8 +416,7 @@ class Smile:
         """SciPy's ``PPoly`` read of the cubic at z clipped to the knots: on the
         interval x_i <= z < x_i+1 (the last one closed), c3 + c2 s + c1 s^2 +
         c0 s^2 s with s = z - x_i, summed in that order."""
-        if not math.isfinite(z):
-            raise InputError(f"log-moneyness must be finite, got {z}")
+        finite(z=z)
         knots = self._knots
         if z < knots[0]:
             z = knots[0]

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 
-import numpy as np
-
 from . import blackscholes
-from .errors import InputError
+from .errors import correlation, non_negative, positive
 
 __all__ = [
     "margrabe_price",
@@ -34,19 +32,15 @@ def margrabe_price(x: float, y: float, gamma: float, T: float) -> float:
     """BS(x, y, gamma, T): e^x N(d1) - e^y N(d2) with the Y leg as strike.
 
     bs_price's errors name y as k, the strike slot it fills."""
-    if not np.isfinite(gamma) or gamma < 0:
-        raise InputError(f"gamma must be finite and >= 0, got {gamma}")
-    if not (np.isfinite(T) and T > 0):
-        raise InputError(f"T must be positive, got {T}")
+    non_negative(gamma=gamma)
+    positive(T=T)
     return blackscholes.bs_price(x, y, gamma, T)
 
 
 def convention_gamma(i_x: float, i_y: float, rho: float) -> float:
     """sqrt(I_X^2 + I_Y^2 - 2 rho I_X I_Y), the substitute exchange vol."""
-    if not (np.isfinite(i_x) and i_x > 0 and np.isfinite(i_y) and i_y > 0):
-        raise InputError(f"leg vols must be positive, got {i_x}, {i_y}")
-    if not (np.isfinite(rho) and -1.0 <= rho <= 1.0):
-        raise InputError(f"correlation must lie in [-1, 1], got {rho}")
+    positive(i_x=i_x, i_y=i_y)
+    correlation(rho=rho)
     # real for any rho in [-1, 1]; clip float noise at the rho = 1 boundary
     return math.sqrt(max(i_x * i_x + i_y * i_y - 2.0 * rho * i_x * i_y, 0.0))
 
@@ -69,10 +63,8 @@ def implied_correlation(gamma_hat: float, i_x: float, i_y: float) -> float:
     unchanged with an ImpliedCorrelationBoundsWarning rather than clamped so
     implied-correlation curves stay visible.
     """
-    if not (np.isfinite(gamma_hat) and gamma_hat >= 0):
-        raise InputError(f"gamma_hat must be finite and >= 0, got {gamma_hat}")
-    if not (np.isfinite(i_x) and i_x > 0 and np.isfinite(i_y) and i_y > 0):
-        raise InputError(f"leg vols must be positive, got {i_x}, {i_y}")
+    non_negative(gamma_hat=gamma_hat)
+    positive(i_x=i_x, i_y=i_y)
     rho_hat = (i_x * i_x + i_y * i_y - gamma_hat * gamma_hat) / (2.0 * i_x * i_y)
     if abs(rho_hat) > 1.0:
         warnings.warn(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, correlation, positive
 
 __all__ = [
     "HestonParams", "AssetSpec", "CorrelationStructure", "TwoAssetModel",
@@ -41,10 +41,7 @@ class HestonParams:
     sigma0: float
 
     def __post_init__(self):
-        for name in ("kappa", "theta", "nu", "sigma0"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InputError(f"{name} must be finite and > 0, got {v}")
+        positive(kappa=self.kappa, theta=self.theta, nu=self.nu, sigma0=self.sigma0)
 
     @property
     def v0(self) -> float:
@@ -61,12 +58,9 @@ class AssetSpec:
     s0: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InputError(f"lam must be finite and > 0, got {self.lam}")
-        if not (np.isfinite(self.rho_sv) and abs(self.rho_sv) <= 1.0):
-            raise InputError(f"rho_sv must lie in [-1, 1], got {self.rho_sv}")
-        if not (np.isfinite(self.s0) and self.s0 > 0):
-            raise InputError(f"s0 must be finite and > 0, got {self.s0}")
+        positive(lam=self.lam)
+        correlation(rho_sv=self.rho_sv)
+        positive(s0=self.s0)
 
     @property
     def x0(self) -> float:
@@ -87,10 +81,7 @@ class CorrelationStructure:
     rho_y: float
 
     def __post_init__(self):
-        for name in ("rho", "rho_x", "rho_y"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and abs(v) <= 1.0):
-                raise InputError(f"{name} must lie in [-1, 1], got {v}")
+        correlation(rho=self.rho, rho_x=self.rho_x, rho_y=self.rho_y)
 
     def matrix(self) -> np.ndarray:
         """3x3 correlation matrix in the factor order (W^X, W^Y, Z)."""
@@ -164,10 +155,7 @@ class TwoAssetModel:
     corr: CorrelationStructure
 
     def __post_init__(self):
-        for name in ("lam_x", "lam_y", "s0x", "s0y"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InputError(f"{name} must be finite and > 0, got {v}")
+        positive(lam_x=self.lam_x, lam_y=self.lam_y, s0x=self.s0x, s0y=self.s0y)
         cholesky3(self.corr)  # the one PSD check
 
     @property

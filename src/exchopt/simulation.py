@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import margrabe
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, non_negative, positive
 from .models import CorrelationStructure, TwoAssetModel, cholesky3, validate_correlation
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "PriceEstimate",
     "TerminalSample",
     "cholesky3",
+    "validate_correlation",
     "simulate_terminal",
     "simulate_exchange",
     "simulate_vanilla",
@@ -96,8 +97,7 @@ class PriceEstimate:
     beta: float  # control-variate coefficient actually applied
 
     def __post_init__(self):
-        if self.stderr < 0:
-            raise InputError(f"stderr must be >= 0, got {self.stderr}")
+        non_negative(stderr=self.stderr)
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,7 @@ def simulate_terminal(model: TwoAssetModel, T: float, mc: McConfig) -> TerminalS
     """Simulate terminal normalized returns for both legs and their
     control-variate companions.  Deterministic in (seed, n_paths, n_steps)
     regardless of ``mc.jobs``."""
-    if not (np.isfinite(T) and T > 0):
-        raise InputError(f"T must be positive, got {T}")
+    positive(T=T)
     c = model.corr
     # the verdict runs inside cholesky3 and does not depend on the factor order
     L = cholesky3(CorrelationStructure(rho=c.rho_x, rho_x=c.rho_y, rho_y=c.rho))
@@ -230,9 +229,7 @@ def exchange_estimate_from_sample(
 ) -> PriceEstimate:
     """Exchange-option estimate for the spot pair (s0x, s0y) from an existing
     normalized sample (payoff homogeneity in the initial spots)."""
-    for name, v in (("s0x", s0x), ("s0y", s0y)):
-        if not (np.isfinite(v) and v > 0):
-            raise InputError(f"{name} must be finite and > 0, got {v}")
+    positive(s0x=s0x, s0y=s0y)
     model = sample.model
     sx, sy = model.lam_x * model.heston.sigma0, model.lam_y * model.heston.sigma0
     sigma_cv = margrabe.convention_gamma(sx, sy, model.rho)
@@ -258,8 +255,7 @@ def simulate_vanilla(
     simulate_exchange, so the leg dynamics match it exactly.  A call struck
     at K is the option to exchange the leg for a riskless asset worth K
     (Margrabe 1978), so it goes through the exchange estimator."""
-    if not (np.isfinite(strike) and strike >= 0):
-        raise InputError(f"strike must be >= 0, got {strike}")
+    non_negative(strike=strike)
     leg = model.asset(asset_id)
     s0, sigma_cv = leg.s0, leg.lam * model.heston.sigma0
     sample = simulate_terminal(model, T, mc)

@@ -119,9 +119,9 @@ class TestAStarParametric:
     ])
     def test_rejects_non_positive_lam(self, lam_x, lam_y):
         c = Corr(rho=0.5, rho_x=-0.4, rho_y=0.4)
-        with pytest.raises(InputError, match="lam_[xy] must be > 0"):
+        with pytest.raises(InputError, match="lam_[xy] must be finite and > 0"):
             a_star_parametric(lam_x, lam_y, c)
-        with pytest.raises(InputError, match="lam_[xy] must be > 0"):
+        with pytest.raises(InputError, match="lam_[xy] must be finite and > 0"):
             linear_convention_residual(0.5, lam_x, lam_y, c)
 
     def test_sign_property_zero_rho_y(self):

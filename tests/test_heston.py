@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -268,7 +269,7 @@ class TestVanillaPricer:
 
     def test_input_validation(self):
         for strike in (-5.0, 0.0, math.nan, math.inf):
-            with pytest.raises(InputError, match="strike must be positive"):
+            with pytest.raises(InputError, match="strike must be finite and > 0"):
                 heston_vanilla_price(BASE_PARAMS, UNIT_LEG, strike, 0.5)
         # the leg's spot and spot-vol correlation are checked by AssetSpec
         for rho_sv, s0 in ((-1.4, 100.0), (-0.4, -100.0)):
@@ -405,27 +406,57 @@ class TestSmile:
     @pytest.mark.parametrize("s0, T, z, match", [
         (100.0, 0.5, [-0.1, math.nan, 0.1], "knots must be finite"),
         (100.0, 0.5, [-0.1, 0.0, math.inf], "knots must be finite"),
-        (math.nan, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
-        (-5.0, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
-        (0.0, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
-        (math.inf, 0.5, [-0.1, 0.0, 0.1], "s0 must be positive"),
-        (100.0, -1.0, [-0.1, 0.0, 0.1], "T must be positive"),
-        (100.0, 0.0, [-0.1, 0.0, 0.1], "T must be positive"),
-        (100.0, math.nan, [-0.1, 0.0, 0.1], "T must be positive"),
+        (math.nan, 0.5, [-0.1, 0.0, 0.1], "s0 must be finite and > 0"),
+        (-5.0, 0.5, [-0.1, 0.0, 0.1], "s0 must be finite and > 0"),
+        (0.0, 0.5, [-0.1, 0.0, 0.1], "s0 must be finite and > 0"),
+        (math.inf, 0.5, [-0.1, 0.0, 0.1], "s0 must be finite and > 0"),
+        (100.0, -1.0, [-0.1, 0.0, 0.1], "T must be finite and > 0"),
+        (100.0, 0.0, [-0.1, 0.0, 0.1], "T must be finite and > 0"),
+        (100.0, math.nan, [-0.1, 0.0, 0.1], "T must be finite and > 0"),
     ])
     def test_smile_refuses_non_finite_knots_spot_and_maturity(self, s0, T, z, match):
         with pytest.raises(InputError, match=match):
             Smile("X", s0, T, z, [0.25, 0.2, 0.22])
 
+    @pytest.mark.parametrize("z, vols, message", [
+        ([-0.1, math.nan, 0.1], [0.25, 0.2, 0.22],
+         "log-moneyness knots must be finite, got [-0.1, nan, 0.1]"),
+        ([-0.1, 0.1, 0.0], [0.25, 0.2, 0.22],
+         "log-moneyness knots must be strictly increasing, got [-0.1, 0.1, 0.0]"),
+        ([-0.1, 0.0, 0.1], [0.25, -0.2, 0.22], "vols must be positive and finite, got [0.25, -0.2, 0.22]"),
+        ([-0.1, 0.0, 0.1], [0.25, math.inf, 0.22],
+         "vols must be positive and finite, got [0.25, inf, 0.22]"),
+    ])
+    def test_smile_array_refusals_name_the_refused_values(self, z, vols, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Smile("X", 100.0, 0.5, z, vols)
+
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_moneyness_rejected(self, z):
         smile = Smile("X", 100.0, 0.5, [-0.1, 0.0, 0.1], [0.25, 0.2, 0.22])
         for read in (z, np.array([0.0, z])):
-            with pytest.raises(InputError, match="log-moneyness must be finite"):
+            with pytest.raises(InputError, match="non-finite z="):
                 smile.vol_at_moneyness(read)
 
 
 class TestObservables:
+    # an infinite ATM level used to pass the check level > 0, and a_star_observables
+    # then returned NaN
+    @pytest.mark.parametrize("field, value, message", [
+        ("level_x", math.inf, "level_x must be finite and > 0, got inf"),
+        ("level_y", math.inf, "level_y must be finite and > 0, got inf"),
+        ("level_x", 0.0, "level_x must be finite and > 0, got 0.0"),
+        ("level_y", math.nan, "level_y must be finite and > 0, got nan"),
+        ("skew_x", math.nan, "non-finite skew_x=nan"),
+        ("skew_y", math.inf, "non-finite skew_y=inf"),
+        ("skew_x", -math.inf, "non-finite skew_x=-inf"),
+    ])
+    def test_observables_refuse_a_level_or_skew_out_of_range(self, field, value, message):
+        record = dict(level_x=0.2, level_y=0.25, skew_x=-0.1, skew_y=-0.2, T=0.05,
+                      window=(-0.2, 0.2))
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            SmileObservables(**{**record, field: value})
+
     def test_degenerate_skews_vanish(self, atm_observables):
         frozen = HestonParams(kappa=5.0, theta=0.0225, nu=1e-4, sigma0=0.15)
         ax = AssetSpec(lam=1.0, rho_sv=-0.5, s0=100.0)

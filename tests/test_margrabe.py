@@ -112,9 +112,9 @@ class TestImpliedCorrelation:
     @pytest.mark.parametrize("leg", ["x", "y"])
     def test_leg_vols_refused_as_convention_gamma_refuses_them(self, leg, bad):
         i_x, i_y = (bad, 0.3) if leg == "x" else (0.2, bad)
-        with pytest.raises(InputError, match="leg vols must be positive"):
+        with pytest.raises(InputError, match=f"^i_{leg} must be finite and > 0, got "):
             convention_gamma(i_x, i_y, 0.5)
-        with pytest.raises(InputError, match="leg vols must be positive"):
+        with pytest.raises(InputError, match=f"^i_{leg} must be finite and > 0, got "):
             implied_correlation(0.2, i_x, i_y)
 
 

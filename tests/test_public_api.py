@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import json
 import math
 import os
@@ -120,3 +122,18 @@ def test_scipy_loads_on_the_first_inversion_only(tmp_path):
     here = exchopt.implied_vol(3.0, math.log(100.0), math.log(110.0), 0.25).hex()
     assert out["vols"] == [here, here]
     assert out["quote"] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_imports_a_name_it_never_uses(module):
+    # a name the module lists in __all__ counts as used: it is re-exported
+    tree = ast.parse(inspect.getsource(module))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(((a.asname or a.name).split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(getattr(module, "__all__", ()))
+    assert {name: line for name, line in imported.items() if name not in used} == {}

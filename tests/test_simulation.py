@@ -17,6 +17,7 @@ from exchopt.simulation import (
     _MIN_FIT_NONZERO_CONTROL,
     BLOCK_SIZE,
     McConfig,
+    PriceEstimate,
     cholesky3,
     exchange_estimate_from_sample,
     simulate_exchange,
@@ -323,6 +324,13 @@ class TestControlVariate:
         sample = simulate_terminal(grid_model(0.5, -0.4, -0.6), 0.05, McConfig(n_paths=64, n_steps=20, seed=1))
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             exchange_estimate_from_sample(sample, s0x, s0y)
+
+    # a NaN stderr used to pass the check stderr >= 0, as NaN fails every comparison
+    @pytest.mark.parametrize("stderr", [-1e-3, math.nan, math.inf])
+    def test_estimate_refuses_a_stderr_that_is_not_finite_and_non_negative(self, stderr):
+        message = f"stderr must be finite and >= 0, got {stderr}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            PriceEstimate(1.0, stderr, 64, 1, beta=1.0)
 
 
 class TestConditionalLegs:
