@@ -625,11 +625,15 @@ class TestConfigHandling:
         # re-pinned when the kernel's tail cut-off became the first doubling
         # where |f| is below tolerance for all of a side's strikes: 120 of 1056
         # rows moved, by at most 1.9e-13 in IX, 3.1e-12 in margrabe_price and
-        # error, and 1.8e-12 in implied_corr
-        "results.csv": "10bf6def9d635f39d730e080b60b87ad524e90beb178642bbac770ff5303539f",
+        # error, and 1.8e-12 in implied_corr; re-pinned again when the normal
+        # CDF became 0.5 erfc(-d/sqrt 2): 845 of 1056 rows moved, by at most
+        # 1.2e-12 in IX, 1.3e-12 in margrabe_price and error, 7.1e-12 in
+        # a_value and 1.1e-11 in implied_corr
+        "results.csv": "41832273ae92fafc235b0de99a118ba99051bc6b590e9a36178963a411254103",
         # re-pinned when the exclusions gained "unresolvable_smile": 0, and for
-        # the same cut-off: its metrics moved by at most 1.7e-12 (max_ae)
-        "report.json": "26bca2edbfa289540f8bdafe094c79812f5b2fe129472833996de6002ed46408",
+        # the same cut-off: its metrics moved by at most 1.7e-12 (max_ae); and
+        # for the erfc CDF: 308 figures moved, by at most 6.4e-13 (max_ae)
+        "report.json": "86c22b6ca3c5b5ca53b16c60661e9526e815ede613ddf466f938e70e47bc99a8",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -839,10 +843,12 @@ class TestSurface:
         assert header == "asset,T,log_strike,strike,implied_vol"
 
     # sha256 of the default model's (reference case 1) smile export of each leg
-    # at T 0.25; a change that alters these bytes records the new digests and says why
+    # at T 0.25; a change that alters these bytes records the new digests and says why.
+    # Re-pinned when the normal CDF became 0.5 erfc(-d/sqrt 2): 29 (X) and 34 (Y)
+    # of 41 vols moved, by at most 7.7e-15
     SURFACE_DIGESTS = {
-        "X": "361b22acf237791ddd857e018402f89c829e8fed3b1dc5b7dbbb1d850f35ec96",
-        "Y": "0bf0fe59680bc24368667b475c7bbcfb43d994917f3330edd72b1385247c711b",
+        "X": "8f6458f34ce647bf77181fc937ad2e151496fd771eb9121bac56b3b3f39be29e",
+        "Y": "227e558115ebcaafe2d33fdf8010ff6aa479e3a0c691450524dae3c9326e5812",
     }
 
     @pytest.mark.parametrize("asset", ["X", "Y"])

@@ -380,18 +380,22 @@ class TestEmitPlotData:
 
     # sha256 of every plot extract: all five kinds on small_case, and the four
     # row kinds on tiny_rows; a change that alters these bytes records the new
-    # digests and says why
+    # digests and says why. The six "case" and ("grid", "implied_corr") digests
+    # were re-pinned when the normal CDF became 0.5 erfc(-d/sqrt 2): their
+    # figures moved by at most 9.7e-13 (skew), 1.7e-12 (case implied_corr),
+    # 9.1e-12 (ratio), 7.5e-15 (difference, moneyness_error) and 1.6e-14
+    # (grid implied_corr)
     EXTRACT_DIGESTS = {
-        ("case", "skew"): "7b272078420487e12df4bf5b52378d4f1ec4d1b4181f61681b6b61980701f9d8",
+        ("case", "skew"): "0fdb27087d88d5a62a66558f4840e295ffef1e83e09324b08ad0fc8972a43bec",
         ("case", "implied_corr"):
-            "dcffef600e755fc3ad6a60f218ccd2f201ac173753da5dec009f4fe31857020e",
-        ("case", "ratio"): "2c5d5a9bec92102900d764bca0318ede9dfae3d440c0b2cd5590f94f83641f81",
+            "4342964ebacf7d2414abf48e3524c03c82569865b807064985db2188d19be4a0",
+        ("case", "ratio"): "1f04c6f67f4cbaf3e3e8c9d83b0bd04f5565800f44f2e7a9c2f5ee571e9c5a7e",
         ("case", "difference"):
-            "06a12f6096157906b25637c1a2dac202813d16f6138af646afdc66bbf9c7e146",
+            "47294580a70dbbc6b733c036bd8760b99548b0d187275d3b709a4722b62557b8",
         ("case", "moneyness_error"):
-            "ee4fd6c04c25f10e2916ae8eb9b1068a9c83052de455896b943b1a73dcb8e1aa",
+            "6c0c669e1cd5245637c97fcacd5cf00a92078bb5114a8e77bafd8252d83916db",
         ("grid", "implied_corr"):
-            "3f5eea2259f85fcedd7d1fcdd40fbd5434ef43053893781ea5e6612f08df2370",
+            "61c489d2799ffd24407ce144c4ee15004ea687bec20eedf4cda33330bfcbbb09",
         ("grid", "ratio"): "2e088dfc7ab96756f95d67cc08b0c49f2a5afe2916b471a167395254a084bc9f",
         ("grid", "difference"):
             "2de483d7b71f3288e4fce62e473883f32982ea5d6c9c5dafae88c311ea994a9d",

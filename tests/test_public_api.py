@@ -2,7 +2,6 @@ import ast
 import importlib
 import inspect
 import json
-import math
 import os
 import pathlib
 import pkgutil
@@ -74,41 +73,46 @@ def test_control_variate_is_not_optional():
     assert "use_control_variate" not in {f.name for f in fields(simulation.McConfig)}
 
 
-def test_scipy_loads_on_the_first_inversion_only(tmp_path):
+def test_no_runtime_path_loads_scipy(tmp_path):
     # a fresh interpreter: this test session has imported SciPy for its oracles
     script = textwrap.dedent("""
         import contextlib, io, json, math, sys
         import exchopt, exchopt.cli
-        from exchopt import blackscholes, experiments, heston, simulation
+        from exchopt import (
+            a_star_observables, build_smile_grid, convention_gamma, exchange_implied_vol,
+            exchange_option_price, implied_vol, margrabe_price, measure_smile_observables,
+            simulation, strikes,
+        )
+        from exchopt.experiments import reference_case_model
 
-        def scipy_modules():
-            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        loaded = {}
 
-        loaded = {"import": scipy_modules()}
-        model = experiments.reference_case_model(1)
-        simulation.simulate_terminal(model, 0.05, simulation.McConfig(n_paths=64, seed=1))
-        heston.exchange_option_price(model, 0.25)
-        loaded["simulate_terminal, exchange_option_price"] = scipy_modules()
-        for argv, code in ((["--print-config"], 0), (["experiment", "run", "--dry-run"], 0),
-                           (["price", "exchange", "--T", "-1"], 2)):
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert exchopt.cli.main(["--out", sys.argv[1], *argv]) == code
-            loaded[" ".join(argv)] = scipy_modules()
-        x, k = math.log(100.0), math.log(110.0)
-        first = blackscholes.implied_vol(3.0, x, k, 0.25)
-        special = "scipy.special" in sys.modules
-        import scipy.special
-        # the quote path prices through the bound ndtr and nothing else of SciPy
-        heston.measure_smile_observables(model.heston, model.asset_x, model.asset_y, 0.25)
-        smile_x = heston.build_smile_grid(model.heston, model.asset_x, 0.25, asset_id="X")
-        smile_x.vol_at_moneyness(0.01)
-        print(json.dumps({
-            "loaded": loaded, "special": special,
-            "bound": blackscholes._ndtr is scipy.special.ndtr,
-            "vols": [first.hex(), blackscholes.implied_vol(3.0, x, k, 0.25).hex()],
-            "quote": [m for m in ("scipy.interpolate", "scipy.optimize", "scipy.linalg")
-                      if m in sys.modules],
-        }))
+        def step(name):
+            loaded[name] = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        step("import exchopt, exchopt.cli")
+        model, T = reference_case_model(1), 0.25
+        x, y = math.log(model.s0x), math.log(model.s0y)
+        simulation.simulate_exchange(model, 0.05, simulation.McConfig(n_paths=64, seed=1))
+        step("simulate_exchange")
+        exchange_implied_vol(exchange_option_price(model, T), x, y, T)
+        step("exchange_option_price, exchange_implied_vol")
+        obs = measure_smile_observables(model.heston, model.asset_x, model.asset_y, T)
+        smile_x = build_smile_grid(model.heston, model.asset_x, T, asset_id="X")
+        smile_y = build_smile_grid(model.heston, model.asset_y, T, asset_id="Y")
+        k_x, k_y = strikes(a_star_observables(obs, model.rho), x, y)
+        gamma = convention_gamma(
+            smile_x.vol_at_moneyness(k_x - x), smile_y.vol_at_moneyness(k_y - y), model.rho
+        )
+        margrabe_price(x, y, gamma, T)
+        step("quote")
+        implied_vol(3.0, math.log(100.0), math.log(110.0), T)
+        step("implied_vol")
+        for argv in (["price", "exchange"], ["convention", "solve"], ["surface", "--asset", "X"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert exchopt.cli.main(["--out", sys.argv[1], *argv]) == 0
+            step("exchopt " + " ".join(argv))
+        print(json.dumps(loaded))
     """)
     src = pathlib.Path(exchopt.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -116,12 +120,9 @@ def test_scipy_loads_on_the_first_inversion_only(tmp_path):
         timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert all(not modules for modules in out["loaded"].values()), out["loaded"]
-    assert out["special"] and out["bound"]
-    here = exchopt.implied_vol(3.0, math.log(100.0), math.log(110.0), 0.25).hex()
-    assert out["vols"] == [here, here]
-    assert out["quote"] == []
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == 8
+    assert {name: modules for name, modules in loaded.items() if modules} == {}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
