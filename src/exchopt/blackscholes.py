@@ -8,8 +8,8 @@ bracket-and-Newton loop inverts prices: ``implied_vol`` runs it on one price,
 Pricing and inversion run on Python floats: the normal CDF is
 ``0.5 * math.erfc(-d / sqrt 2)`` and the vega density takes ``math.exp``, so
 numpy appears only at ``_implied_vols``' array in and out.  Against a 50-digit
-reference the CDF is within 2 ulp on [-1, 8.2], and below -1 no worse than
-SciPy's ``ndtr``, which the tests keep as an oracle only.
+reference the CDF errs by at most about 2.1 ulp on [-1, 8.2], and below -1
+by no more than SciPy's ``ndtr``, which the tests keep as an oracle only.
 """
 
 from __future__ import annotations

@@ -112,7 +112,12 @@ def _typed(name: str, key: str, like: object, value: object) -> object:
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or type(like) is int and not integral):
         raise InputError(f"{name} config key {key} must be {kind}, got {value!r}")
-    return type(like)(value)
+    try:
+        return type(like)(value)
+    except OverflowError:  # a YAML integer beyond float range
+        raise InputError(
+            f"{name} config key {key} must be a finite number, got {value!r}"
+        ) from None
 
 
 def _section(name: str, given: dict) -> dict:

@@ -3,10 +3,12 @@ import inspect
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from exchopt import blackscholes, heston
 from exchopt.blackscholes import _implied_vols, bs_price, bs_vega, implied_vol
@@ -404,8 +406,10 @@ class TestBatchImpliedVols:
 INVERSION_DIGEST = "aa63ef30d997cbc938602578949b8078673d7b48ad97d5ce448357b42d8c7199"
 
 
-def inversion_digest_values():
-    values, n = [], heston.SMILE_GRID_POINTS
+@pytest.fixture(scope="module")
+def pinned_inversions():
+    """(price, x, k, T, vol) of every inversion INVERSION_DIGEST pins, in order."""
+    out, n = [], heston.SMILE_GRID_POINTS
     for case in (1, 2):
         m = reference_case_model(case)
         for T in (0.05, 0.25, 1.0):
@@ -421,7 +425,8 @@ def inversion_digest_values():
             batches.append((np.concatenate([q[n:] for q in quotes]), heston._QUOTE_WINDOW * 2))
             for tv, zs in batches:
                 prices = np.add(tv, [max(1.0 - math.exp(z), 0.0) for z in zs])
-                values.extend(_implied_vols(prices, 0.0, zs, T))
+                vols = _implied_vols(prices, 0.0, zs, T)
+                out.extend((p, 0.0, z, T, v) for p, z, v in zip(prices, zs, vols))
     spec, rng, inverted = GridSpec(), np.random.default_rng(24), 0
     triples = [
         (rho, rx, ry) for rho in spec.rho_list for rx in spec.rho_x_list for ry in spec.rho_y_list
@@ -436,11 +441,52 @@ def inversion_digest_values():
         )
         price = heston.exchange_option_price(model, T)
         if price - max(spec.s0x - s0y, 0.0) >= 0.01:
-            values.append(implied_vol(price, math.log(spec.s0x), math.log(s0y), T))
+            x, k = math.log(spec.s0x), math.log(s0y)
+            out.append((price, x, k, T, implied_vol(price, x, k, T)))
             inverted += 1
-    return np.array(values)
+    return out
 
 
-def test_inversion_bits_pinned():
-    digest = hashlib.sha256(inversion_digest_values().tobytes()).hexdigest()
-    assert digest == INVERSION_DIGEST
+def test_inversion_bits_pinned(pinned_inversions):
+    vols = np.array([vol for *_, vol in pinned_inversions])
+    assert hashlib.sha256(vols.tobytes()).hexdigest() == INVERSION_DIGEST
+
+
+def mp_bs_price(x, k, sigma, T):
+    """Black-Scholes call at 50 digits from mpmath's own normal CDF."""
+    with mpmath.workdps(50):
+        x, k, s = mpmath.mpf(x), mpmath.mpf(k), mpmath.mpf(sigma) * mpmath.sqrt(T)
+        d1 = (x - k) / s + s / 2
+        return mpmath.exp(x) * mpmath.ncdf(d1) - mpmath.exp(k) * mpmath.ncdf(d1 - s)
+
+
+def test_pinned_vols_reprice_at_50_digits(pinned_inversions):
+    # independent of the library's CDF (perfbench's gate prices with math.erfc
+    # too): every pinned vol reprices its price within the inversion's 1e-12
+    # of spot
+    misses = [
+        (price, x, k, T, vol) for price, x, k, T, vol in pinned_inversions
+        if abs(mp_bs_price(x, k, vol, T) - price) > 1e-12 * math.exp(x)
+    ]
+    assert len(pinned_inversions) == 717
+    assert misses == []
+
+
+def ulp_errors(cdf, ds):
+    """|cdf(d) - N(d)| in units in the last place of N(d), N at 50 digits."""
+    with mpmath.workdps(50):
+        exact = [mpmath.ncdf(d) for d in ds]
+        return [float(abs(cdf(d) - e)) / math.ulp(float(e)) for d, e in zip(ds, exact)]
+
+
+@pytest.mark.parametrize("lo, hi", [(-37.0, -10.0), (-10.0, -1.0), (-1.0, 1.0), (1.0, 8.2)])
+def test_normal_cdf_against_50_digits(lo, hi):
+    # 2000 seeded draws a band; SciPy's ndtr is the reference the CDF replaced.
+    # On [-1, 1] the rounding of -d/sqrt 2 is amplified near d = -1: the worst
+    # seen over 60 000 draws there is 2.12 ulp, so the bound is 2.5, not 2
+    ds = np.random.default_rng(29).uniform(lo, hi, 2000).tolist()
+    ours = max(ulp_errors(blackscholes._ncdf, ds))
+    scipy_ndtr = max(ulp_errors(lambda d: float(ndtr(d)), ds))
+    if lo >= -1.0:
+        assert ours <= 2.5
+    assert ours <= scipy_ndtr

@@ -744,8 +744,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "config",
-        [{"model": {"kappa": "abc"}}, {"grid": [1, 2]}, {"model": None}],
-        ids=["value", "attribute", "null-model"],
+        [{"model": {"kappa": "abc"}}, {"grid": [1, 2]}, {"model": None}, {"maturity": 10**400}],
+        ids=["value", "attribute", "null-model", "huge-maturity"],
     )
     def test_mistyped_config_exit_2(self, capsys, out_dir, tmp_path, config):
         cfg = tmp_path / "bad.yaml"
@@ -768,9 +768,13 @@ class TestConfigHandling:
             ({"grid": {"T_list": 0.05}}, "T_list"),
             ({"grid": {"rho_list": [0.5, "0.1"]}}, "rho_list"),
             ({"maturity": "0.05"}, "maturity"),
+            ({"maturity": 10**400}, "maturity"),
+            ({"model": {"kappa": 10**400}}, "kappa"),
+            ({"grid": {"T_list": [0.05, 10**400]}}, "T_list"),
         ],
         ids=["int", "bool-as-int", "bool-as-float", "bool-in-list", "string-as-float",
-             "string-as-list", "number-as-list", "string-in-list", "string-maturity"],
+             "string-as-list", "number-as-list", "string-in-list", "string-maturity",
+             "huge-maturity", "huge-float", "huge-in-list"],
     )
     def test_mistyped_scalar_key_exit_2(self, capsys, out_dir, tmp_path, config, key):
         cfg = tmp_path / "bad.yaml"

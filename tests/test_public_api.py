@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -138,3 +139,23 @@ def test_no_module_imports_a_name_it_never_uses(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used.update(getattr(module, "__all__", ()))
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # every import in src/exchopt, at module level or inside a function, is
+    # exchopt's own, the standard library's or a runtime dependency, and each
+    # runtime dependency is imported: SciPy cannot creep back in unlisted
+    package = pathlib.Path(exchopt.__file__).resolve().parent
+    roots = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    third_party = roots - set(sys.stdlib_module_names) - {"exchopt"}
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    distributions = re.findall(r'"([A-Za-z0-9_.-]+)', block)
+    assert third_party == {{"pyyaml": "yaml"}.get(d.lower(), d.lower()) for d in distributions}
+    assert third_party == {"numpy", "yaml"}
