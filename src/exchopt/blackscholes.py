@@ -2,21 +2,19 @@
 
 Everything works on log spot ``x``, log strike ``k`` and time to expiry ``T``;
 prices are undiscounted (zero rates throughout the library).  One
-bracket-and-Newton loop inverts prices: ``implied_vol`` runs it on one price,
-``_implied_vols`` on each of a smile's log-strikes at one x and T.
+bracket-and-Newton loop inverts a price (``implied_vol``); a caller with many
+prices maps it over them.
 
 Pricing and inversion run on Python floats: the normal CDF is
 ``0.5 * math.erfc(-d / sqrt 2)`` and the vega density takes ``math.exp``, so
-numpy appears only at ``_implied_vols``' array in and out.  Against a 50-digit
-reference the CDF errs by at most about 2.1 ulp on [-1, 8.2], and below -1
-by no more than SciPy's ``ndtr``, which the tests keep as an oracle only.
+the module needs no numpy.  Against a 50-digit reference the CDF errs by at
+most about 2.1 ulp on [-1, 8.2], and below -1 by no more than SciPy's
+``ndtr``, which the tests keep as an oracle only.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError, InputError, NumericalError, finite
 
@@ -38,12 +36,12 @@ def _ncdf(d: float) -> float:
     return 0.5 * math.erfc(-d * _SQRT1_2)
 
 
-def _check_exp(**kwargs):
-    for name, v in kwargs.items():
-        try:
-            math.exp(v)
-        except OverflowError:
-            raise InputError(f"{name}={v} too large: e^{name} overflows a float") from None
+def _exp(name: str, v: float) -> float:
+    """e^v, or InputError naming ``name`` when it overflows a float."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise InputError(f"{name}={v} too large: e^{name} overflows a float") from None
 
 
 def _exp_legs(x: float, k: float, sigma: float, T: float) -> tuple[float, float]:
@@ -54,10 +52,7 @@ def _exp_legs(x: float, k: float, sigma: float, T: float) -> tuple[float, float]
         raise InputError(f"negative time to expiry T={T}")
     if sigma < 0:
         raise InputError(f"negative sigma={sigma}")
-    try:
-        return math.exp(x), math.exp(k)
-    except OverflowError:
-        _check_exp(x=x, k=k)
+    return _exp("x", x), _exp("k", k)
 
 
 def bs_price(x: float, k: float, sigma: float, T: float) -> float:
@@ -100,26 +95,11 @@ def implied_vol(price: float, x: float, k: float, T: float) -> float:
     strict no-arbitrage bracket intrinsic < price < e^x, NumericalError when
     the iteration cap is hit.
     """
-    return _invert(price, x, k, T)
-
-
-def _implied_vols(prices, x: float, ks, T: float) -> np.ndarray:
-    """implied_vol over log-strikes ``ks`` at one x and T, as an array: the
-    lowest failing element raises the error implied_vol raises for it."""
-    prices, ks = np.asarray(prices, dtype=float).tolist(), np.asarray(ks, dtype=float).tolist()
-    return np.array([_invert(p, x, k, T) for p, k in zip(prices, ks)], dtype=float)
-
-
-def _invert(price: float, x: float, k: float, T: float) -> float:
-    """implied_vol's checks and bracket-and-Newton loop, in Python floats."""
     if not math.isfinite(price + x + k + T):  # a term is not finite, or the sum overflows
         finite(price=price, x=x, k=k, T=T)
     if T <= 0:
         raise DomainError(f"cannot invert at expiry: T={T} <= 0")
-    try:
-        spot, ek = math.exp(x), math.exp(k)
-    except OverflowError:
-        _check_exp(x=x, k=k)
+    spot, ek = _exp("x", x), _exp("k", k)
     intrinsic = max(spot - ek, 0.0)
     if not (intrinsic < price < spot):
         raise DomainError(f"price {price} outside arbitrage bounds ({intrinsic}, {spot})")

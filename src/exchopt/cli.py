@@ -176,9 +176,9 @@ def _cmd_price_exchange(cfg: RunConfig, args) -> int:
     smile_x = heston.build_smile_grid(model.heston, model.asset_x, cfg.maturity, asset_id="X")
     smile_y = heston.build_smile_grid(model.heston, model.asset_y, cfg.maturity, asset_id="Y")
     x, y = math.log(model.s0x), math.log(model.s0y)
-    k_x, k_y, i_x, i_y, gamma, price = experiments._price_points(
-        smile_x, smile_y, model.rho, x, [y], cfg.maturity, a
-    )[0]
+    k_x, k_y, i_x, i_y, gamma, price = experiments._price_point(
+        smile_x, smile_y, model.rho, x, y, cfg.maturity, a
+    )
     print(f"convention {name} (a={a:.6f})")
     print(f"strikes kX={k_x:.6f} kY={k_y:.6f} (K_X={math.exp(k_x):.4f} K_Y={math.exp(k_y):.4f})")
     print(f"leg vols IX={i_x:.6f} IY={i_y:.6f}")

@@ -7,10 +7,11 @@ grid's correlation triples and their one PSD verdict are listed once
 every leg a valid triple uses gets one smile and every (rho_X, rho_Y) pair one
 observables measurement; each valid triple then gets one a*, one Monte Carlo
 sample and the rows of all its S0Y together, each convention's a resolved once
-and its vols read in one lookup per leg (``_triple_rows``, which
-``run_test_case`` shares).  The sample is one normalized path set, repriced at
-every moneyness by payoff homogeneity in the initial spots, which also smooths
-error curves across moneyness via common random numbers.
+and each point priced with one vol read per leg (``_triple_rows`` over
+``_price_point``, which ``run_test_case`` shares).  The sample is one
+normalized path set, repriced at every moneyness by payoff homogeneity in the
+initial spots, which also smooths error curves across moneyness via common
+random numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import numpy as np
 
 from . import convention as conv
 from . import heston, margrabe
-from .errors import DegenerateConventionError, DomainError, InputError, NumericalError, positive
+from .errors import (
+    DegenerateConventionError, DomainError, InputError, NumericalError, correlation, positive,
+)
 from .models import (
     AssetSpec, CorrelationStructure, HestonParams, TwoAssetModel, validate_correlation,
 )
@@ -86,6 +89,9 @@ class GridSpec:
                 raise InputError(f"{name} repeats a value: {list(values)}")
         for T in self.T_list:
             positive(T_list=T)
+        for name in ("rho_list", "rho_x_list", "rho_y_list"):
+            for rho in getattr(self, name):
+                correlation(**{name: rho})
         positive(s0x=self.s0x)
         for s0y in self.s0y_list:
             positive(s0y_list=s0y)
@@ -180,20 +186,15 @@ def _convention_a(name: str, a_star: Callable[[], float | None]) -> float:
     return conv.bound_a(a) if name == "a_star_bounded" else a
 
 
-def _price_points(
-    smile_x: heston.Smile, smile_y: heston.Smile, rho: float, x: float, ys: Sequence[float],
-    T: float, a: float,
-) -> list[tuple[float, float, float, float, float, float]]:
-    """(k_X, k_Y, I_X, I_Y, gamma, margrabe price) of convention a at log spots
-    (x, y) for each y in ``ys``, with one vol lookup per leg over all of them."""
-    ks = [conv.strikes(a, x, y) for y in ys]
-    i_x = smile_x.vol_at_moneyness(np.array([k_x - x for k_x, _ in ks])).tolist()
-    i_y = smile_y.vol_at_moneyness(np.array([k_y - y for (_, k_y), y in zip(ks, ys)])).tolist()
-    out = []
-    for y, (k_x, k_y), v_x, v_y in zip(ys, ks, i_x, i_y):
-        gamma = margrabe.convention_gamma(v_x, v_y, rho)
-        out.append((k_x, k_y, v_x, v_y, gamma, margrabe.margrabe_price(x, y, gamma, T)))
-    return out
+def _price_point(
+    smile_x: heston.Smile, smile_y: heston.Smile, rho: float, x: float, y: float, T: float,
+    a: float,
+) -> tuple[float, float, float, float, float, float]:
+    """(k_X, k_Y, I_X, I_Y, gamma, margrabe price) of convention a at log spots (x, y)."""
+    k_x, k_y = conv.strikes(a, x, y)
+    i_x, i_y = smile_x.vol_at_moneyness(k_x - x), smile_y.vol_at_moneyness(k_y - y)
+    gamma = margrabe.convention_gamma(i_x, i_y, rho)
+    return k_x, k_y, i_x, i_y, gamma, margrabe.margrabe_price(x, y, gamma, T)
 
 
 def _point(T: float, corr: CorrelationStructure, s0x: float, s0y: float) -> dict:
@@ -217,39 +218,39 @@ def _triple_rows(
     a_star: float | None, conventions: Sequence[str],
 ) -> list[dict]:
     """Rows of one (T, triple)'s priced points, point by point and one per
-    convention: each convention's a is resolved once and priced at every point
-    together; a convention whose a* is unavailable gets excluded rows."""
+    convention: each convention's a is resolved once (None where a* is
+    unavailable, whose rows are excluded), then each point's rows are built
+    together."""
     if not priced:
         return []
     T, rho, s0x = (priced[0][0][k] for k in ("T", "rho", "s0X"))
-    x, ys = math.log(s0x), [math.log(point["s0Y"]) for point, _ in priced]
-    gamma_hats = []
-    for (_, est), y in zip(priced, ys):
+    x = math.log(s0x)
+    a_values = []
+    for name in conventions:
         try:
-            gamma_hats.append(margrabe.exchange_implied_vol(est.value, x, y, T))
-        except (DomainError, NumericalError):
-            gamma_hats.append(math.nan)
-    columns = []
+            a_values.append((name, _convention_a(name, lambda: a_star)))
+        except DegenerateConventionError:
+            a_values.append((name, None))
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)
-        for name in conventions:
+        for point, est in priced:
+            y = math.log(point["s0Y"])
             try:
-                a = _convention_a(name, lambda: a_star)
-            except DegenerateConventionError:
-                columns.append([_row(p, name, est, "degenerate_convention")
-                                for p, est in priced])
-                continue
-            column = []
-            for (point, est), g_hat, (k_x, k_y, i_x, i_y, _, price) in zip(
-                priced, gamma_hats, _price_points(smile_x, smile_y, rho, x, ys, T, a)
-            ):
+                g_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
+            except (DomainError, NumericalError):
+                g_hat = math.nan
+            for name, a in a_values:
+                if a is None:
+                    rows.append(_row(point, name, est, "degenerate_convention"))
+                    continue
+                k_x, k_y, i_x, i_y, _, price = _price_point(smile_x, smile_y, rho, x, y, T, a)
                 rho_hat = (margrabe.implied_correlation(g_hat, i_x, i_y)
-                           if np.isfinite(g_hat) else math.nan)
-                column.append(_row(point, name, est, a_value=a, kX=k_x, kY=k_y, IX=i_x,
-                                   IY=i_y, margrabe_price=price, error=price - est.value,
-                                   implied_corr=rho_hat))
-            columns.append(column)
-    return [row for point_rows in zip(*columns) for row in point_rows]
+                           if math.isfinite(g_hat) else math.nan)
+                rows.append(_row(point, name, est, a_value=a, kX=k_x, kY=k_y, IX=i_x, IY=i_y,
+                                 margrabe_price=price, error=price - est.value,
+                                 implied_corr=rho_hat))
+    return rows
 
 
 def run_test_case(

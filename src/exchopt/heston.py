@@ -17,8 +17,9 @@ runs per panel and only on a miss.  The kernel keeps its last few batches,
 read-only, so every caller shares one memo.  A leg's smile knots (one
 read-only grid) and first-rung convention-window strikes are one batch per
 (leg, T) (``_QUOTE_STRIKES``), which the smile and the observables both read;
-a leg's kept knots, and both legs' window strikes of a rung, are inverted as
-one batch.  The complex log1p is taken in real arithmetic.
+a leg's kept knots, and both legs' window strikes of a rung, are inverted in
+one call, strike by strike (``_vols_from_time_values``).  The complex log1p is
+taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -303,10 +304,11 @@ def heston_vanilla_price(
     return asset.s0 * _unit_call(k, *_leg_args(params, asset), T)
 
 
-def _vols_from_time_values(tvs: Sequence[float], zs: Sequence[float], T: float) -> np.ndarray:
-    """Implied vols at log-moneyness ``zs`` from unit-spot time values, one batch."""
-    prices = np.add(tvs, [max(1.0 - math.exp(z), 0.0) for z in zs])
-    return blackscholes._implied_vols(prices, 0.0, zs, T)
+def _vols_from_time_values(tvs: Sequence[float], zs: Sequence[float], T: float) -> list[float]:
+    """Implied vols at log-moneyness ``zs`` from unit-spot time values, in order:
+    the first failing inversion raises its error."""
+    return [blackscholes.implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
+            for tv, z in zip(map(float, tvs), map(float, zs))]
 
 
 def exchange_option_price(model: TwoAssetModel, T: float) -> float:
@@ -404,18 +406,13 @@ class Smile:
     def z_bounds(self) -> tuple[float, float]:
         return float(self.log_moneyness[0]), float(self.log_moneyness[-1])
 
-    def vol_at_moneyness(self, z: float | np.ndarray) -> float | np.ndarray:
-        """Implied vol at log-moneyness z = log(K / s0), flat beyond the knots;
-        an array of z gives the array of its scalar reads."""
-        if np.ndim(z):
-            z = np.asarray(z, dtype=float)
-            return np.fromiter(map(self._read, z.ravel().tolist()), float, z.size).reshape(z.shape)
-        return self._read(float(z))
-
-    def _read(self, z: float) -> float:
-        """SciPy's ``PPoly`` read of the cubic at z clipped to the knots: on the
+    def vol_at_moneyness(self, z: float) -> float:
+        """Implied vol at log-moneyness z = log(K / s0), flat beyond the knots:
+        SciPy's ``PPoly`` read of the cubic at z clipped to the knots, on the
         interval x_i <= z < x_i+1 (the last one closed), c3 + c2 s + c1 s^2 +
-        c0 s^2 s with s = z - x_i, summed in that order."""
+        c0 s^2 s with s = z - x_i, summed in that order.  A non-scalar z is
+        refused (TypeError), a non-finite one is an InputError."""
+        z = float(z)
         finite(z=z)
         knots = self._knots
         if z < knots[0]:
@@ -485,13 +482,12 @@ def measure_smile_observables(
             tv = _time_values(*_leg_args(params, asset), T, batch)[-3:]
             if min(tv[0], tv[2]) < MIN_TIME_VALUE:
                 break
-            tvs.append(tv)
-        if len(tvs) < 2:
+            tvs += tv.tolist()
+        if len(tvs) < 6:
             continue
         lo, hi = zs[0], zs[2]
         try:  # both legs' (lo, 0, hi) in one batch
-            vols = _vols_from_time_values(np.concatenate(tvs), zs * 2, T)
-            (dn_x, atm_x, up_x), (dn_y, atm_y, up_y) = vols.reshape(2, 3)
+            dn_x, atm_x, up_x, dn_y, atm_y, up_y = _vols_from_time_values(tvs, zs * 2, T)
         except (DomainError, NumericalError) as err:
             last_err = err
             continue

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from exchopt import blackscholes, heston
-from exchopt.blackscholes import _implied_vols, bs_price, bs_vega, implied_vol
+from exchopt.blackscholes import bs_price, bs_vega, implied_vol
 from exchopt.errors import DomainError, InputError, NumericalError
 from exchopt.experiments import GridSpec, reference_case_model
 from exchopt.margrabe import exchange_implied_vol, margrabe_price
@@ -45,8 +45,8 @@ def bisect_iv(price, x, k, T, lo=1e-8, hi=5.0, tol=1e-12):
 
 def checked_implied_vol(price, x, k, T, tol=1e-12):
     """The Newton/bracket loop of implied_vol, one price at a time on the
-    public, argument-checking bs_price and bs_vega: the reference for the
-    loop that implied_vol and the batch inversion share."""
+    public, argument-checking bs_price and bs_vega: the reference for
+    implied_vol's loop."""
     lo, hi = 1e-6, 5.0
     while bs_price(x, k, hi, T) < price:
         hi *= 2.0
@@ -239,17 +239,8 @@ def test_overflowing_log_argument_refused(fn, args, name):
 
 
 def checked_loop(prices, x, ks, T, tol=1e-12):
-    """checked_implied_vol one element at a time: the reference for _implied_vols."""
+    """checked_implied_vol one element at a time."""
     return [checked_implied_vol(p, x, k, T, tol) for p, k in zip(prices, ks)]
-
-
-def bad_price(kind, x, k, T):
-    return {
-        "nan": math.nan,
-        "intrinsic": max(math.exp(x) - math.exp(k), 0.0),
-        "spot": math.exp(x),
-        "below_lo": bs_price(x, k, 1e-7, T),  # at the money, below the sigma = 1e-6 price
-    }[kind]
 
 
 def raised(fn, *args):
@@ -260,7 +251,7 @@ def raised(fn, *args):
         return (type(err), str(err)), None
 
 
-class TestBatchImpliedVols:
+class TestInversionLoop:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @leg_models
     def test_smile_vols_equal_the_checked_loop(self, kappa, theta, nu, sigma0, lam, rho_sv, T):
@@ -275,127 +266,64 @@ class TestBatchImpliedVols:
                 assert vol == checked_implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        x=st.floats(-1.0, 6.0),
-        T=st.floats(1e-4, 5.0),
-        legs=st.integers(1, 50).flatmap(lambda n: st.lists(
-            st.tuples(st.floats(-1.5, 1.5), st.floats(1e-3, 10.0)), min_size=n, max_size=n)),
-        bad=st.lists(st.tuples(
-            st.integers(0, 49), st.sampled_from(("nan", "intrinsic", "spot", "below_lo"))), max_size=3),
-    )
-    def test_batch_equals_each_element_alone(self, x, T, legs, bad):
-        # every valid element carries the checked loop's bits, and the batch
-        # raises the lowest failing element's error as that element raises it
-        ks = [x + dk for dk, _ in legs]
-        prices = [bs_price(x, k, sigma, T) for k, (_, sigma) in zip(ks, legs)]
-        for i, kind in bad:
-            if i < len(ks):
-                if kind == "below_lo":
-                    ks[i] = x
-                prices[i] = bad_price(kind, x, ks[i], T)
-        alone = [raised(implied_vol, p, x, k, T) for p, k in zip(prices, ks)]
-        for (err, vol), p, k in zip(alone, prices, ks):
-            if err is None:
-                assert vol == checked_implied_vol(p, x, k, T)
-        first = next((err for err, _ in alone if err), None)
-        err, vols = raised(_implied_vols, prices, x, ks, T)
-        assert err == first
-        if first is None:
-            assert vols.tolist() == [vol for _, vol in alone]
+    @given(x=st.floats(-1.0, 6.0), T=st.floats(1e-4, 5.0), dk=st.floats(-1.5, 1.5),
+           sigma=st.floats(1e-3, 10.0))
+    def test_equals_the_checked_loop(self, x, T, dk, sigma):
+        # wherever the price inverts, with the checked loop's bits
+        price = bs_price(x, x + dk, sigma, T)
+        err, vol = raised(implied_vol, price, x, x + dk, T)
+        if err is None:
+            assert vol == checked_implied_vol(price, x, x + dk, T)
 
     def test_bracket_doubling_and_collapse_exits(self, monkeypatch):
         # deep out of the money and short-dated at vols above the starting
         # bracket [1e-6, 5]: the vega at the seed is 0, so the first step
         # bisects up to the doubled upper end
-        T, ks = 0.01, np.repeat([0.3, 0.4, 0.5], 5)
+        T, ks = 0.01, np.repeat([0.3, 0.4, 0.5], 5).tolist()
         prices = [bs_price(0.0, k, s, T) for k, s in zip(ks, [6.0, 7.0, 9.0, 12.0, 20.0] * 3)]
-        assert _implied_vols(prices, 0.0, ks, T).tolist() == checked_loop(prices, 0.0, ks, T)
+        got = [implied_vol(p, 0.0, k, T) for p, k in zip(prices, ks)]
+        assert got == checked_loop(prices, 0.0, ks, T)
         # with the price tolerance at 1e-16 of spot these knots leave through
         # the collapsed bracket just after a Newton step inside it, at a
         # midpoint whose price misses by more than the tolerance
         monkeypatch.setattr(blackscholes, "_IV_PRICE_TOL", 1e-16)
         T, ks = 1.0, [0.28, 0.24, 0.38, 0.48]
         prices = [bs_price(0.0, k, s, T) for k, s in zip(ks, [0.76, 0.83, 1.43, 1.14])]
-        got = _implied_vols(prices, 0.0, ks, T)
-        assert got.tolist() == checked_loop(prices, 0.0, ks, T, tol=1e-16)
+        got = [implied_vol(p, 0.0, k, T) for p, k in zip(prices, ks)]
+        assert got == checked_loop(prices, 0.0, ks, T, tol=1e-16)
         assert all(abs(bs_price(0.0, k, v, T) - p) > 1e-16 for k, v, p in zip(ks, got, prices))
 
-    @pytest.mark.parametrize("i", [0, 2, 5])
-    @pytest.mark.parametrize("bad, error, message", [
-        ("nan", InputError, "non-finite price=nan"),
-        ("intrinsic", DomainError, "price 0.0 outside arbitrage bounds (0.0, 1.0)"),
-        ("spot", DomainError, "price 1.0 outside arbitrage bounds (0.0, 1.0)"),
-        ("below_lo", DomainError, "price 1e-10 below sigma=1e-06 value"),
-    ])
-    def test_first_failure_raises_its_own_error(self, i, bad, error, message):
+    @pytest.mark.parametrize("price, error, message", [
+        (math.nan, InputError, "non-finite price=nan"),
+        (0.0, DomainError, "price 0.0 outside arbitrage bounds (0.0, 1.0)"),
+        (1.0, DomainError, "price 1.0 outside arbitrage bounds (0.0, 1.0)"),
+        (1e-10, DomainError, "price 1e-10 below sigma=1e-06 value"),
+    ], ids=["nan", "intrinsic", "spot", "below_lo"])
+    def test_refused_price_raises_its_own_error(self, price, error, message):
         # at the money, where 1e-10 lies below the sigma = 1e-6 price 9e-8
-        T, ks = 0.05, np.zeros(7)
-        prices = [bs_price(0.0, 0.0, s, T) for s in np.linspace(0.1, 0.7, 7)]
-        prices[i] = {"nan": math.nan, "intrinsic": 0.0, "spot": 1.0, "below_lo": 1e-10}[bad]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            implied_vol(prices[i], 0.0, 0.0, T)
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            _implied_vols(prices, 0.0, ks, T)
+            implied_vol(price, 0.0, 0.0, 0.05)
 
-    def test_lowest_of_two_failing_elements_wins(self):
-        # both below the sigma = 1e-6 price, so both fail inside the loop
-        T, ks = 0.05, np.zeros(7)
-        prices = [bs_price(0.0, 0.0, s, T) for s in np.linspace(0.1, 0.7, 7)]
-        prices[2], prices[5] = 2e-10, 1e-10
-        with pytest.raises(DomainError, match=r"^price 2e-10 below sigma=1e-06 value$"):
-            _implied_vols(prices, 0.0, ks, T)
-
-    def test_lowest_index_wins_over_an_earlier_stage(self, monkeypatch):
-        # at zero price tolerance the deep out-of-the-money element 1 runs
-        # into the iteration cap, after element 3 has already failed the
-        # arbitrage check: the batch raises element 1's error
+    def test_iteration_cap_raises_with_its_bracket(self, monkeypatch):
+        # at zero price tolerance a deep out-of-the-money price runs into the
+        # iteration cap
         monkeypatch.setattr(blackscholes, "_IV_PRICE_TOL", 0.0)
-        T, ks = 0.05, [0.0, 0.2, 0.1, 0.3]
-        prices = [bs_price(0.0, k, 0.05, T) for k in ks]
-        prices[3] = 1.0
+        T, k = 0.05, 0.2
         message = (
             "implied vol did not converge after 100 iterations (price=4.971561606701643e-75, "
             "x=0.0, k=0.2, T=0.05, bracket=[1e-06, 0.06392256632842405])"
         )
         with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-            implied_vol(prices[1], 0.0, ks[1], T)
-        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-            _implied_vols(prices, 0.0, ks, T)
+            implied_vol(bs_price(0.0, k, 0.05, T), 0.0, k, T)
 
-    def test_overflowing_strike_is_refused_in_index_order(self):
-        # the lowest refused element wins, whichever check refuses it
-        T, ks = 0.05, np.zeros(6)
-        prices = [bs_price(0.0, 0.0, s, T) for s in np.linspace(0.1, 0.6, 6)]
-        batch = prices[:]
-        batch[2], ks[4] = 1.0, 800.0
-        with pytest.raises(DomainError, match=r"^price 1\.0 outside arbitrage bounds \(0\.0, 1\.0\)$"):
-            _implied_vols(batch, 0.0, ks, T)
-        ks[1] = 800.0
-        with pytest.raises(InputError, match=overflow_message("k")):
-            _implied_vols(batch, 0.0, ks, T)
-        # a lower element that fails inside the loop wins over the overflow
-        batch[0] = 1e-10
-        with pytest.raises(DomainError, match=r"^price 1e-10 below sigma=1e-06 value$"):
-            _implied_vols(batch, 0.0, ks, T)
-        with pytest.raises(InputError, match=overflow_message("x")):
-            _implied_vols(prices, 800.0, np.zeros(6), T)
-
-    def test_unattainable_price_raises_the_scalar_error(self):
+    def test_unattainable_price_raises(self):
         # half the spot at the money and T 1e-12 needs sigma above the 1e3 cap:
-        # the batch's upper end doubles past it and the scalar loop raises
-        msg = r"^price 0\.5 not attainable below sigma=1280\.0$"
-        with pytest.raises(DomainError, match=msg):
+        # the upper end doubles past it
+        with pytest.raises(DomainError, match=r"^price 0\.5 not attainable below sigma=1280\.0$"):
             implied_vol(0.5, 0.0, 0.0, 1e-12)
-        with pytest.raises(DomainError, match=msg):
-            _implied_vols([0.5], 0.0, [0.0], 1e-12)
-
-    def test_expiry_and_empty_batch(self):
-        with pytest.raises(DomainError, match=r"^cannot invert at expiry: T=0\.0 <= 0$"):
-            _implied_vols([0.1, 0.2], 0.0, [0.0, 0.1], 0.0)
-        assert _implied_vols([], 0.0, [], 1.0).size == 0
 
 
-# sha256 of the inversion's bits: _implied_vols on the quote batches (each
+# sha256 of the inversion's bits: implied_vol on the quote batches (each
 # leg's kept smile knots, then both legs' first-rung window strikes) of both
 # reference cases at T 0.05, 0.25 and 1.0, then implied_vol on the exact
 # exchange prices of 200 seeded paper-grid points whose time value is at least
@@ -424,9 +352,9 @@ def pinned_inversions():
                 batches.append((quote[knots], heston._SMILE_KNOTS[knots]))
             batches.append((np.concatenate([q[n:] for q in quotes]), heston._QUOTE_WINDOW * 2))
             for tv, zs in batches:
-                prices = np.add(tv, [max(1.0 - math.exp(z), 0.0) for z in zs])
-                vols = _implied_vols(prices, 0.0, zs, T)
-                out.extend((p, 0.0, z, T, v) for p, z, v in zip(prices, zs, vols))
+                for t, z in zip(tv.tolist(), map(float, zs)):
+                    price = t + max(1.0 - math.exp(z), 0.0)
+                    out.append((price, 0.0, z, T, implied_vol(price, 0.0, z, T)))
     spec, rng, inverted = GridSpec(), np.random.default_rng(24), 0
     triples = [
         (rho, rx, ry) for rho in spec.rho_list for rx in spec.rho_x_list for ry in spec.rho_y_list

@@ -756,6 +756,21 @@ class TestConfigHandling:
         assert code == 2
         assert "ERROR code=2 type=InputError" in err
 
+    # every command builds the grid from the config, so each refuses it
+    @pytest.mark.parametrize("argv", [
+        ["--print-config"], ["price", "exchange"], ["price", "mc"], ["surface", "--asset", "X"],
+        ["convention", "solve"], ["experiment", "run", "--dry-run"],
+        ["experiment", "report", "--results", "results.csv"],
+    ], ids=lambda argv: "-".join(a.strip("-") for a in argv[:2]))
+    def test_grid_correlation_outside_minus_one_one_exit_2(self, capsys, out_dir, tmp_path, argv):
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(yaml.safe_dump({"grid": {"rho_x_list": [-0.12, 1.5]}}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "--out", out_dir, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR code=2 type=InputError")
+        assert "rho_x_list must lie in [-1, 1], got 1.5" in err
+
     @pytest.mark.parametrize(
         "config, key",
         [

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exchopt import experiments, heston
 from exchopt.convention import (
     A_BOUNDS,
     a_star_observables,
@@ -15,6 +17,7 @@ from exchopt.convention import (
     strikes,
 )
 from exchopt.errors import DegenerateConventionError, InputError
+from exchopt.experiments import reference_case_model
 from exchopt.heston import SmileObservables
 from exchopt.models import CorrelationStructure as Corr
 
@@ -278,3 +281,37 @@ class TestGeneralResidual:
 
         with pytest.raises(DomainError):
             general_residual(0.2, 0.2, 0.05, 0.05, Corr(1.0, 0.1, 0.1), 0.5, 0.5)
+
+
+def convention_error(model, T, a):
+    """E = Margrabe price of convention a, read off the legs' grid smiles,
+    less the exact exchange price."""
+    smiles = [heston.build_smile_grid(model.heston, leg, T)
+              for leg in (model.asset_x, model.asset_y)]
+    x, y = math.log(model.s0x), math.log(model.s0y)
+    price = experiments._price_point(*smiles, model.rho, x, y, T, a)[-1]
+    return price - heston.exchange_option_price(model, T)
+
+
+def first_order_error(model, T, a, nu=0.02):
+    """c1 of E = c1 nu + O(nu^2) in vol-of-vol, by Richardson on nu and nu/2."""
+    e_nu, e_half = (convention_error(replace(model, heston=replace(model.heston, nu=v)), T, a)
+                    for v in (nu, nu / 2))
+    return (4.0 * e_half - e_nu) / nu
+
+
+class TestFirstOrderClaim:
+    # the paper's claim at first order in vol-of-vol, without Monte Carlo: the
+    # z-slope of c1 (z = log(S0Y/S0X)) is linear in a and vanishes at a*_param
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("T", [0.05, 0.25])
+    def test_z_slope_of_first_order_error_vanishes_at_parametric_a_star(self, case, T):
+        m = reference_case_model(case)
+        slopes = []
+        for a in (0.0, 1.0, 2.0):
+            lo, hi = (first_order_error(replace(m, s0y=s0y), T, a) for s0y in (98.0, 102.0))
+            slopes.append((hi - lo) / math.log(102.0 / 98.0))
+        span = slopes[2] - slopes[0]
+        assert abs(slopes[0] - 2.0 * slopes[1] + slopes[2]) <= 1e-3 * abs(span)
+        zero = -2.0 * slopes[0] / span
+        assert zero == pytest.approx(a_star_parametric(m.lam_x, m.lam_y, m.corr), abs=0.02)

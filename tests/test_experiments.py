@@ -50,6 +50,14 @@ def test_grid_refuses_an_empty_list(name):
         tiny_spec(**{name: ()})
 
 
+@pytest.mark.parametrize("name", ["rho_list", "rho_x_list", "rho_y_list"])
+@pytest.mark.parametrize("value", [1.5, -1.0000001, math.nan])
+def test_grid_refuses_a_correlation_outside_minus_one_one(name, value):
+    # refused when the spec is built, naming its list, not later by _triples
+    with pytest.raises(InputError, match=rf"^{name} must lie in \[-1, 1\], got {value}$"):
+        tiny_spec(**{name: (0.1, value)})
+
+
 class TestExclusionCounts:
     def test_paper_grid_fraction(self):
         summary = grid_exclusion_summary(GridSpec())

@@ -336,18 +336,6 @@ class TestSmile:
         assert smile.vol_at_moneyness(lo - 0.5) == smile.vol_at_moneyness(lo)
         assert smile.vol_at_moneyness(hi + 0.5) == smile.vol_at_moneyness(hi)
 
-    def test_array_read_equals_scalar_reads_bit_for_bit(self, case1_model):
-        # the trimmed Y leg: its knots, between them and beyond both ends
-        smile = build_smile_grid(BASE_PARAMS, case1_model.asset_y, 0.05, asset_id="Y")
-        lo, hi = smile.z_bounds
-        z = np.concatenate((smile.log_moneyness, np.linspace(lo - 0.3, hi + 0.3, 57),
-                            [lo - 1e-12, lo + 1e-12, hi - 1e-12, hi + 1e-12]))
-        vols = smile.vol_at_moneyness(z)
-        assert isinstance(vols, np.ndarray) and vols.shape == z.shape
-        scalars = [smile.vol_at_moneyness(float(v)) for v in z]
-        assert all(type(v) is float for v in scalars)
-        assert vols.tobytes() == np.array(scalars).tobytes()
-
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=pchip_cases())
     @example(case=([-0.1, 0.2], [0.3, 0.2], [0.05]))  # two knots: a line
@@ -363,9 +351,9 @@ class TestSmile:
                           lo - 0.5, hi + 0.5])
         oracle = PchipInterpolator(z, vols, extrapolate=False)(np.clip(reads, lo, hi))
         smile = Smile("X", 100.0, 0.5, z, vols)
-        assert smile.vol_at_moneyness(reads).tobytes() == oracle.tobytes()
-        scalars = np.array([smile.vol_at_moneyness(float(r)) for r in reads])
-        assert scalars.tobytes() == oracle.tobytes()
+        scalars = [smile.vol_at_moneyness(float(r)) for r in reads]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == oracle.tobytes()
 
     def test_unresolvable_wings_trimmed(self, case1_model):
         # the thin right wing of the Y leg cannot be inverted at T=0.05
@@ -434,8 +422,14 @@ class TestSmile:
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_moneyness_rejected(self, z):
         smile = Smile("X", 100.0, 0.5, [-0.1, 0.0, 0.1], [0.25, 0.2, 0.22])
-        for read in (z, np.array([0.0, z])):
-            with pytest.raises(InputError, match="non-finite z="):
+        with pytest.raises(InputError, match="non-finite z="):
+            smile.vol_at_moneyness(z)
+
+    def test_non_scalar_moneyness_refused(self):
+        # one strike per read: an array is refused, not broadcast
+        smile = Smile("X", 100.0, 0.5, [-0.1, 0.0, 0.1], [0.25, 0.2, 0.22])
+        for read in (np.array([0.0, 0.05]), [0.0, 0.05]):
+            with pytest.raises(TypeError):
                 smile.vol_at_moneyness(read)
 
 
@@ -511,29 +505,31 @@ class TestObservables:
             )
 
     def test_rung_whose_inversion_raises_gives_way_to_the_next(self, case1_model, monkeypatch):
-        m, invert, calls = case1_model, blackscholes._implied_vols, []
+        m, invert, calls = case1_model, blackscholes.implied_vol, []
 
-        def first_raises(prices, x, ks, T):
-            calls.append(list(ks))
+        def first_raises(price, x, k, T):
+            calls.append(k)
             if len(calls) == 1:
                 raise NumericalError("first rung")
-            return invert(prices, x, ks, T)
+            return invert(price, x, k, T)
 
-        monkeypatch.setattr(blackscholes, "_implied_vols", first_raises)
+        monkeypatch.setattr(blackscholes, "implied_vol", first_raises)
         obs = measure_smile_observables(m.heston, m.asset_x, m.asset_y, 0.05)
         lo, hi = heston.CONVENTION_SKEW_WINDOW
         factor = heston.WINDOW_SHRINK_LADDER[1]
-        assert len(calls) == 2 and obs.window == (factor * lo, factor * hi)
+        # the first rung stops at its first inversion; the second inverts both legs
+        assert calls == [lo, *(factor * lo, 0.0, factor * hi) * 2]
+        assert obs.window == (factor * lo, factor * hi)
         assert obs == own_rung_observables(m.heston, m.asset_x, m.asset_y, 0.05, obs.window)
 
     def test_every_rung_raising_chains_the_last_inversion_error(self, case1_model, monkeypatch):
         m, errors = case1_model, []
 
-        def always_raises(prices, x, ks, T):
+        def always_raises(price, x, k, T):
             errors.append(DomainError(f"rung {len(errors)}"))
             raise errors[-1]
 
-        monkeypatch.setattr(blackscholes, "_implied_vols", always_raises)
+        monkeypatch.setattr(blackscholes, "implied_vol", always_raises)
         with pytest.raises(DomainError, match=r"no shrink of window .* at T=0\.05") as err:
             measure_smile_observables(m.heston, m.asset_x, m.asset_y, 0.05)
         assert len(errors) == len(heston.WINDOW_SHRINK_LADDER)
@@ -941,17 +937,17 @@ def inversions(monkeypatch):
     """Batch size of every batch inversion, and the arguments of every scalar
     implied_vol call."""
     calls = {"batch": [], "scalar": []}
-    batch, scalar = blackscholes._implied_vols, blackscholes.implied_vol
+    batch, scalar = heston._vols_from_time_values, blackscholes.implied_vol
 
-    def batch_spy(prices, x, ks, T):
-        calls["batch"].append(len(ks))
-        return batch(prices, x, ks, T)
+    def batch_spy(tvs, zs, T):
+        calls["batch"].append(len(zs))
+        return batch(tvs, zs, T)
 
     def scalar_spy(*args):
         calls["scalar"].append(args)
         return scalar(*args)
 
-    monkeypatch.setattr(blackscholes, "_implied_vols", batch_spy)
+    monkeypatch.setattr(heston, "_vols_from_time_values", batch_spy)
     monkeypatch.setattr(blackscholes, "implied_vol", scalar_spy)
     return calls
 
@@ -994,12 +990,13 @@ class TestLegQuote:
     @pytest.mark.parametrize("T", [0.05, 1.0])
     def test_quote_path_inverts_one_batch_per_smile_and_rung(self, inversions, case1_model, T):
         # the calls of `exchopt price exchange --convention a-star`: both legs'
-        # (lo, 0, hi) of the first rung, then each leg's kept smile knots
+        # (lo, 0, hi) of the first rung, then each leg's kept smile knots, each
+        # strike inverted once
         m = case1_model
         measure_smile_observables(m.heston, m.asset_x, m.asset_y, T)
         smiles = [build_smile_grid(m.heston, asset, T) for asset in (m.asset_x, m.asset_y)]
-        assert inversions["scalar"] == []
         assert inversions["batch"] == [6, *(len(smile.vols) for smile in smiles)]
+        assert len(inversions["scalar"]) == sum(inversions["batch"])
 
     def test_sweep_prices_each_leg_and_maturity_in_one_kernel_call(
         self, kernel_passes, side_passes, monkeypatch

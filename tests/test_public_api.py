@@ -141,6 +141,32 @@ def test_no_module_imports_a_name_it_never_uses(module):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
+def test_every_private_module_name_is_used_in_the_package():
+    # a module-level _name (function, class or constant) that nothing in
+    # src/exchopt reads is a leftover of a deleted code path
+    package = pathlib.Path(exchopt.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defined, used = {}, set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((name, f"{file}:{node.lineno}") for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert {name: where for name, where in defined.items() if name not in used} == {}
+
+
 def test_runtime_imports_are_the_declared_dependencies():
     # every import in src/exchopt, at module level or inside a function, is
     # exchopt's own, the standard library's or a runtime dependency, and each
