@@ -169,10 +169,10 @@ class TestCaseResult:
     rows: list[dict]
 
 
-def _convention_a(name: str, a_star: Callable[[], float | None]) -> float:
-    """The log-linear weight of a named convention: ``a=<v>`` (so ``a=0`` is
-    own-ATM vols and ``a=1`` the look-up rule), ``a_star`` or
-    ``a_star_bounded``; ``a_star`` is called only for the last two."""
+def _convention_a(name: str, a_star: Callable[[], float | None]) -> float | None:
+    """The log-linear weight of a named convention: ``a=<v>`` (``a=0`` is own-ATM
+    vols, ``a=1`` the look-up rule), ``a_star`` or ``a_star_bounded``; ``a_star`` is
+    called only for the last two, and its None (a* unavailable) passes through."""
     if name.startswith("a="):
         try:
             return float(name[2:])
@@ -181,9 +181,7 @@ def _convention_a(name: str, a_star: Callable[[], float | None]) -> float:
     if name not in ("a_star", "a_star_bounded"):
         raise InputError(f"unknown convention {name!r}")
     a = a_star()
-    if a is None:
-        raise DegenerateConventionError("a_star unavailable for this point")
-    return conv.bound_a(a) if name == "a_star_bounded" else a
+    return conv.bound_a(a) if name == "a_star_bounded" and a is not None else a
 
 
 def _price_point(
@@ -225,12 +223,7 @@ def _triple_rows(
         return []
     T, rho, s0x = (priced[0][0][k] for k in ("T", "rho", "s0X"))
     x = math.log(s0x)
-    a_values = []
-    for name in conventions:
-        try:
-            a_values.append((name, _convention_a(name, lambda: a_star)))
-        except DegenerateConventionError:
-            a_values.append((name, None))
+    a_values = [(name, _convention_a(name, lambda: a_star)) for name in conventions]
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)

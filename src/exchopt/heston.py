@@ -4,10 +4,10 @@ Each leg of the two-asset model is itself a Heston asset after rescaling
 (``effective_heston``), and the exact exchange price is a vanilla on the ratio
 asset, so one Fourier kernel (``_time_values``) prices everything: a batch of
 log-strikes for unit spot, each as the damped integral of the characteristic
-function on its out-of-the-money side (on the Lewis contour, one batch for the
-strikes of every side whose damping moment explodes), accurate near 1e-13 of
-spot even for far strikes worth almost nothing.  The characteristic function
-over the damping denominator, f, is evaluated in place once per node for the
+function on its out-of-the-money side (each side falling back on its own to the
+Lewis contour where its damping moment explodes or its quadrature fails),
+accurate near 1e-13 of spot even for far strikes worth almost nothing.  The
+characteristic function over the damping denominator, f, is evaluated in place once per node for the
 whole batch, in chunks of whole panels (at most 3072 nodes), out to one cut-off
 per side: where |f|, a bound on every strike's integrand, falls below
 tolerance.  Each strike reads f panel by panel through its weights and midpoint
@@ -18,8 +18,9 @@ read-only, so every caller shares one memo.  A leg's smile knots (one
 read-only grid) and first-rung convention-window strikes are one batch per
 (leg, T) (``_QUOTE_STRIKES``), which the smile and the observables both read;
 a leg's kept knots, and both legs' window strikes of a rung, are inverted in
-one call, strike by strike (``_vols_from_time_values``).  The complex log1p is
-taken in real arithmetic.
+one call, strike by strike (``_vols_from_time_values``, the one place a time
+value below MIN_TIME_VALUE is refused).  The complex log1p is taken in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -184,19 +185,19 @@ def _panel_row(k: float, half: float, first: int, n: int) -> tuple[np.ndarray, n
 
 def _damped_values(
     cf: Callable[[np.ndarray], np.ndarray], ks: Sequence[float], alpha: float
-) -> list[float] | None:
-    """Damped-transform values for unit spot at log-strikes ``ks`` of calls
-    (alpha > 0), puts (alpha < -1) or calls less the spot (-1 < alpha < 0, the
-    Lewis contour): Re(e^{-iuk} f) = cos(uk) Re f + sin(uk) Im f,
+) -> list[float]:
+    """Values for unit spot at log-strikes ``ks`` of calls (alpha > 0), puts (alpha < -1)
+    or, on the Lewis contour (-1 < alpha < 0), the out-of-the-money option, calls less
+    the spot plus min(1, e^k): from Re(e^{-iuk} f) = cos(uk) Re f + sin(uk) Im f,
     f = cf(u - (alpha+1)i) / den(u) computed once per node for the whole batch,
     on Gauss-Legendre panels over [0, upper], _CHUNK_PANELS panels at a time,
     and read by each strike through its per-panel phases (``_panel_sums``).
     The strikes share the first doubling ``upper`` where |f|, a bound on each
     integrand, is below _TAIL_TOL at every probe; panels then double until a strike's
     estimate moves by less than max(_ABS_TOL, _REL_TOL |est|), the estimate it keeps.
-    None where the damping moment E[S_T^(1+alpha)] = f(0) (alpha^2 + alpha) is not real and
-    within Jensen's bounds, at least 1 or in (0, 1] for -1 < alpha < 0, as past its
-    explosion time (Andersen & Piterbarg, 2007)."""
+    NumericalError where the damping moment E[S_T^(1+alpha)] = f(0) (alpha^2 + alpha) is
+    not real and within Jensen's bounds, at least 1 or in (0, 1] for -1 < alpha < 0, as
+    past its explosion time (Andersen & Piterbarg, 2007), or where the quadrature fails."""
 
     def damped_cf(u: np.ndarray) -> np.ndarray:
         den = alpha * alpha + alpha - u * u + 1j * (2.0 * alpha + 1.0) * u
@@ -209,7 +210,8 @@ def _damped_values(
     m = moment.real
     within = 0.0 < m <= 1.0 if -1.0 < alpha < 0.0 else 1.0 <= m < math.inf
     if not (within and abs(moment.imag) <= 1e-8 * m):
-        return None
+        raise NumericalError(f"damping moment E[S_T^{1.0 + alpha}] = {moment} out of bounds"
+                             f" at alpha={alpha}")
     below = np.abs(probe[1:]).reshape(_TAIL_NODES.shape).max(axis=1) <= _TAIL_TOL
     if not below.any():
         raise NumericalError(f"integrand tail above {_TAIL_TOL} out to u={2.0 * _TAIL_NODES[-1, 0]}"
@@ -232,7 +234,10 @@ def _damped_values(
         est[todo[done]] = cur[done]
         todo, prev, step = todo[~done], cur[~done], step[~done]
         if not todo.size:
-            return [math.exp(-alpha * k) / math.pi * e for k, e in zip(ks, est.tolist())]
+            tv = [math.exp(-alpha * k) / math.pi * e for k, e in zip(ks, est.tolist())]
+            if -1.0 < alpha < 0.0:  # C - 1 plus min(1, e^k): the call, or the put by parity
+                tv = [v + min(1.0, math.exp(k)) for k, v in zip(ks, tv)]
+            return tv
     raise NumericalError(f"quadrature not converged at log-strikes {k_all[todo].tolist()}"
                          f": upper={upper}, panels={n_panels}, last delta={step.max():.3e}")
 
@@ -245,38 +250,32 @@ def _time_values(
     """Read-only out-of-the-money time values for unit spot at log-strikes ``ks``
     (the call for k >= 0, the put for k < 0): the one Fourier pricing kernel,
     kept for the last _KERNEL_MEMO batches (keyed on the kernel's floats, so a
-    leg's spot does not split them).  Each side integrates on its own damping
-    contour; the strikes of a side whose damping moment explodes, or whose
-    quadrature fails to converge, are priced in one batch on the Lewis contour,
-    whose moment stays in (0, 1].  Batching leaves each strike's bits unchanged."""
+    leg's spot does not split them).  Each side walks its own ladder: its own
+    damping contour, then the Lewis contour, whose moment stays in (0, 1]; a side
+    neither prices raises NumericalError naming the kernel's arguments, from the
+    Lewis contour's error.  Batching leaves each strike's bits unchanged."""
     ks = [float(k) for k in ks]
     positive(T=T)
     if not all(map(math.isfinite, ks)):
         raise InputError(f"log-strikes must be finite, got {ks}")
     cf = lambda u: _cf_log_return(u, kappa, kappa_theta, nu, v0, rho_sv, T)
-    out, lewis = np.empty(len(ks)), []
+    out = np.empty(len(ks))
     for alpha in (_DAMPING_ALPHA, -1.0 - _DAMPING_ALPHA):
         side = [i for i, k in enumerate(ks) if (k >= 0.0) == (alpha > 0.0)]
         if not side:
             continue
-        try:
-            tv = _damped_values(cf, [ks[i] for i in side], alpha)
-        except NumericalError:  # as next to the moment's explosion: the Lewis contour
-            tv = None
-        if tv is None:
-            lewis += side
+        side_ks = [ks[i] for i in side]
+        for contour in (alpha, _LEWIS_ALPHA):  # the Lewis contour as next to the explosion
+            try:
+                out[side] = _damped_values(cf, side_ks, contour)
+                break
+            except NumericalError as err:
+                failure = err
         else:
-            out[side] = tv
-    if lewis:
-        lewis.sort()  # input order
-        lewis_ks = [ks[i] for i in lewis]
-        tv = _damped_values(cf, lewis_ks, _LEWIS_ALPHA)
-        if tv is None:
             raise NumericalError(
-                f"every damping moment explodes at kappa={kappa}, kappa_theta={kappa_theta}, "
-                f"nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}")
-        # C - 1 plus min(1, e^k): the call for k >= 0, the put (parity) below
-        out[lewis] = [v + min(1.0, math.exp(k)) for k, v in zip(lewis_ks, tv)]
+                f"no contour prices log-strikes {side_ks} at kappa={kappa}, "
+                f"kappa_theta={kappa_theta}, nu={nu}, v0={v0}, rho_sv={rho_sv}, T={T}: {failure}"
+            ) from failure
     np.maximum(out, 0.0, out=out)  # far out of the money, quadrature noise straddles 0
     out.flags.writeable = False
     return out
@@ -305,8 +304,13 @@ def heston_vanilla_price(
 
 
 def _vols_from_time_values(tvs: Sequence[float], zs: Sequence[float], T: float) -> list[float]:
-    """Implied vols at log-moneyness ``zs`` from unit-spot time values, in order:
-    the first failing inversion raises its error."""
+    """Implied vols at log-moneyness ``zs`` from unit-spot time values, in order: time
+    values below MIN_TIME_VALUE, the inversion's price tolerance, raise one DomainError
+    naming every such z before any inversion, then the first failing inversion raises."""
+    low = [float(z) for tv, z in zip(tvs, zs) if tv < MIN_TIME_VALUE]
+    if low:
+        raise DomainError(
+            f"time value below {MIN_TIME_VALUE} of spot at log-moneyness {low}, T={T}")
     return [blackscholes.implied_vol(tv + max(1.0 - math.exp(z), 0.0), 0.0, z, T)
             for tv, z in zip(map(float, tvs), map(float, zs))]
 
@@ -434,9 +438,6 @@ def build_smile(
     ks = sorted(log_strikes)
     zs = [k - asset.x0 for k in ks]
     tv = _time_values(*_leg_args(params, asset), T, tuple(zs))
-    low = [k for k, t in zip(ks, tv) if t < MIN_TIME_VALUE]
-    if low:
-        raise DomainError(f"time value below {MIN_TIME_VALUE} of spot at log strikes {low}, T={T}")
     return list(zip(ks, _vols_from_time_values(tv, zs, T)))
 
 
@@ -468,23 +469,17 @@ def measure_smile_observables(
     endpoint skews across CONVENTION_SKEW_WINDOW.
 
     The window shrinks through WINDOW_SHRINK_LADDER (both ends proportionally)
-    until every wing read of both legs has time value at least
-    MIN_TIME_VALUE of spot and inverts; corners where even the tightest
-    window fails raise DomainError.  The first rung reads the last three
-    strikes of the legs' quote batches (_QUOTE_STRIKES), a later rung its own.
+    until every read of both legs has time value at least MIN_TIME_VALUE of spot
+    and inverts; where even the tightest window fails, DomainError from the last
+    rung's.  The first rung reads the last three strikes of the legs' quote
+    batches (_QUOTE_STRIKES), a later rung its own.
     """
     last_err: Exception | None = None
     for factor in WINDOW_SHRINK_LADDER:
         zs = (factor * CONVENTION_SKEW_WINDOW[0], 0.0, factor * CONVENTION_SKEW_WINDOW[1])
         batch = _QUOTE_STRIKES if zs == _QUOTE_WINDOW else zs
-        tvs = []
-        for asset in (asset_x, asset_y):
-            tv = _time_values(*_leg_args(params, asset), T, batch)[-3:]
-            if min(tv[0], tv[2]) < MIN_TIME_VALUE:
-                break
-            tvs += tv.tolist()
-        if len(tvs) < 6:
-            continue
+        tvs = [tv for asset in (asset_x, asset_y)
+               for tv in _time_values(*_leg_args(params, asset), T, batch)[-3:].tolist()]
         lo, hi = zs[0], zs[2]
         try:  # both legs' (lo, 0, hi) in one batch
             dn_x, atm_x, up_x, dn_y, atm_y, up_y = _vols_from_time_values(tvs, zs * 2, T)

@@ -467,8 +467,9 @@ class TestConventionTable:
         assert _convention_a("a=0.3", refuse) == 0.3
 
     def test_unavailable_a_star_is_degenerate(self):
-        with pytest.raises(DegenerateConventionError):
-            _convention_a("a_star_bounded", lambda: None)
+        # a missing a* stays None, and _triple_rows marks its rows degenerate
+        for name in ("a_star", "a_star_bounded"):
+            assert _convention_a(name, lambda: None) is None
 
     @pytest.mark.parametrize("name", ["a-star", "atm", "a=x"])
     def test_unknown_names(self, name):
