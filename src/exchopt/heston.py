@@ -7,20 +7,21 @@ log-strikes for unit spot, each as the damped integral of the characteristic
 function on its out-of-the-money side (each side falling back on its own to the
 Lewis contour where its damping moment explodes or its quadrature fails),
 accurate near 1e-13 of spot even for far strikes worth almost nothing.  The
-characteristic function over the damping denominator, f, is evaluated in place once per node for the
-whole batch, in chunks of whole panels (at most 3072 nodes), out to one cut-off
-per side: where |f|, a bound on every strike's integrand, falls below
-tolerance.  Each strike reads f panel by panel through its weights and midpoint
-phases (``_panel_sums``), which depend on no model and are kept in a bounded
-table of (strike, chunk) rows keyed by the chunk's integer panel index, so trig
-runs per panel and only on a miss.  The kernel keeps its last few batches,
-read-only, so every caller shares one memo.  A leg's smile knots (one
-read-only grid) and first-rung convention-window strikes are one batch per
-(leg, T) (``_QUOTE_STRIKES``), which the smile and the observables both read;
-a leg's kept knots, and both legs' window strikes of a rung, are inverted in
-one call, strike by strike (``_vols_from_time_values``, the one place a time
-value below MIN_TIME_VALUE is refused).  The complex log1p is taken in real
-arithmetic.
+characteristic function over the damping denominator, f, is evaluated in place
+once per node for the whole batch, in chunks of whole panels (at most 3072
+nodes), out to one cut-off per side: where |f|, a bound on every strike's
+integrand, falls below tolerance.  A pole of the damping denominator lies 0.75
+from the first panel, which is integrated as two panels of half its width.
+Each strike reads f panel by panel through its weights and midpoint phases
+(``_panel_sums``), which depend on no model and are built for a chunk's strikes
+in one outer product, so trig runs per panel, not per node.  The kernel keeps
+its last few batches, read-only, so every caller shares one memo.  A leg's
+smile knots (one read-only grid) and first-rung convention-window strikes are
+one batch per (leg, T) (``_QUOTE_STRIKES``), which the smile and the
+observables both read; a leg's kept knots, and both legs' window strikes of a
+rung, are inverted in one call, strike by strike (``_vols_from_time_values``,
+the one place a time value below MIN_TIME_VALUE is refused).  The complex
+log1p is taken in real arithmetic.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ _GL_NODES = 24
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _MAX_REFINE = 9
 _CHUNK_PANELS = 128  # 3072 nodes: no level allocates more at once
-_ROW_MEMO = 512  # (strike, chunk) rows of _panel_row: at most about 1.5 MB
 _KERNEL_MEMO = 16  # kernel batches kept: a sweep maturity has 10 legs' quote batches
 
 
@@ -164,23 +164,14 @@ def _panel_sums(f: np.ndarray, first: int, half: float, ks: np.ndarray) -> np.nd
     Splitting uk = mk + (half x_g) k, a panel sums to cos(mk) A + sin(mk) B,
     where A + iB = f @ (w e^{-i half x k}): A = Re f (w cos(half x k)) +
     Im f (w sin(half x k)) and B = Im f (w cos(half x k)) - Re f (w sin(half x k)).
-    Trig runs per panel and abscissa, only for rows ``_panel_row`` does not hold; each
-    strike's stacked f @ w is its own gemv, so its bits do not depend on the rest of ``ks``."""
-    rows = [_panel_row(k, half, first, len(f)) for k in map(float, ks)]
-    weights, phases = np.array([w for w, _ in rows]), np.array([p for _, p in rows])
-    return np.matmul(phases[:, None, :], np.matmul(f, weights[:, :, None]))[:, 0, 0].real
-
-
-@functools.lru_cache(maxsize=_ROW_MEMO)
-def _panel_row(k: float, half: float, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights w e^{-i half x k} and conjugate phases e^{-imk} of log-strike
-    k over the n panels with midpoints m = half (first + 2i): no model enters."""
-    hk = k * (half * _GL_X)
+    The weights w e^{-i half x k} and conjugate phases e^{-imk} depend on no model: one
+    outer product over ``ks`` each, so trig runs per panel and abscissa; each strike's
+    stacked f @ w is its own gemv, so its bits do not depend on the rest of ``ks``."""
+    hk = np.multiply.outer(ks, half * _GL_X)
     weights = _GL_W * (np.cos(hk) - 1j * np.sin(hk))
-    mk = k * (half * np.arange(first, first + 2 * n, 2))
+    mk = np.multiply.outer(ks, half * np.arange(first, first + 2 * len(f), 2))
     phases = (np.cos(mk) + 1j * np.sin(mk)).conj()
-    weights.flags.writeable = phases.flags.writeable = False
-    return weights, phases
+    return np.matmul(phases[:, None, :], np.matmul(f, weights[:, :, None]))[:, 0, 0].real
 
 
 def _damped_values(
@@ -192,6 +183,9 @@ def _damped_values(
     f = cf(u - (alpha+1)i) / den(u) computed once per node for the whole batch,
     on Gauss-Legendre panels over [0, upper], _CHUNK_PANELS panels at a time,
     and read by each strike through its per-panel phases (``_panel_sums``).
+    den(u) = (alpha + iu)(alpha + 1 + iu) has poles at u = i alpha and i (alpha + 1), where
+    cf is 1; the nearer lies 0.75 from the real axis, so the first panel of each level is
+    two panels of half its width, and level 0 is accurate next to it.
     The strikes share the first doubling ``upper`` where |f|, a bound on each
     integrand, is below _TAIL_TOL at every probe; panels then double until a strike's
     estimate moves by less than max(_ABS_TOL, _REL_TOL |est|), the estimate it keeps.
@@ -221,13 +215,14 @@ def _damped_values(
     for level in range(_MAX_REFINE + 1):
         n_panels = max(32, int(upper / 4.0)) << level
         half, k_todo = 0.5 * upper / n_panels, k_all[todo]
-        n_chunks, sums, xs = -(-n_panels // _CHUNK_PANELS), np.zeros(todo.size), half * _GL_X
-        size, extra = divmod(n_panels, n_chunks)
-        for c in range(n_chunks):  # as even as possible, the first `extra` one panel longer
-            first = 2 * (c * size + min(c, extra)) + 1  # the chunk's first midpoint is first * half
-            mid = half * np.arange(first, first + 2 * (size + (c < extra)), 2)
-            f = damped_cf(mid[:, None] + xs[None, :])
-            sums += _panel_sums(f, first, half, k_todo)
+        n_chunks, sums = -(-(n_panels - 1) // _CHUNK_PANELS), np.zeros(todo.size)
+        # (midpoints over h, half-width h, weight h / half): panel 0 as two panels of half
+        # its width, then the rest in chunks as even as possible
+        body = np.array_split(np.arange(3, 2 * n_panels, 2), n_chunks)
+        pieces = [(np.array([1, 3]), 0.5 * half, 0.5), *((firsts, half, 1.0) for firsts in body)]
+        for firsts, h, weight in pieces:
+            f = damped_cf((h * firsts)[:, None] + (h * _GL_X)[None, :])
+            sums += weight * _panel_sums(f, int(firsts[0]), h, k_todo)
         cur = sums * half
         step = np.abs(cur - prev)
         done = step < np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur))

@@ -330,8 +330,11 @@ class TestInversionLoop:
 # a cent; a change that alters these bits records the new digest and says why.
 # Re-pinned when the normal CDF became 0.5 erfc(-d/sqrt 2) and the vega density
 # math.exp: 420 of 717 vols moved, by at most 7.1e-11 (a deep-wing knot, whose
-# vol the 1e-12 price tolerance fixes only to 1e-12/vega)
-INVERSION_DIGEST = "aa63ef30d997cbc938602578949b8078673d7b48ad97d5ce448357b42d8c7199"
+# vol the 1e-12 price tolerance fixes only to 1e-12/vega).  Re-pinned when the
+# kernel's first panel of each level became two panels of half its width: 490
+# of 717 vols moved, by at most 5.4e-9 (a T 0.05 wing knot at z -0.217 whose
+# vega is 1.1e-8, so the price tolerance fixes its vol only to 9e-5)
+INVERSION_DIGEST = "4bc9d9041149062a53ed2d98165b3914454fb39e1ef24a6b0234e49a4962d1d9"
 
 
 @pytest.fixture(scope="module")

@@ -392,23 +392,29 @@ class TestEmitPlotData:
     # were re-pinned when the normal CDF became 0.5 erfc(-d/sqrt 2): their
     # figures moved by at most 9.7e-13 (skew), 1.7e-12 (case implied_corr),
     # 9.1e-12 (ratio), 7.5e-15 (difference, moneyness_error) and 1.6e-14
-    # (grid implied_corr)
+    # (grid implied_corr).  All nine were re-pinned when the kernel's first panel
+    # of each level became two panels of half its width: figures moved by at most
+    # 4.7e-9 in skew (54 of 78 lines), 3.2e-10 in case implied_corr (9 of 9),
+    # 8.2e-12 in case ratio (4 of 9), 9.9e-14 in case difference and
+    # moneyness_error (4 of 9 each), 9.3e-9 in grid implied_corr (16 of 16),
+    # 4.6e-13 in grid ratio (14 of 16), 9.2e-12 in grid difference (14 of 16)
+    # and 6.0e-12 in grid moneyness_error (7 of 8)
     EXTRACT_DIGESTS = {
-        ("case", "skew"): "0fdb27087d88d5a62a66558f4840e295ffef1e83e09324b08ad0fc8972a43bec",
+        ("case", "skew"): "b3591fe609794ecfead0f408d6fa6438df65671f6a2edff812cd173a5fd83327",
         ("case", "implied_corr"):
-            "4342964ebacf7d2414abf48e3524c03c82569865b807064985db2188d19be4a0",
-        ("case", "ratio"): "1f04c6f67f4cbaf3e3e8c9d83b0bd04f5565800f44f2e7a9c2f5ee571e9c5a7e",
+            "80af3996c1bbe6f48ac1f30b65af609ec9dec9f2d78dc6da8b09ffea3b5ae49b",
+        ("case", "ratio"): "5b7534c77cc7de7739e39ce5fd512a5a0717c47b84324eaefc2634fc68c8c8a3",
         ("case", "difference"):
-            "47294580a70dbbc6b733c036bd8760b99548b0d187275d3b709a4722b62557b8",
+            "6a2586eb7a34fd4d92023362dee90b024a90b799a3c04dd6a657f30e424337b0",
         ("case", "moneyness_error"):
-            "6c0c669e1cd5245637c97fcacd5cf00a92078bb5114a8e77bafd8252d83916db",
+            "4c49a63698f5f92581161d1353fe9482efc5868b6cd92372a41061a48925e816",
         ("grid", "implied_corr"):
-            "61c489d2799ffd24407ce144c4ee15004ea687bec20eedf4cda33330bfcbbb09",
-        ("grid", "ratio"): "2e088dfc7ab96756f95d67cc08b0c49f2a5afe2916b471a167395254a084bc9f",
+            "1af60c83f22f7fedc885255b9d1f90f020e713fd3b2c53c7c8d86ac2030b7b05",
+        ("grid", "ratio"): "9cae8e526a119321160be2751aa5db466f68abfcdcd0c5c14c860ed3666252ae",
         ("grid", "difference"):
-            "2de483d7b71f3288e4fce62e473883f32982ea5d6c9c5dafae88c311ea994a9d",
+            "b4c0ef91ec6d5e38a79358383f4f8374f7658c5f680401c1fc7e21232baed49a",
         ("grid", "moneyness_error"):
-            "dee311303ec5460527fbd861d463cbbd68ff255afbaafd9eb9da13b04110ddce",
+            "4af27935b12e0c405f281dd73d49ebc999bcf02d87e41950b6d3bb409951b994",
     }
 
     @pytest.mark.parametrize("source, kind", list(EXTRACT_DIGESTS))
