@@ -847,6 +847,48 @@ class TestFourierKernel:
                     assert head.shape == (2, heston._GL_NODES) and head.max() < body.min()
                     assert np.diff(body[:2, 0]) == pytest.approx(2.0 * np.diff(head[:, 0]))
 
+    # panel rows are rebuilt on every call (no table of rows is kept), so the
+    # kernel memo is the only state, and a batch's bits do not depend on it:
+    # cold, served warm by the memo, or recomputed after the memo evicted it
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @leg_models
+    def test_panel_table_cold_warm_or_evicting_give_the_same_bits(self, **leg):
+        args, zs = leg_kernel(**leg), heston._QUOTE_STRIKES
+        heston._time_values.cache_clear()
+        cold = heston._time_values(*args, zs)
+        warm = heston._time_values(*args, zs)
+        for shift in range(1, heston._KERNEL_MEMO + 1):  # push the batch out of the memo
+            heston._time_values(*args, tuple(z + 1e-3 * shift for z in zs))
+        evicting = heston._time_values(*args, zs)
+        info = heston._time_values.cache_info()
+        assert (info.hits, info.misses) == (1, heston._KERNEL_MEMO + 2)
+        assert cold.tobytes() == warm.tobytes() == evicting.tobytes()
+
+    # over 4000 distinct log-strikes the kernel holds only its memo's last
+    # _KERNEL_MEMO batches, and the second 2000 strikes peak no higher than the
+    # first (a table of every strike's panel rows would hold several MiB more)
+    def test_panel_table_stays_bounded_over_many_strikes(self):
+        args = leg_kernel(1.5, 0.15, 0.5, 0.15, 1.0, -0.6, 1.0)
+        batches = np.linspace(-0.5, 0.5, 4000).reshape(40, 100)
+        heston._time_values.cache_clear()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for half in (batches[:20], batches[20:]):
+                tracemalloc.reset_peak()
+                for ks in half:
+                    heston._time_values(*args, tuple(ks.tolist()))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            info, held = heston._time_values.cache_info(), tracemalloc.get_traced_memory()[0]
+            heston._time_values.cache_clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert info.misses == 40 and info.currsize == heston._KERNEL_MEMO
+        # a memo entry holds a 100-strike key and its 100 time values, under 8 KiB
+        assert held < heston._KERNEL_MEMO * 8 * 2**10
+        assert peaks[1] - peaks[0] < 64 * 2**10
+
     @pytest.mark.parametrize("alpha", [heston._DAMPING_ALPHA, -1.0 - heston._DAMPING_ALPHA])
     def test_panel_phases_match_the_node_form(self, alpha):
         # the level at upper 409600 (1.5e5 rad at |k| 0.36) of a slowly decaying
