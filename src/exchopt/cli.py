@@ -201,7 +201,8 @@ def _cmd_price_mc(cfg: RunConfig, args) -> int:
         gamma_hat = margrabe.exchange_implied_vol(est.value, x, y, cfg.maturity)
         rho_hat = margrabe.implied_correlation(gamma_hat, i_x, i_y)
         print(f"gamma_hat {gamma_hat:.6f}")
-        print(f"implied_corr {rho_hat:.6f} (atm leg vols)")
+        mark = ", outside [-1, 1]" if abs(rho_hat) > 1.0 else ""
+        print(f"implied_corr {rho_hat:.6f} (atm leg vols{mark})")
     except DomainError:
         print("gamma_hat n/a (price at or below intrinsic)")
     return 0

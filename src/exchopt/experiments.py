@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -225,24 +224,22 @@ def _triple_rows(
     x = math.log(s0x)
     a_values = [(name, _convention_a(name, lambda: a_star)) for name in conventions]
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", margrabe.ImpliedCorrelationBoundsWarning)
-        for point, est in priced:
-            y = math.log(point["s0Y"])
-            try:
-                g_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
-            except (DomainError, NumericalError):
-                g_hat = math.nan
-            for name, a in a_values:
-                if a is None:
-                    rows.append(_row(point, name, est, "degenerate_convention"))
-                    continue
-                k_x, k_y, i_x, i_y, _, price = _price_point(smile_x, smile_y, rho, x, y, T, a)
-                rho_hat = (margrabe.implied_correlation(g_hat, i_x, i_y)
-                           if math.isfinite(g_hat) else math.nan)
-                rows.append(_row(point, name, est, a_value=a, kX=k_x, kY=k_y, IX=i_x, IY=i_y,
-                                 margrabe_price=price, error=price - est.value,
-                                 implied_corr=rho_hat))
+    for point, est in priced:
+        y = math.log(point["s0Y"])
+        try:
+            g_hat = margrabe.exchange_implied_vol(est.value, x, y, T)
+        except (DomainError, NumericalError):
+            g_hat = math.nan
+        for name, a in a_values:
+            if a is None:
+                rows.append(_row(point, name, est, "degenerate_convention"))
+                continue
+            k_x, k_y, i_x, i_y, _, price = _price_point(smile_x, smile_y, rho, x, y, T, a)
+            rho_hat = (margrabe.implied_correlation(g_hat, i_x, i_y)
+                       if math.isfinite(g_hat) else math.nan)
+            rows.append(_row(point, name, est, a_value=a, kX=k_x, kY=k_y, IX=i_x, IY=i_y,
+                             margrabe_price=price, error=price - est.value,
+                             implied_corr=rho_hat))
     return rows
 
 

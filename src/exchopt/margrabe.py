@@ -10,7 +10,6 @@ of an observed price; ``implied_correlation`` inverts the combination for rho.
 from __future__ import annotations
 
 import math
-import warnings
 
 from . import blackscholes
 from .errors import correlation, non_negative, positive
@@ -20,12 +19,7 @@ __all__ = [
     "convention_gamma",
     "exchange_implied_vol",
     "implied_correlation",
-    "ImpliedCorrelationBoundsWarning",
 ]
-
-
-class ImpliedCorrelationBoundsWarning(UserWarning):
-    """Implied correlation fell outside [-1, 1] (kept as-is, not clamped)."""
 
 
 def margrabe_price(x: float, y: float, gamma: float, T: float) -> float:
@@ -60,16 +54,8 @@ def implied_correlation(gamma_hat: float, i_x: float, i_y: float) -> float:
     The unique rho reproducing gamma_hat through convention_gamma, whose leg
     vols it likewise requires finite and positive (InputError).  Values
     outside [-1, 1] are possible for distorted inputs; they are returned
-    unchanged with an ImpliedCorrelationBoundsWarning rather than clamped so
-    implied-correlation curves stay visible.
+    unchanged, not clamped, so implied-correlation curves stay visible.
     """
     non_negative(gamma_hat=gamma_hat)
     positive(i_x=i_x, i_y=i_y)
-    rho_hat = (i_x * i_x + i_y * i_y - gamma_hat * gamma_hat) / (2.0 * i_x * i_y)
-    if abs(rho_hat) > 1.0:
-        warnings.warn(
-            f"implied correlation {rho_hat:.6f} outside [-1, 1]",
-            ImpliedCorrelationBoundsWarning,
-            stacklevel=2,
-        )
-    return rho_hat
+    return (i_x * i_x + i_y * i_y - gamma_hat * gamma_hat) / (2.0 * i_x * i_y)

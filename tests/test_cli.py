@@ -282,6 +282,27 @@ class TestPriceMc:
         assert out.endswith("gamma_hat n/a (price at or below intrinsic)\n")
         assert "implied_corr" not in out
 
+    # exchopt emits no warnings: an implied correlation outside [-1, 1] is
+    # returned as is, and this line is where a person sees it marked. At the
+    # default model and T 0.05, a price of 0.4 puts gamma_hat below
+    # |I_X - I_Y| (rho_hat > 1) and 5.0 puts it above I_X + I_Y (rho_hat < -1)
+    @pytest.mark.parametrize("value, line", [
+        (0.4, "implied_corr 1.057587 (atm leg vols, outside [-1, 1])"),
+        (2.0, "implied_corr 0.443800 (atm leg vols)"),
+        (5.0, "implied_corr -2.917221 (atm leg vols, outside [-1, 1])"),
+    ])
+    def test_marks_implied_corr_outside_bounds(self, capsys, out_dir, monkeypatch, value, line):
+        def priced_at(model, T, mc):
+            return PriceEstimate(value=value, stderr=0.0, n_paths=mc.n_paths, seed=mc.seed,
+                                 beta=1.0)
+
+        monkeypatch.setattr("exchopt.cli.simulate_exchange", priced_at)
+        code, out, _ = run_cli(
+            capsys, "--out", out_dir, "--seed", "7", "price", "mc", "--paths", "2000",
+        )
+        assert code == 0
+        assert out.endswith(f"\n{line}\n")
+
 
 class TestConventionSolve:
     def test_uncorrelated_assets_give_lookup(self, capsys, out_dir, tmp_path):

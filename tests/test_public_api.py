@@ -18,10 +18,11 @@ MODULES = [exchopt] + [
     importlib.import_module(f"exchopt.{info.name}")
     for info in pkgutil.iter_modules(exchopt.__path__)
 ]
+_PACKAGE = pathlib.Path(exchopt.__file__).resolve().parent
 
 REMOVED = (
     "ExchangeQuote", "VanillaSpec", "price", "vega", "LinearConvention", "ModelLimits",
-    "measure_atm_observables",
+    "measure_atm_observables", "ImpliedCorrelationBoundsWarning",
 )
 
 
@@ -144,8 +145,7 @@ def test_no_module_imports_a_name_it_never_uses(module):
 def test_every_private_module_name_is_used_in_the_package():
     # a module-level _name (function, class or constant) that nothing in
     # src/exchopt reads is a leftover of a deleted code path
-    package = pathlib.Path(exchopt.__file__).resolve().parent
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(_PACKAGE.glob("*.py"))}
     defined, used = {}, set()
     for file, tree in trees.items():
         for node in tree.body:
@@ -167,21 +167,33 @@ def test_every_private_module_name_is_used_in_the_package():
     assert {name: where for name, where in defined.items() if name not in used} == {}
 
 
-def test_runtime_imports_are_the_declared_dependencies():
-    # every import in src/exchopt, at module level or inside a function, is
-    # exchopt's own, the standard library's or a runtime dependency, and each
-    # runtime dependency is imported: SciPy cannot creep back in unlisted
-    package = pathlib.Path(exchopt.__file__).resolve().parent
+def _import_roots(path: pathlib.Path) -> set[str]:
+    """Top-level names of every absolute import in one module, at module
+    level or inside a function."""
     roots = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                roots.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots.add(node.module.split(".")[0])
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # every import in src/exchopt is exchopt's own, the standard library's or
+    # a runtime dependency, and each runtime dependency is imported: SciPy
+    # cannot creep back in unlisted
+    roots = set().union(*map(_import_roots, _PACKAGE.glob("*.py")))
     third_party = roots - set(sys.stdlib_module_names) - {"exchopt"}
-    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    pyproject = (_PACKAGE.parents[1] / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
     distributions = re.findall(r'"([A-Za-z0-9_.-]+)', block)
     assert third_party == {{"pyyaml": "yaml"}.get(d.lower(), d.lower()) for d in distributions}
     assert third_party == {"numpy", "yaml"}
+
+
+def test_no_module_imports_warnings():
+    # exchopt reports through return values, typed errors and exit codes: an
+    # implied correlation outside [-1, 1] is returned as is, so no caller has
+    # a warning filter to set
+    assert [p.name for p in _PACKAGE.glob("*.py") if "warnings" in _import_roots(p)] == []
